@@ -53,8 +53,6 @@ from .experiments import (
 )
 from .inverse import (
     hankel_inverse_entry,
-    inverse_entry,
-    inverse_entry_dual,
     inverse_entry_dual_exact,
     inverse_entry_exact,
     inverse_matrix,
@@ -88,10 +86,8 @@ from .spectral import (
 from .structured import (
     StructuredInverse,
     bezout_matrix,
-    fft,
     hankel_matvec,
     heinig_rost_inverse,
-    ifft,
     solve_dft,
     structured_inverse,
     toeplitz_matvec,
@@ -145,8 +141,6 @@ __all__ = [
     "write_csv",
     # inverse formulas
     "hankel_inverse_entry",
-    "inverse_entry",
-    "inverse_entry_dual",
     "inverse_entry_dual_exact",
     "inverse_entry_exact",
     "inverse_matrix",
@@ -182,10 +176,8 @@ __all__ = [
     # structured
     "StructuredInverse",
     "bezout_matrix",
-    "fft",
     "hankel_matvec",
     "heinig_rost_inverse",
-    "ifft",
     "solve_dft",
     "structured_inverse",
     "toeplitz_matvec",

@@ -1,8 +1,11 @@
-"""Closed-form entries of the inverse mass matrix.
+"""The closed-form inverse mass matrix.
 
-Two independent published formulas are implemented; they agree exactly in
-rational arithmetic, which the test suite exploits.  The scaled variant
-(inverse of the Hankel factor) has integer entries and is exposed separately.
+The inverse of the binomially descaled (Hankel) factor is an integer matrix,
+the Bezoutian of two binomial coefficient vectors divided by one of their
+entries.  `hankel_inverse_exact` builds it in O(n^2) exact integer steps and
+`inverse_matrix` rounds each of its descaled entries once.  Two independent
+published entry formulas are kept in exact arithmetic as test oracles; they
+agree with each other and with the Bezoutian exactly.
 """
 
 from __future__ import annotations
@@ -12,12 +15,13 @@ from fractions import Fraction
 
 import numpy as np
 
+from .structured import bezout_coeff_u, bezout_coeff_v, bezout_matrix
+
 __all__ = [
-    "inverse_entry",
-    "inverse_entry_dual",
     "inverse_entry_exact",
     "inverse_entry_dual_exact",
     "hankel_inverse_entry",
+    "hankel_inverse_exact",
     "inverse_matrix",
     "last_column_y",
     "last_column_y_exact",
@@ -49,48 +53,13 @@ def _dual_terms(n, i, j):
     ]
 
 
-def _to_float(t):
-    # saturate like a double accumulation would, instead of raising
-    try:
-        return float(t)
-    except OverflowError:
-        return math.inf if t > 0 else -math.inf
-
-
-def _float_sum(terms):
-    # plain double accumulation, smallest magnitudes first
-    vals = sorted((_to_float(t) for t in terms), key=abs)
-    total = 0.0
-    for v in vals:
-        total += v
-    return total
-
-
-def inverse_entry(n: int, i: int, j: int) -> float:
+def inverse_entry_exact(n: int, i: int, j: int) -> Fraction:
     """Entry (i, j) of the inverse mass matrix from the primary closed form.
 
     The value is (-1)^(i+j) / (C(n,i) C(n,j)) times a sum over k of
     (2k+1-i+j) C(n+1,i-k)^2 C(n+1,j+k+1)^2; k runs where both binomials
-    are nonzero.
+    are nonzero.  Evaluated exactly over the rationals.
     """
-    _check_indices(n, i, j)
-    sign = -1.0 if (i + j) % 2 else 1.0
-    return sign * _float_sum(_primary_terms(n, i, j)) / _to_float(
-        math.comb(n, i) * math.comb(n, j)
-    )
-
-
-def inverse_entry_dual(n: int, i: int, j: int) -> float:
-    """Entry (i, j) of the inverse from the dual-basis closed form."""
-    _check_indices(n, i, j)
-    sign = -1.0 if (i + j) % 2 else 1.0
-    return sign * _float_sum(_dual_terms(n, i, j)) / _to_float(
-        math.comb(n, i) * math.comb(n, j)
-    )
-
-
-def inverse_entry_exact(n: int, i: int, j: int) -> Fraction:
-    """The primary formula evaluated exactly over the rationals."""
     _check_indices(n, i, j)
     sign = -1 if (i + j) % 2 else 1
     return Fraction(sign * sum(_primary_terms(n, i, j)), math.comb(n, i) * math.comb(n, j))
@@ -113,17 +82,32 @@ def hankel_inverse_entry(n: int, i: int, j: int) -> int:
     return sign * sum(_primary_terms(n, i, j))
 
 
-def inverse_matrix(n: int) -> np.ndarray:
-    """The dense inverse mass matrix, every entry from the closed form.
+def hankel_inverse_exact(n: int) -> list:
+    """The integer inverse of the descaled (Hankel) factor as nested lists.
 
-    O(n^3) work in total; only the upper triangle is computed and mirrored.
+    Bez(v, u) / v_{n+1} with u, v from bezout_coeff_u/v (Heinig & Rost),
+    O(n^2) exact integer work; entry (i, j) equals hankel_inverse_entry.
     """
+    v = bezout_coeff_v(n)
+    return [[e // v[-1] for e in row] for row in bezout_matrix(v, bezout_coeff_u(n))]
+
+
+def inverse_matrix(n: int) -> np.ndarray:
+    """The dense inverse mass matrix, each entry the exact value rounded once.
+
+    The exact entry is hankel_inverse_exact(n)[i][j] / (C(n,i) C(n,j)); an
+    entry beyond double range becomes +-inf.  O(n^2) big-integer work; the
+    upper triangle is rounded and mirrored.
+    """
+    binom = [math.comb(n, i) for i in range(n + 1)]
     a = np.empty((n + 1, n + 1))
-    for i in range(n + 1):
+    for i, row in enumerate(hankel_inverse_exact(n)):
         for j in range(i, n + 1):
-            v = inverse_entry(n, i, j)
-            a[i, j] = v
-            a[j, i] = v
+            try:
+                e = row[j] / (binom[i] * binom[j])  # int division rounds once
+            except OverflowError:
+                e = math.inf if row[j] > 0 else -math.inf
+            a[i, j] = a[j, i] = e
     return a
 
 

@@ -13,7 +13,6 @@ import threading
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 from .bernstein import mass_matrix
 from .inverse import inverse_matrix
@@ -91,10 +90,10 @@ def cholesky_factor(mass) -> CholeskyFactor:
 
 
 def solve_cholesky(factor: CholeskyFactor, b) -> np.ndarray:
-    """Forward/back substitution through a cached factor."""
+    """Solve with L, then with L^T, through a cached factor."""
     bv = np.asarray(b, dtype=float)
-    y = solve_triangular(factor.lower, bv, lower=True)
-    return solve_triangular(factor.lower, y, lower=True, trans="T")
+    y = np.linalg.solve(factor.lower, bv)
+    return np.linalg.solve(factor.lower.T, y)
 
 
 @dataclass
@@ -150,8 +149,7 @@ def _cholesky(n: int) -> CholeskyFactor:
     return _cached("cholesky", n, lambda k: cholesky_factor(_mass(k)))
 
 
-def _residual(n: int, x: np.ndarray, b: np.ndarray) -> float:
-    bnorm = float(np.linalg.norm(b))
+def _residual(n: int, x: np.ndarray, b: np.ndarray, bnorm: float) -> float:
     if bnorm == 0.0:
         return 0.0
     r = _mass(n) @ x - b
@@ -163,7 +161,9 @@ def solve(method: str, n: int, b, x_ref=None, max_degree: int = 25) -> SolveRepo
 
     Accepts canonical method names and their long aliases.  If a reference
     solution is supplied the report carries relative 2-norm and M-norm
-    errors alongside the residual.
+    errors alongside the residual.  A right-hand side with a nan or inf
+    entry raises ValueError, for every method; so does a finite one whose
+    2-norm overflows (numpy may also warn about that overflow).
     """
     name = canonical_method(method)
     if not 0 <= n <= max_degree:
@@ -171,6 +171,10 @@ def solve(method: str, n: int, b, x_ref=None, max_degree: int = 25) -> SolveRepo
     bv = np.asarray(b, dtype=float)
     if bv.shape != (n + 1,):
         raise ValueError(f"right-hand side shape {bv.shape} does not match degree {n}")
+    # one norm serves as the finiteness check and the residual's scale
+    bnorm = float(np.linalg.norm(bv))
+    if not math.isfinite(bnorm):
+        raise ValueError(f"right-hand side is not finite (2-norm {bnorm})")
     if name == "direct":
         x = _inverse(n) @ bv
     elif name == "dft":
@@ -179,7 +183,7 @@ def solve(method: str, n: int, b, x_ref=None, max_degree: int = 25) -> SolveRepo
         x = solve_spectral(_spectral(n), bv)
     else:
         x = solve_cholesky(_cholesky(n), bv)
-    report = SolveReport(name, n, x, _residual(n, x, bv))
+    report = SolveReport(name, n, x, _residual(n, x, bv, bnorm))
     if x_ref is not None:
         report.err_2, report.err_m, _ = metrics(x, x_ref, bv, _mass(n))
     return report

@@ -3,9 +3,10 @@
 The binomially descaled mass matrix is Hankel, and its inverse splits into a
 difference of Toeplitz-times-Hankel products whose entries are signed squared
 binomials.  All of those operators are applied through circulant embedding
-and a self-contained radix-2 FFT, giving an O(n log n) solve.  The Bezout
-route (resultant matrix of two polynomials) supplies an independent inverse
-formula for validation.
+and numpy's real FFT, giving an O(n log n) solve.  The Bezout matrix of two
+polynomials, built by the Heinig-Rost recurrence, is the exact kernel of the
+closed-form inverse; the Hankel inversion formula around it is kept for
+validation.
 
 The dense builders (toeplitz_dense, hankel_dense, bezout_matrix and the
 *_exact split) work over plain Python numbers, so feeding them ints or
@@ -18,12 +19,10 @@ import math
 
 import numpy as np
 
-from .bernstein import binomial_diag
+from .bernstein import DegreeTooLargeError, binomial_diag
 
 __all__ = [
     "next_pow2",
-    "fft",
-    "ifft",
     "toeplitz_matvec",
     "hankel_matvec",
     "toeplitz_dense",
@@ -41,7 +40,7 @@ __all__ = [
 
 
 # ---------------------------------------------------------------------------
-# radix-2 FFT
+# circulant embedding
 
 
 def next_pow2(m: int) -> int:
@@ -52,48 +51,8 @@ def next_pow2(m: int) -> int:
     return p
 
 
-def fft(x) -> np.ndarray:
-    """Iterative radix-2 decimation-in-time transform, power-of-two length only.
-
-    Classic scheme: permute the input into bit-reversed order, then sweep
-    butterfly stages of doubling size; each stage is a handful of vectorized
-    array operations.
-    """
-    a = np.array(x, dtype=complex)
-    n = a.size
-    if n & (n - 1):
-        raise ValueError(f"transform length {n} is not a power of two")
-    if n <= 1:
-        return a
-    levels = n.bit_length() - 1
-    idx = np.arange(n)
-    rev = np.zeros(n, dtype=np.intp)
-    for _ in range(levels):
-        rev = (rev << 1) | (idx & 1)
-        idx >>= 1
-    a = a[rev]
-    size = 2
-    while size <= n:
-        half = size // 2
-        w = np.exp((-2j * np.pi / size) * np.arange(half))
-        a = a.reshape(-1, size)
-        t = a[:, half:] * w
-        u = a[:, :half].copy()
-        a[:, :half] = u + t
-        a[:, half:] = u - t
-        a = a.reshape(-1)
-        size *= 2
-    return a
-
-
-def ifft(x) -> np.ndarray:
-    """Inverse transform via the conjugation identity."""
-    a = np.asarray(x, dtype=complex)
-    return np.conj(fft(np.conj(a))) / a.size
-
-
 def _embed_spectrum(first_col, first_row, plan):
-    """FFT of the circulant column that embeds a Toeplitz matrix.
+    """Real FFT of the circulant column that embeds a Toeplitz matrix.
 
     The circulant's first column is laid out bit-exactly as
     [first_col | zeros | reverse(first_row[1:])] of total length plan, so
@@ -104,13 +63,11 @@ def _embed_spectrum(first_col, first_row, plan):
     c[:s] = first_col
     if s > 1:
         c[plan - s + 1 :] = first_row[1:][::-1]
-    return fft(c)
+    return np.fft.rfft(c)
 
 
-def _apply_spectrum(spectrum, x, s):
-    xp = np.zeros(spectrum.size)
-    xp[: x.size] = x
-    return ifft(spectrum * fft(xp)).real[:s]
+def _apply_spectrum(spectrum, x, s, plan):
+    return np.fft.irfft(spectrum * np.fft.rfft(x, plan), plan)[:s]
 
 
 def toeplitz_matvec(first_col, first_row, x) -> np.ndarray:
@@ -128,7 +85,7 @@ def toeplitz_matvec(first_col, first_row, x) -> np.ndarray:
     if col[0] != row[0]:
         raise ValueError("first column and first row must share their leading entry")
     plan = next_pow2(2 * col.size)
-    return _apply_spectrum(_embed_spectrum(col, row, plan), xv, col.size)
+    return _apply_spectrum(_embed_spectrum(col, row, plan), xv, col.size, plan)
 
 
 def hankel_matvec(antidiagonals, x) -> np.ndarray:
@@ -183,23 +140,23 @@ def bezout_matrix(u, v):
     For u, v of length n+2 (degree at most n+1) the result is the
     (n+1) x (n+1) matrix of coefficients of (u(s)v(t) - u(t)v(s))/(s - t):
     b_{ij} = sum_k u_{j+k+1} v_{i-k} - u_{i-k} v_{j+k+1}, k = 0..min(i, n-j).
-    Works over any scalar type (ints and Fractions stay exact).
+    Each row comes from the one above by the Heinig-Rost recurrence
+    b_{ij} = b_{i-1,j+1} + u_{j+1} v_i - u_i v_{j+1} (entries outside the
+    matrix are zero), so the build is O(n^2).  Works over any scalar type
+    (ints and Fractions stay exact).
     """
     if len(u) != len(v):
         raise ValueError("coefficient vectors must have equal length")
     if len(u) < 2:
         raise ValueError("need polynomials of degree at least 1")
     s = len(u) - 1
-    return [
-        [
-            sum(
-                u[j + k + 1] * v[i - k] - u[i - k] * v[j + k + 1]
-                for k in range(min(i, s - 1 - j) + 1)
-            )
-            for j in range(s)
-        ]
-        for i in range(s)
-    ]
+    rows = []
+    above = [0] * (s + 1)
+    for i in range(s):
+        row = [above[j + 1] + u[j + 1] * v[i] - u[i] * v[j + 1] for j in range(s)]
+        rows.append(row)
+        above = row + [0]
+    return rows
 
 
 def bezout_coeff_u(n: int) -> list:
@@ -353,7 +310,8 @@ def structured_inverse(n: int) -> StructuredInverse:
     """Build the compressed inverse factors for degree n.
 
     Raises ValueError when the squared binomial factors (or their circulant
-    spectra) are not representable in doubles.
+    spectra) are not representable in doubles; the overflow is reported by
+    that error alone, not by numpy warnings.
     """
     try:
         t_col = np.array(_band_values(n), dtype=float)
@@ -366,8 +324,9 @@ def structured_inverse(n: int) -> StructuredInverse:
         raise ValueError(
             f"squared binomial factors overflow double precision at degree n={n}"
         )
-    tt_col = np.arange(n + 1) * t_col
-    ht = np.arange(1, 2 * n + 2) * anti
+    with np.errstate(over="ignore"):
+        tt_col = np.arange(n + 1) * t_col
+        ht = np.arange(1, 2 * n + 2) * anti
     si = StructuredInverse(n, t_col, tt_col, anti, ht, binomial_diag(n))
     for spectrum in (si._t_hat, si._tt_hat, si._h_hat, si._ht_hat):
         if not np.all(np.isfinite(spectrum)):
@@ -383,17 +342,24 @@ def solve_dft(si: StructuredInverse, b) -> np.ndarray:
     Descale by the binomial diagonal, push through the two Hankel factors
     (sharing one forward transform of the reversed vector), then the two
     Toeplitz factors, subtract, and descale again.  O(n log n) total.
+
+    Raises DegreeTooLargeError when the products leave double range (from
+    n = 257 on for right-hand sides of order one), instead of returning nan.
     """
     bv = np.asarray(b, dtype=float)
     s = si.degree + 1
     if bv.size != s:
         raise ValueError(f"vector length {bv.size} does not match degree {si.degree}")
-    y = bv / si.binom_diag
     plan = si.plan_size
-    rev = np.zeros(plan)
-    rev[:s] = y[::-1]
-    rev_hat = fft(rev)
-    hy = ifft(si._h_hat * rev_hat).real[:s]
-    hty = ifft(si._ht_hat * rev_hat).real[:s]
-    z = _apply_spectrum(si._tt_hat, hy, s) - _apply_spectrum(si._t_hat, hty, s)
-    return z / si.binom_diag
+    # overflow here is detected afterwards, not warned about per entry
+    with np.errstate(over="ignore", invalid="ignore"):
+        rev_hat = np.fft.rfft((bv / si.binom_diag)[::-1], plan)
+        hy = np.fft.irfft(si._h_hat * rev_hat, plan)[:s]
+        hty = np.fft.irfft(si._ht_hat * rev_hat, plan)[:s]
+        z = _apply_spectrum(si._tt_hat, hy, s, plan) - _apply_spectrum(si._t_hat, hty, s, plan)
+        x = z / si.binom_diag
+    if not np.all(np.isfinite(x)):
+        raise DegreeTooLargeError(
+            f"structured inverse products overflow double precision at degree n={si.degree}"
+        )
+    return x

@@ -81,6 +81,26 @@ def test_random_seed_reproducible(tmp_path):
     assert a != c
 
 
+def test_random_past_cholesky_breakdown_exits_zero(tmp_path):
+    # cells of a method that fails at a degree are nan; the table is still written
+    rc, text = run_to_file(tmp_path, ["random", "--max-degree", "32"])
+    assert rc == 0
+    lines = text.strip().split("\n")
+    header = lines[0].split(",")
+    assert len(lines) == 34
+    rows = [dict(zip(header, line.split(","))) for line in lines[1:]]
+    assert rows[10]["choMerr"] != "nan"
+    assert all(row["directMerr"] != "nan" and row["EigMerr"] != "nan" for row in rows)
+    broke = [row["n"] for row in rows if row["choMerr"] == "nan"]
+    assert broke and broke == [row["n"] for row in rows if row["chores"] == "nan"]
+
+
+def test_matrix_inverse_finite_at_degree_300(tmp_path):
+    rc, text = run_to_file(tmp_path, ["matrix", "--n", "300", "--what", "inverse"])
+    assert rc == 0
+    assert len(text.strip().split("\n")) == 301
+
+
 def test_stdout_default(capsys):
     rc = main(["conditioning", "--max-degree", "1"])
     assert rc == 0

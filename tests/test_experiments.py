@@ -24,7 +24,7 @@ from bernmass.experiments import (
     write_csv,
 )
 from bernmass.quadrature import integrate
-from bernmass.solvers import cholesky_factor, solve, solve_cholesky
+from bernmass.solvers import NotPositiveDefiniteError, cholesky_factor, solve
 from bernmass.bernstein import mass_matrix
 
 
@@ -134,6 +134,22 @@ def test_run_projection_flags_failed_cells():
     assert math.isnan(recs[36].values["chores"])
 
 
+def test_run_random_flags_failed_cells():
+    # Cholesky breaks down in the 30s; its cells carry nan and the run goes on
+    recs = run_random(36, seed=42)
+    assert len(recs) == 37
+    for rec in recs:
+        try:
+            cholesky_factor(mass_matrix(rec.degree).matrix)
+            failed = False
+        except NotPositiveDefiniteError:
+            failed = True
+        cho = [rec.values[f"cho{fam}"] for fam in ("L2err", "Merr", "res")]
+        assert all(map(math.isnan, cho)) == failed, rec.degree
+        assert np.isfinite(rec.values["directres"]) and np.isfinite(rec.values["Eigres"])
+    assert math.isnan(recs[36].values["choL2err"])
+
+
 def test_run_random_deterministic():
     a = run_random(6, seed=42)
     b = run_random(6, seed=42)
@@ -159,28 +175,11 @@ def test_run_random_columns_and_residuals():
 
 def test_reference_solution_uses_rational_oracle():
     rng = np.random.default_rng(23)
-    for n in (2, 7, 12):
+    for n in (2, 7, 12, 15, 20, 30):
         b = rng.uniform(-1.0, 1.0, n + 1)
         got = reference_solution(n, b)
         sol = rational_solve(mass_exact(n), [Fraction(float(v)) for v in b])
         assert np.array_equal(got, np.array([float(v) for v in sol]))
-
-
-def test_reference_solution_refines_above_oracle_limit():
-    n = 15
-    rng = np.random.default_rng(29)
-    x_true = rng.uniform(-0.5, 0.5, n + 1)
-    mm = mass_matrix(n).matrix
-    b = mm @ x_true
-    exact = np.array(
-        [float(v) for v in rational_solve(mass_exact(n), [Fraction(float(v)) for v in b])]
-    )
-    refined = reference_solution(n, b)
-    raw = solve_cholesky(cholesky_factor(mm), b)
-    err_refined = np.linalg.norm(refined - exact)
-    err_raw = np.linalg.norm(raw - exact)
-    assert err_refined < err_raw
-    assert err_refined <= 1e-8 * np.linalg.norm(exact)
 
 
 def test_csv_rendering_and_round_trip():

@@ -1,4 +1,5 @@
-"""Closed-form inverse entries: both formulas, the integer factor, and edges."""
+"""Closed-form inverse: the Bezoutian kernel, both entry formulas, the integer
+factor, and edges."""
 
 import math
 from fractions import Fraction
@@ -9,8 +10,7 @@ import pytest
 from bernmass.exact import identity_exact, mass_exact, mat_mul, mat_vec, rational_inverse
 from bernmass.inverse import (
     hankel_inverse_entry,
-    inverse_entry,
-    inverse_entry_dual,
+    hankel_inverse_exact,
     inverse_entry_dual_exact,
     inverse_entry_exact,
     inverse_matrix,
@@ -21,11 +21,8 @@ from bernmass.bernstein import mass_matrix
 
 
 def test_two_by_two_inverse():
-    assert inverse_entry(1, 0, 0) == 4.0
-    assert inverse_entry(1, 0, 1) == -2.0
-    assert inverse_entry(1, 1, 0) == -2.0
-    assert inverse_entry(1, 1, 1) == 4.0
-    assert inverse_entry(0, 0, 0) == 1.0
+    assert np.array_equal(inverse_matrix(1), [[4.0, -2.0], [-2.0, 4.0]])
+    assert np.array_equal(inverse_matrix(0), [[1.0]])
 
 
 def test_formulas_agree_exactly():
@@ -60,13 +57,34 @@ def test_hankel_inverse_is_scaled_integer():
                 assert v == scaled
 
 
-def test_float_entries_track_exact_values():
-    for n in (4, 8, 12):
-        for i in range(n + 1):
-            for j in range(n + 1):
-                ex = float(inverse_entry_exact(n, i, j))
-                assert inverse_entry(n, i, j) == pytest.approx(ex, rel=1e-13)
-                assert inverse_entry_dual(n, i, j) == pytest.approx(ex, rel=1e-13)
+def test_bezoutian_kernel_matches_entry_formula():
+    for n in range(21):
+        assert hankel_inverse_exact(n) == [
+            [hankel_inverse_entry(n, i, j) for j in range(n + 1)] for i in range(n + 1)
+        ], n
+
+
+def test_inverse_matrix_rounds_exact_entries_once():
+    for n in range(41):
+        # int / int rounds the exact quotient once, like float(Fraction)
+        expected = [
+            [
+                hankel_inverse_entry(n, i, j) / (math.comb(n, i) * math.comb(n, j))
+                for j in range(n + 1)
+            ]
+            for i in range(n + 1)
+        ]
+        assert np.array_equal(inverse_matrix(n), np.array(expected)), n
+    for n in (4, 9):
+        exact = [[float(inverse_entry_exact(n, i, j)) for j in range(n + 1)] for i in range(n + 1)]
+        assert np.array_equal(inverse_matrix(n), np.array(exact))
+
+
+def test_inverse_matrix_overflows_to_signed_inf():
+    a = inverse_matrix(512)  # the first degree with entries past double range
+    idx = np.arange(513)
+    assert np.isinf(a).any() and not np.isnan(a).any()
+    assert np.array_equal(np.sign(a), (-1.0) ** (idx[:, None] + idx[None, :]))
 
 
 def test_inverse_matrix_symmetric_and_correct():
@@ -79,17 +97,11 @@ def test_inverse_matrix_symmetric_and_correct():
 
 def test_index_bounds_checked():
     with pytest.raises(IndexError):
-        inverse_entry(3, 4, 0)
+        inverse_entry_exact(3, 4, 0)
     with pytest.raises(IndexError):
-        inverse_entry(3, 0, -1)
+        inverse_entry_dual_exact(3, 0, -1)
     with pytest.raises(IndexError):
         hankel_inverse_entry(2, 3, 0)
-
-
-def test_huge_degree_saturates_to_inf():
-    # intermediate terms leave double range long before a crash would help
-    v = inverse_entry(400, 200, 200)
-    assert math.isinf(v)
 
 
 def test_last_column_solves_unit_vector():

@@ -29,6 +29,19 @@ def test_rules_match_numpy_reference(m):
     assert np.max(np.abs(r.weights - ws / 2.0)) <= 5e-15
 
 
+def test_rule_matches_high_precision_reference():
+    mpmath = pytest.importorskip("mpmath")
+    m = 32
+    r = gauss_legendre(m)
+    with mpmath.workdps(50):
+        for x0, w in zip(r.nodes, r.weights):
+            x = mpmath.findroot(lambda t: mpmath.legendre(m, t), 2 * mpmath.mpf(x0) - 1)
+            # at a root, P_m' = m P_{m-1} / (1 - x^2); halved for [0, 1]
+            w_ref = (1 - x * x) / (m * mpmath.legendre(m - 1, x)) ** 2
+            assert abs(w - w_ref) <= 1e-14 * w_ref
+            assert abs(x0 - (x + 1) / 2) <= 2.5e-16
+
+
 @pytest.mark.parametrize("m", [1, 2, 4, 7, 12, 32])
 def test_weights_positive_and_normalized(m):
     r = gauss_legendre(m)

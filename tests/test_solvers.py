@@ -1,5 +1,9 @@
 """The uniform solve front end and its error metrics."""
 
+import os
+import subprocess
+import sys
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -78,6 +82,30 @@ def test_degree_range_guard():
 def test_rhs_shape_guard():
     with pytest.raises(ValueError):
         solve("cho", 3, np.zeros(3))
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_non_finite_rhs_rejected(method):
+    for bad in (np.nan, np.inf, -np.inf):
+        b = np.full(5, 0.25)
+        b[2] = bad
+        with pytest.raises(ValueError, match="not finite"):
+            solve(method, 4, b)
+    # finite entries whose 2-norm overflows are refused too (numpy may warn)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        with pytest.raises(ValueError, match="not finite"):
+            solve(method, 4, np.full(5, 1e300))
+
+
+def test_import_loads_no_scipy():
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = "import sys, bernmass; print('scipy' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "False"
 
 
 def test_unknown_method_raises():

@@ -1,24 +1,23 @@
-"""Transforms, circulant-embedded products, Bezout machinery, and the
-compressed inverse split."""
+"""Circulant-embedded products, Bezout machinery, and the compressed
+inverse split."""
 
+import warnings
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from bernmass.bernstein import binomial_diag, mass_matrix
+from bernmass.bernstein import DegreeTooLargeError, binomial_diag, mass_matrix
 from bernmass.exact import identity_exact, mass_exact, mat_mul, rational_inverse
 from bernmass.inverse import hankel_inverse_entry, inverse_matrix
 from bernmass.structured import (
     bezout_coeff_u,
     bezout_coeff_v,
     bezout_matrix,
-    fft,
     hankel_dense,
     hankel_extension,
     hankel_matvec,
     heinig_rost_inverse,
-    ifft,
     next_pow2,
     solve_dft,
     structured_inverse,
@@ -29,38 +28,13 @@ from bernmass.structured import (
 
 
 # ---------------------------------------------------------------------------
-# transforms
+# circulant embedding
 
 
 def test_next_pow2():
     assert [next_pow2(k) for k in (0, 1, 2, 3, 4, 5, 9, 16, 17)] == [
         1, 1, 2, 4, 4, 8, 16, 16, 32,
     ]
-
-
-def test_fft_matches_reference():
-    rng = np.random.default_rng(2)
-    for size in (1, 2, 4, 8, 64, 256):
-        x = rng.standard_normal(size) + 1j * rng.standard_normal(size)
-        assert np.max(np.abs(fft(x) - np.fft.fft(x))) <= 1e-12 * max(1.0, size)
-
-
-def test_fft_impulse_and_constant():
-    e = np.zeros(8)
-    e[0] = 1.0
-    assert np.allclose(fft(e), np.ones(8), atol=1e-15)
-    assert np.allclose(fft(np.ones(8)), [8.0] + [0.0] * 7, atol=1e-13)
-
-
-def test_fft_rejects_non_power_of_two():
-    with pytest.raises(ValueError):
-        fft(np.zeros(6))
-
-
-def test_ifft_roundtrip():
-    rng = np.random.default_rng(4)
-    x = rng.standard_normal(32)
-    assert np.max(np.abs(ifft(fft(x)) - x)) <= 1e-13
 
 
 # ---------------------------------------------------------------------------
@@ -126,6 +100,30 @@ def test_bezout_coefficient_reversal():
         assert bezout_coeff_v(n) == u[::-1]
 
 
+def _bezout_by_sums(u, v):
+    # the defining O(n^3) sum, the reference for the O(n^2) recurrence
+    s = len(u) - 1
+    return [
+        [
+            sum(
+                u[j + k + 1] * v[i - k] - u[i - k] * v[j + k + 1]
+                for k in range(min(i, s - 1 - j) + 1)
+            )
+            for j in range(s)
+        ]
+        for i in range(s)
+    ]
+
+
+def test_bezout_recurrence_matches_defining_sum():
+    rng = np.random.default_rng(11)
+    for length in range(2, 12):
+        for _ in range(5):
+            u = [int(c) for c in rng.integers(-50, 51, length)]
+            v = [int(c) for c in rng.integers(-50, 51, length)]
+            assert bezout_matrix(u, v) == _bezout_by_sums(u, v), (u, v)
+
+
 def test_bezout_antisymmetry_in_arguments():
     u = [1, -3, 2, 5]
     v = [0, 2, 1, -4]
@@ -137,13 +135,14 @@ def test_bezout_antisymmetry_in_arguments():
 def test_bezout_of_coefficients_gives_scaled_inverse():
     # the Bezout matrix of (v, u), divided by v's trailing entry, equals the
     # integer inverse of the descaled (Hankel) mass factor
-    for n in range(6):
+    for n in range(21):
         u = bezout_coeff_u(n)
         v = bezout_coeff_v(n)
         bez = bezout_matrix(v, u)
         for i in range(n + 1):
             for j in range(n + 1):
-                assert Fraction(bez[i][j], v[-1]) == hankel_inverse_entry(n, i, j)
+                assert bez[i][j] % v[-1] == 0
+                assert bez[i][j] // v[-1] == hankel_inverse_entry(n, i, j)
 
 
 def test_hankel_extension_hand_case():
@@ -231,6 +230,21 @@ def test_solve_dft_matches_direct_inverse():
         assert np.max(np.abs(x - ref)) <= 1e-7 * max(scale, 1.0)
 
 
+def test_solve_dft_refuses_overflowing_products():
+    rng = np.random.default_rng(3)
+
+    def solve_at(n):
+        b = mass_matrix(n).matrix @ rng.uniform(-0.5, 0.5, n + 1)
+        return solve_dft(structured_inverse(n), b)
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert np.all(np.isfinite(solve_at(256)))  # the last degree with finite products
+        for n in (257, 509):
+            with pytest.raises(DegreeTooLargeError):
+                solve_at(n)
+
+
 def test_solve_dft_shape_guard():
     si = structured_inverse(4)
     with pytest.raises(ValueError):
@@ -245,8 +259,11 @@ def test_structured_inverse_metadata():
 
 
 def test_structured_inverse_overflow_guards():
-    structured_inverse(509)  # largest degree with representable spectra
-    with pytest.raises(ValueError):
-        structured_inverse(510)  # spectra overflow
-    with pytest.raises(ValueError):
-        structured_inverse(600)  # band entries overflow
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # overflow is reported by the ValueError alone
+        structured_inverse(509)  # largest degree with representable spectra
+        for n in (510, 512):
+            with pytest.raises(ValueError):
+                structured_inverse(n)  # spectra overflow
+        with pytest.raises(ValueError):
+            structured_inverse(600)  # band entries overflow
