@@ -1,10 +1,11 @@
 """Spectral decomposition of the mass matrix, without ever calling eig.
 
 The eigenvalues follow a two-term ratio recurrence and the eigenvector
-matrix comes from a polynomial recurrence, so the whole decomposition
-costs O(n^2).  The script prints the eigenvalue decay, verifies
-orthogonality and the diagonalization residual, and cross-checks the
-fast construction against the slower degree-elevation route.
+matrix comes from the Hahn difference equation, one vector step per row
+of Q, so the whole decomposition costs O(n^2).  The script prints the
+eigenvalue decay, verifies orthogonality and the diagonalization
+residual, and cross-checks the fast construction against the slower
+degree-elevation route.
 """
 
 import numpy as np
@@ -29,7 +30,7 @@ print("diagonalization max column residual =",
 
 # same Q by elevating shifted-Legendre coefficient vectors degree by degree
 q_slow = build_q_by_elevation(n).q
-print("recurrence vs elevation construction, max entry gap =",
+print("difference equation vs elevation construction, max entry gap =",
       np.max(np.abs(q - q_slow)))
 
 # columns are polynomial coefficient vectors; the last entry is the value

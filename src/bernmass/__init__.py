@@ -11,7 +11,6 @@ from .bernstein import (
     MassMatrix,
     basis_values,
     binomial_diag,
-    degree_reduce,
     elevate,
     elevation_matrix,
     evaluate,
@@ -19,7 +18,6 @@ from .bernstein import (
     legendre_coeffs,
     m_inner,
     mass_matrix,
-    multiply_by_x,
 )
 from .conditioning import (
     ConditionRecord,
@@ -103,7 +101,6 @@ __all__ = [
     "MassMatrix",
     "basis_values",
     "binomial_diag",
-    "degree_reduce",
     "elevate",
     "elevation_matrix",
     "evaluate",
@@ -111,7 +108,6 @@ __all__ = [
     "legendre_coeffs",
     "m_inner",
     "mass_matrix",
-    "multiply_by_x",
     # conditioning
     "ConditionRecord",
     "PerturbationStudy",

@@ -1,4 +1,4 @@
-"""Bernstein basis core: polynomials, degree elevation/reduction, and the mass matrix.
+"""Bernstein basis core: polynomials, degree elevation, and the mass matrix.
 
 The basis on [0,1] is B^n_i(x) = C(n,i) x^i (1-x)^(n-i).  A polynomial is
 carried as its degree-n coefficient vector.  The mass matrix of pairwise L2
@@ -25,8 +25,6 @@ __all__ = [
     "evaluate",
     "basis_values",
     "legendre_coeffs",
-    "multiply_by_x",
-    "degree_reduce",
     "m_inner",
 ]
 
@@ -189,45 +187,6 @@ def legendre_coeffs(k: int, n: int) -> BernsteinPoly:
         raise ValueError(f"need 0 <= k <= n, got k={k}, n={n}")
     base = np.array([(-1.0) ** (k + i) * math.comb(k, i) for i in range(k + 1)])
     return elevate(BernsteinPoly(base), n)
-
-
-def multiply_by_x(p: BernsteinPoly) -> BernsteinPoly:
-    """Coefficients of x * p(x) in the degree p.degree+1 basis.
-
-    The product absorbs one basis factor: coefficient 0 vanishes and
-    coefficient i equals i p_{i-1} / (n+1).
-    """
-    n = p.degree
-    out = np.zeros(n + 2)
-    out[1:] = np.arange(1, n + 2) * p.coeffs / (n + 1.0)
-    return BernsteinPoly(out)
-
-
-def degree_reduce(p: BernsteinPoly) -> BernsteinPoly:
-    """Drop the representation degree by one.
-
-    Writing E for the one-step elevation matrix, solves the normal equations
-    (E^T E) q = E^T p on the tridiagonal system by Thomas elimination in O(n).
-    When p truly has the lower degree the result reproduces it exactly (up to
-    roundoff); for inconsistent input this returns the least-squares reduction.
-    """
-    if p.degree < 1:
-        raise ValueError("cannot reduce a degree-0 polynomial")
-    n = p.degree - 1
-    c = p.coeffs.tolist()
-    # normal equations scaled by (n+1)^2 so all coefficients are small integers
-    diag = [float((n + 1 - j) ** 2 + (j + 1) ** 2) for j in range(n + 1)]
-    off = [float((j + 1) * (n - j)) for j in range(n)]
-    rhs = [(n + 1.0) * ((n + 1 - j) * c[j] + (j + 1) * c[j + 1]) for j in range(n + 1)]
-    for j in range(1, n + 1):
-        w = off[j - 1] / diag[j - 1]
-        diag[j] -= w * off[j - 1]
-        rhs[j] -= w * rhs[j - 1]
-    q = [0.0] * (n + 1)
-    q[n] = rhs[n] / diag[n]
-    for j in range(n - 1, -1, -1):
-        q[j] = (rhs[j] - off[j] * q[j + 1]) / diag[j]
-    return BernsteinPoly(q)
 
 
 def m_inner(p: BernsteinPoly, q: BernsteinPoly) -> float:

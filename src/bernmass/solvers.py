@@ -190,20 +190,26 @@ def solve(method: str, n: int, b, x_ref=None, max_degree: int = 25) -> SolveRepo
 
 
 def metrics(x_hat, x_ref, b, m) -> tuple:
-    """Relative 2-norm error, relative M-norm error, relative residual."""
+    """Relative 2-norm error, relative M-norm error, relative residual.
+
+    Both M-norms are taken as ||Lambda^(1/2) Q^T v|| through the degree's
+    cached spectral decomposition, not as sqrt(v^T M v): that quadratic form
+    cancels, and turns negative once the float M stops being numerically
+    positive definite (n >= 30).  m feeds only the residual.
+    """
     x_hat = np.asarray(x_hat, dtype=float)
     x_ref = np.asarray(x_ref, dtype=float)
     bv = np.asarray(b, dtype=float)
-    mm = np.asarray(m, dtype=float)
     ref2 = float(np.linalg.norm(x_ref))
     if ref2 == 0.0:
         raise ValueError("reference solution has zero norm")
     d = x_hat - x_ref
     err2 = float(np.linalg.norm(d)) / ref2
-    # clamp tiny negative rounding in the quadratic forms
-    dsq = max(float(d @ (mm @ d)), 0.0)
-    rsq = max(float(x_ref @ (mm @ x_ref)), 0.0)
-    errm = math.sqrt(dsq / rsq) if rsq > 0.0 else float("inf")
+    spec = _spectral(x_ref.size - 1)
+    coords = np.sqrt(spec.lam)[:, None] * (spec.q.T @ np.column_stack((d, x_ref)))
+    dm, rm = np.linalg.norm(coords, axis=0)
+    errm = float(dm / rm)
     bnorm = float(np.linalg.norm(bv))
+    mm = np.asarray(m, dtype=float)
     res = float(np.linalg.norm(mm @ x_hat - bv)) / bnorm if bnorm > 0.0 else 0.0
     return err2, errm, res

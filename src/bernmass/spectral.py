@@ -2,18 +2,21 @@
 
 The eigenvalues are known in closed form, and the orthogonal eigenvector
 matrix Q has columns proportional to degree-elevated Legendre coefficient
-vectors.  build_q assembles Q in O(n^2) by running the Legendre three-term
-recurrence directly in the degree-n Bernstein representation: multiply by x
-(one degree up), reduce back down, combine.  The naive construction that
-elevates each Legendre vector separately costs O(n^3) and is kept for
-cross-checking.
+vectors: as functions of the row index these are the discrete Chebyshev
+(Gram, Hahn alpha = beta = 0) polynomials at the Bernstein nodes (Farouki
+2000; Koekoek, Lesky & Swarttouw 2010, sec. 9.5).  build_q assembles Q in
+O(n^2) by marching their difference equation down the rows.  The naive
+construction that elevates each Legendre vector separately costs O(n^3)
+and is kept for cross-checking.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
-from .bernstein import BernsteinPoly, degree_reduce, legendre_coeffs, multiply_by_x
+from .bernstein import legendre_coeffs
 
 __all__ = [
     "SpectralDecomp",
@@ -65,27 +68,32 @@ def eigenvalue(n: int, i: int) -> float:
 def build_q(n: int) -> SpectralDecomp:
     """Assemble the orthogonal eigenvector matrix in O(n^2) operations.
 
-    Columns 0 and 1 are the constant and linear Legendre coefficient vectors
-    at degree n.  Each later column j < n comes from the three-term recurrence
-    applied to the previous two, where the multiply-by-x step goes one degree
-    up and is least-squares reduced back to degree n.  Column n needs no
-    recurrence: it is the native degree-n Legendre vector.  Finally each
-    column j is scaled by sqrt((2j+1) lam_j), which normalizes it to unit
-    2-norm.
+    Column j, read down the rows i, solves the Hahn difference equation
+    B_i q[i+1] = (B_i + D_i + mu_j) q[i] - D_i q[i-1] with B_i = (i+1)(i-n),
+    D_i = i(i-n-1) and mu_j = j(j+1).  Row 0 is (-1)^j s_j with
+    s_j = sqrt((2j+1) lam_j), the unit 2-norm scale, taken by its own ratio
+    recurrence because lam_j itself underflows near n = 540.  The march runs
+    from the small corner entries to the middle row, where the wanted
+    solution dominates, one vector step per row; persymmetry
+    q[n-i, j] = (-1)^j q[i, j] gives the other half, so the last row is
+    s_j > 0.
     """
     lam = eigenvalues(n)
-    q = np.zeros((n + 1, n + 1))
-    q[:, 0] = 1.0
-    if n >= 1:
-        q[:, 1] = (2.0 * np.arange(n + 1) - n) / n
-    for j in range(2, n):
-        t = degree_reduce(multiply_by_x(BernsteinPoly(q[:, j - 1])))
-        q[:, j] = ((2 * j - 1.0) / j) * (2.0 * t.coeffs - q[:, j - 1]) - (
-            (j - 1.0) / j
-        ) * q[:, j - 2]
-    if n >= 2:
-        q[:, n] = legendre_coeffs(n, n).coeffs
-    q *= np.sqrt((2.0 * np.arange(n + 1) + 1.0) * lam)
+    j = np.arange(n + 1.0)
+    k = j[:-1]
+    ratio = np.sqrt((2.0 * k + 3.0) * (n - k) / ((2.0 * k + 1.0) * (n + k + 2.0)))
+    s = np.cumprod(np.concatenate(([1.0 / math.sqrt(n + 1)], ratio)))
+    sign = np.where(j % 2 == 0, 1.0, -1.0)
+    mu = j * (j + 1.0)
+    q = np.empty((n + 1, n + 1))
+    q[0] = sign * s
+    prev = np.zeros(n + 1)
+    for i in range(n // 2):
+        b, d = (i + 1.0) * (i - n), i * (i - n - 1.0)
+        q[i + 1] = ((b + d + mu) * q[i] - d * prev) / b
+        prev = q[i]
+    half = n // 2
+    q[half + 1 :] = sign * q[n - np.arange(half + 1, n + 1)]
     return SpectralDecomp(n, q, lam)
 
 

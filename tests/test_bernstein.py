@@ -1,4 +1,4 @@
-"""Basis operations: assembly, elevation, evaluation, and degree reduction."""
+"""Basis operations: assembly, elevation and evaluation."""
 
 import math
 from fractions import Fraction
@@ -11,7 +11,6 @@ from bernmass.bernstein import (
     DegreeTooLargeError,
     basis_values,
     binomial_diag,
-    degree_reduce,
     elevate,
     elevation_matrix,
     evaluate,
@@ -19,7 +18,6 @@ from bernmass.bernstein import (
     legendre_coeffs,
     m_inner,
     mass_matrix,
-    multiply_by_x,
 )
 from bernmass.exact import mass_exact
 
@@ -132,43 +130,6 @@ def test_legendre_value_at_one():
     for k in range(6):
         p = legendre_coeffs(k, k + 3)
         assert p(1.0) == pytest.approx(1.0, abs=1e-12)
-
-
-def test_multiply_by_x():
-    # x * (degree-1 polynomial with values x) = x^2, checked pointwise
-    p = BernsteinPoly(np.array([0.0, 1.0]))
-    q = multiply_by_x(p)
-    assert q.degree == 2
-    x = np.linspace(0.0, 1.0, 9)
-    assert np.allclose(q(x), x * x, atol=1e-14)
-
-
-def test_degree_reduce_exact_case():
-    # x^2's degree-2 coefficients reduce to nothing exactly representable,
-    # but an elevated degree-1 polynomial reduces back exactly
-    p = BernsteinPoly(np.array([0.0, 0.5, 1.0]))
-    q = degree_reduce(p)
-    assert np.allclose(q.coeffs, [0.0, 1.0], atol=1e-14)
-
-
-def test_degree_reduce_roundtrip_random():
-    rng = np.random.default_rng(3)
-    for n in (2, 5, 11):
-        p = BernsteinPoly(rng.standard_normal(n))
-        q = degree_reduce(elevate(p, n))
-        assert np.allclose(q.coeffs, p.coeffs, atol=1e-11)
-
-
-def test_degree_reduce_is_least_squares():
-    # the reduction residual must be orthogonal to every elevated vector
-    rng = np.random.default_rng(5)
-    n = 6
-    p = BernsteinPoly(rng.standard_normal(n + 1))
-    q = degree_reduce(p)
-    e = elevation_matrix(n - 1, n)
-    mm = mass_matrix(n).matrix
-    resid = e.T @ (mm @ (e @ q.coeffs - p.coeffs))
-    assert np.max(np.abs(resid)) <= 1e-13
 
 
 def test_m_inner_matches_exact():

@@ -53,6 +53,15 @@ def test_matrix_q_is_orthogonal(tmp_path):
     assert np.max(np.abs(q.T @ q - np.eye(6))) <= 1e-12
 
 
+def test_matrix_q_is_orthogonal_at_degree_512(tmp_path):
+    n = 512
+    rc, text = run_to_file(tmp_path, ["matrix", "--n", str(n), "--what", "q"])
+    assert rc == 0
+    q = np.array([np.array(line.split(","), dtype=float) for line in text.strip().split("\n")])
+    assert q.shape == (n + 1, n + 1)
+    assert np.max(np.abs(q.T @ q - np.eye(n + 1))) <= 4 * (n + 1) * np.finfo(float).eps
+
+
 def test_project_degree_zero_all_methods_agree(tmp_path):
     rc, text = run_to_file(tmp_path, ["project", "--func", "f2", "--max-degree", "0"])
     assert rc == 0

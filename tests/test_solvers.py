@@ -1,5 +1,6 @@
 """The uniform solve front end and its error metrics."""
 
+import math
 import os
 import subprocess
 import sys
@@ -11,6 +12,7 @@ import pytest
 
 from bernmass.bernstein import mass_matrix
 from bernmass.exact import mass_exact, rational_solve
+from bernmass.experiments import reference_solution
 from bernmass.solvers import (
     METHODS,
     DegreeRangeError,
@@ -171,6 +173,27 @@ def test_metrics_values():
     assert res == pytest.approx(1.0)
     with pytest.raises(ValueError):
         metrics([1.0], [0.0], [1.0], np.eye(1))
+
+
+def test_metrics_m_norm_matches_exact_norm():
+    # past the Cholesky breakdown the quadratic form d.(M d) cancels to garbage
+    # (even below 0); the spectral M-norm must still match the rational one
+    rng = np.random.default_rng(17)
+    for n in (15, 20, 25, 31, 35):
+        mm = mass_matrix(n).matrix
+        x_true = rng.uniform(-0.5, 0.5, n + 1)
+        b = mm @ x_true
+        x_ref = reference_solution(n, b)
+        x_hat = solve("eig", n, b, max_degree=n).solution
+        _, errm, _ = metrics(x_hat, x_ref, b, mm)
+        exact = mass_exact(n)
+
+        def quad(v):
+            f = [Fraction(float(t)) for t in v]
+            return sum(fi * sum(a * fj for a, fj in zip(row, f)) for fi, row in zip(f, exact))
+
+        want = math.sqrt(quad(x_hat - x_ref) / quad(x_ref))
+        assert abs(errm - want) <= 1e-11 * want
 
 
 def test_cache_reuse_is_deterministic():

@@ -79,6 +79,49 @@ def test_build_q_matches_elevation_route():
         assert np.max(np.abs(qa - qb)) <= 1e-11
 
 
+def accurate_mass(n):
+    """M to a few ulps through n = 581, from math.comb.
+
+    The moments 1/((2n+1) C(2n,s)) are rounded once with a 2^500 scale, so
+    they stay normal doubles where mass_matrix's go subnormal (n > 510).
+    """
+    c = np.array([float(math.comb(n, i)) for i in range(n + 1)])
+    h = np.array([(1 << 500) / ((2 * n + 1) * math.comb(2 * n, s)) for s in range(2 * n + 1)])
+    idx = np.add.outer(np.arange(n + 1), np.arange(n + 1))
+    return (c[:, None] * h[idx]) * c[None, :] * 2.0**-500
+
+
+def test_build_q_orthogonal_at_large_degree():
+    # 415 has the largest orthogonality defect of all n <= 581 (2.83 (n+1) eps)
+    for n in (64, 128, 256, 415, 512, 540, 581):
+        d = build_q(n)
+        bound = 4 * (n + 1) * np.finfo(float).eps
+        assert np.max(np.abs(d.q.T @ d.q - np.eye(n + 1))) <= bound
+        resid = accurate_mass(n) @ d.q - d.q * d.lam
+        assert np.max(np.abs(resid)) / d.lam[0] <= bound
+        assert np.all(d.q[n] > 0.0)
+
+
+def test_build_q_matches_exact_oracle_at_degree_100():
+    # q[i, j] = sum_k (-1)^(j+k) C(j,k)^2 C(n-j,i-k) / C(n,i) * sqrt((2j+1) lam_j):
+    # the elevated Legendre coefficients exactly, the square-root scale in mpmath
+    mpmath = pytest.importorskip("mpmath")
+    n = 100
+    exact = np.empty((n + 1, n + 1))
+    with mpmath.workdps(40):
+        for j in range(n + 1):
+            lam = eigenvalue_exact(n, j)
+            scale = mpmath.sqrt((2 * j + 1) * mpmath.mpf(lam.numerator) / lam.denominator)
+            cj = [math.comb(j, k) ** 2 * (-1) ** (j + k) for k in range(j + 1)]
+            cnj = [math.comb(n - j, t) for t in range(n - j + 1)]
+            for i in range(n + 1):
+                num = sum(cj[k] * cnj[i - k] for k in range(max(0, i - n + j), min(i, j) + 1))
+                exact[i, j] = float(mpmath.mpf(num) / math.comb(n, i) * scale)
+    q = build_q(n).q
+    assert np.max(np.abs(q - exact)) <= 1e-14
+    assert np.max(np.abs(q[:6] - exact[:6]) / np.abs(exact[:6])) <= 1e-12
+
+
 def test_solve_spectral_matches_rational():
     for n in (1, 4, 8):
         d = build_q(n)
