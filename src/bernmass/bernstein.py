@@ -63,7 +63,9 @@ class MassMatrix:
     Alongside the dense entries, keeps the two structured factors:
     ``hankel_factor`` holds the 2n+1 anti-diagonal values of the binomially
     descaled matrix, and ``binom_diag`` the diagonal scaling C(n,i), so that
-    matrix[i, j] = binom_diag[i] * hankel_factor[i+j] * binom_diag[j].
+    matrix[i, j] = binom_diag[i] * hankel_factor[i+j] * binom_diag[j].  From
+    n = 536 the middle values round to 0; the entries do not, since they are
+    assembled from moments scaled into the normal range.
     """
 
     def __init__(self, degree, matrix, hankel_factor, binom_diag):
@@ -81,16 +83,16 @@ class MassMatrix:
         return f"MassMatrix(degree={self.degree})"
 
 
-def hankel_moments(n: int) -> np.ndarray:
-    """Anti-diagonal values (2n-s)! s! / (2n+1)! for s = 0..2n.
+def hankel_moments(n: int, scale_exp: int = 0) -> np.ndarray:
+    """Anti-diagonal values (2n-s)! s! / (2n+1)! for s = 0..2n, times 2^scale_exp.
 
     Generated by the ratio recurrence h(s+1) = h(s) (s+1)/(2n-s) from
-    h(0) = 1/(2n+1), which never touches a factorial.
+    h(0) = 2^scale_exp/(2n+1), which never touches a factorial.
     """
     if n < 0:
         raise ValueError("degree must be nonnegative")
     h = np.empty(2 * n + 1)
-    h[0] = 1.0 / (2 * n + 1)
+    h[0] = math.ldexp(1.0, scale_exp) / (2 * n + 1)
     for s in range(2 * n):
         h[s + 1] = h[s] * (s + 1) / (2 * n - s)
     return h
@@ -105,22 +107,31 @@ def binomial_diag(n: int) -> np.ndarray:
     return d
 
 
+_MAX_DEGREE = 582  # the supported assembly range, through which Q and the eigenvalues are checked
+
+
 def mass_matrix(n: int) -> MassMatrix:
     """Assemble the (n+1) x (n+1) mass matrix in double precision.
 
-    Raises DegreeTooLargeError once the smallest anti-diagonal value (which
-    decays like 4^-n) underflows to zero, or the binomial diagonal overflows.
+    Near n = 510 the middle moments, about 4^-n, leave the normal range and
+    would keep only a few bits.  So the moment recurrence runs from
+    h(0) 2^s, s = max(0, 2n - 1000), and 2^-s is folded into the column
+    diagonal: entry (i, j) is (d_i h_s(i+j)) (d_j 2^-s), accurate to a few
+    ulps or a few subnormal spacings.  Degrees past _MAX_DEGREE (582) raise
+    DegreeTooLargeError.
     """
-    h = hankel_moments(n)
-    d = binomial_diag(n)
-    if not (np.all(h > 0.0) and np.all(np.isfinite(d))):
+    if n > _MAX_DEGREE:
         raise DegreeTooLargeError(
-            f"mass matrix entries are not representable in doubles at degree n={n}"
+            f"mass matrix degree n={n} is past the supported limit {_MAX_DEGREE}"
         )
+    s = max(0, 2 * n - 1000)
+    h = hankel_moments(n, s)
+    d = binomial_diag(n)
+    unscale = math.ldexp(1.0, -s)
     idx = np.add.outer(np.arange(n + 1), np.arange(n + 1))
     # group as (d_i * h) * d_j: d_i alone can be huge while d_i*h is tame
-    m = (d[:, None] * h[idx]) * d[None, :]
-    return MassMatrix(n, m, h, d)
+    m = (d[:, None] * h[idx]) * (d * unscale)[None, :]
+    return MassMatrix(n, m, h * unscale, d)
 
 
 def elevation_matrix(m: int, n: int) -> np.ndarray:

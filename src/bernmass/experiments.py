@@ -2,25 +2,30 @@
 
 Two smooth target functions are projected onto Bernstein spaces of rising
 degree by solving M x = b with each of the four methods, and compared with
-an independently computed Legendre-series projection.  A second harness
-solves randomly generated systems and reports error/residual metrics per
-method.  Records go to CSV with 17-significant-digit floats so runs are
+an independently computed Legendre-series projection.  A projection table
+is one sweep over the degrees: f is evaluated once, the Legendre reference
+of degree n is that of degree n-1 elevated by one step plus one new series
+term, and one basis matrix per degree gives both the moments b and each
+method's values at the quadrature nodes.  A second harness solves randomly
+generated systems and reports error/residual metrics per method against
+the exact solution of the rounded system, found in integer arithmetic.
+Records go to CSV with 17-significant-digit floats so runs are
 reproducible byte for byte.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
-from .bernstein import BernsteinPoly, basis_values, evaluate, legendre_coeffs, mass_matrix
+from .bernstein import BernsteinPoly, basis_values, mass_matrix
 from .inverse import hankel_inverse_exact
 from .quadrature import QuadratureRule, composite_gauss_legendre
 from .rng import Xorshift64Star
-from .solvers import METHODS, canonical_method, metrics, solve
+from .solvers import METHODS, _m_norms, canonical_method, metrics, solve
 
 __all__ = [
     "f1",
@@ -82,6 +87,32 @@ def function_norm(f, rule: QuadratureRule | None = None) -> float:
     return float(np.sqrt(rule.weights @ (fv * fv)))
 
 
+def _legendre_projections(fv, n_max: int, rule: QuadratureRule) -> list:
+    """Bernstein coefficients of the Legendre-series projections of degree 0..n_max.
+
+    fv holds f at the rule's nodes.  The series coefficients
+    c_k = (2k+1) (f, L_k) are integrated once; degree n is degree n-1
+    elevated by one step, (i/n) a_{i-1} + ((n-i)/n) a_i, plus c_n times the
+    native coefficients (-1)^(n+i) C(n,i) of L_n.  O(n) vector steps per
+    degree, and neither the mass matrix nor Q is touched.
+    """
+    y = 2.0 * rule.nodes - 1.0
+    p_prev, p = np.ones_like(y), y
+    a = np.zeros(1)
+    out = []
+    for n in range(n_max + 1):
+        lk = p_prev if n == 0 else p
+        cn = (2 * n + 1) * float(rule.weights @ (fv * lk))
+        if n:
+            i = np.arange(n + 1.0)
+            a = np.append(0.0, i[1:] / n * a) + np.append((n - i[:-1]) / n * a, 0.0)
+            p_prev, p = p, ((2 * n + 1) * y * p - n * p_prev) / (n + 1)
+        pascal = [(-1.0) ** (n + k) * math.comb(n, k) for k in range(n + 1)]
+        a = a + cn * np.array(pascal)
+        out.append(a)
+    return out
+
+
 def legendre_reference(f, n: int, rule: QuadratureRule | None = None) -> BernsteinPoly:
     """Degree-n best approximation of f assembled from its Legendre series.
 
@@ -89,19 +120,11 @@ def legendre_reference(f, n: int, rule: QuadratureRule | None = None) -> Bernste
     integration, so this route never touches the mass matrix and serves as
     the independent reference for the projection experiments.
     """
+    if n < 0:
+        raise ValueError(f"degree must be nonnegative, got {n}")
     rule = rule or default_rule()
     fv = np.asarray(f(rule.nodes), dtype=float)
-    y = 2.0 * rule.nodes - 1.0
-    coeffs = np.zeros(n + 1)
-    p_prev = np.ones_like(y)
-    p = y.copy()
-    for k in range(n + 1):
-        lk = p_prev if k == 0 else p
-        ck = (2 * k + 1) * float(rule.weights @ (fv * lk))
-        coeffs += ck * legendre_coeffs(k, n).coeffs
-        if k >= 1:
-            p_prev, p = p, ((2 * k + 1) * y * p - k * p_prev) / (k + 1)
-    return BernsteinPoly(coeffs)
+    return BernsteinPoly(_legendre_projections(fv, n, rule)[n])
 
 
 @dataclass
@@ -129,28 +152,28 @@ def run_projection(func, n_max: int, methods=METHODS, rule: QuadratureRule | Non
     f = FUNCTIONS[func] if isinstance(func, str) else func
     rule = rule or default_rule()
     chosen = _ordered_methods(methods)
-    fnorm = function_norm(f, rule)
     fv = np.asarray(f(rule.nodes), dtype=float)
+    fnorm = float(np.sqrt(rule.weights @ (fv * fv)))  # function_norm's expression
     records = []
-    for n in range(n_max + 1):
-        b = moments(f, n, rule)
-        ref = legendre_reference(f, n, rule)
-        mm = mass_matrix(n).matrix
+    for n, ref in enumerate(_legendre_projections(fv, n_max, rule)):
+        # one basis matrix per degree: the moments b exactly as `moments` forms
+        # them, and each method's values p = basis @ x_hat at the nodes
+        basis = basis_values(n, rule.nodes)
+        b = (rule.weights * fv) @ basis
+        ref_norm = float(np.linalg.norm(ref))
         per_method: dict = {m: {} for m in chosen}
         for m in chosen:
             try:
                 report = solve(m, n, b, max_degree=n_max)
-                x_hat = report.solution
-                resid = report.residual
             except (ValueError, np.linalg.LinAlgError):
                 per_method[m] = dict.fromkeys(("fp", "Pifp", "err", "res"), float("nan"))
                 continue
-            pv = evaluate(BernsteinPoly(x_hat), rule.nodes)
-            fp = math.sqrt(max(float(rule.weights @ (fv - pv) ** 2), 0.0)) / fnorm
-            d = x_hat - ref.coeffs
-            pifp = math.sqrt(max(float(d @ (mm @ d)), 0.0)) / fnorm
-            err = float(np.linalg.norm(d)) / float(np.linalg.norm(ref.coeffs))
-            per_method[m] = {"fp": fp, "Pifp": pifp, "err": err, "res": resid}
+            x_hat = report.solution
+            fp = math.sqrt(float(rule.weights @ (fv - basis @ x_hat) ** 2)) / fnorm
+            d = x_hat - ref
+            pifp = float(_m_norms(n, d)[0]) / fnorm
+            err = float(np.linalg.norm(d)) / ref_norm
+            per_method[m] = {"fp": fp, "Pifp": pifp, "err": err, "res": report.residual}
         values = {}
         for family in ("fp", "Pifp", "err", "res"):
             for m in chosen:
@@ -163,13 +186,23 @@ def reference_solution(n: int, b) -> np.ndarray:
     """Exact solution of M x = b for the rounded b, each entry rounded once.
 
     M^-1 = D^-1 H^-1 D^-1 with D the binomial diagonal and H^-1 the integer
-    Bezoutian inverse, applied to b in Fractions at every degree.
+    Bezoutian inverse.  With 2^e the largest denominator among the entries
+    of b and L = lcm C(n,i), y_i = 2^e L b_i / C(n,i) is an integer, so
+    x_i = (H^-1 y)_i / (C(n,i) 2^e L) is one integer quotient, which int/int
+    division rounds correctly.
     """
+    ratios = [v.as_integer_ratio() for v in np.asarray(b, dtype=float).tolist()]
+    e = max(den.bit_length() for _, den in ratios) - 1
     binom = [math.comb(n, i) for i in range(n + 1)]
-    y = [Fraction(float(v)) / c for v, c in zip(np.asarray(b, dtype=float), binom)]
+    lcm = math.lcm(*binom)
+    y = [
+        (num << (e + 1 - den.bit_length())) * (lcm // c)
+        for (num, den), c in zip(ratios, binom)
+    ]
+    scale = lcm << e
     return np.array(
         [
-            float(sum(h * yj for h, yj in zip(row, y)) / c)
+            sum(map(operator.mul, row, y)) / (c * scale)
             for row, c in zip(hankel_inverse_exact(n), binom)
         ]
     )

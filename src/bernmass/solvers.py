@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bernstein import mass_matrix
+from .bernstein import DegreeTooLargeError, mass_matrix
 from .inverse import inverse_matrix
 from .spectral import SpectralDecomp, build_q, solve_spectral
 from .structured import StructuredInverse, solve_dft, structured_inverse
@@ -163,7 +163,9 @@ def solve(method: str, n: int, b, x_ref=None, max_degree: int = 25) -> SolveRepo
     solution is supplied the report carries relative 2-norm and M-norm
     errors alongside the residual.  A right-hand side with a nan or inf
     entry raises ValueError, for every method; so does a finite one whose
-    2-norm overflows (numpy may also warn about that overflow).
+    2-norm overflows (numpy may also warn about that overflow).  A solution
+    whose residual is not finite raises DegreeTooLargeError (eig once the
+    eigenvalues leave the normal range, from n = 512); b = 0 gives x = 0.
     """
     name = canonical_method(method)
     if not 0 <= n <= max_degree:
@@ -175,7 +177,10 @@ def solve(method: str, n: int, b, x_ref=None, max_degree: int = 25) -> SolveRepo
     bnorm = float(np.linalg.norm(bv))
     if not math.isfinite(bnorm):
         raise ValueError(f"right-hand side is not finite (2-norm {bnorm})")
-    if name == "direct":
+    if bnorm == 0.0:
+        # M is nonsingular, so x = 0; no method runs, none can form 0/0
+        x = np.zeros(n + 1)
+    elif name == "direct":
         x = _inverse(n) @ bv
     elif name == "dft":
         x = solve_dft(_structured(n), bv)
@@ -183,19 +188,34 @@ def solve(method: str, n: int, b, x_ref=None, max_degree: int = 25) -> SolveRepo
         x = solve_spectral(_spectral(n), bv)
     else:
         x = solve_cholesky(_cholesky(n), bv)
-    report = SolveReport(name, n, x, _residual(n, x, bv, bnorm))
+    residual = _residual(n, x, bv, bnorm)
+    if not math.isfinite(residual):
+        raise DegreeTooLargeError(
+            f"{name} solve at degree n={n} left double range (relative residual {residual})"
+        )
+    report = SolveReport(name, n, x, residual)
     if x_ref is not None:
         report.err_2, report.err_m, _ = metrics(x, x_ref, bv, _mass(n))
     return report
 
 
+def _m_norms(n: int, *vectors) -> np.ndarray:
+    """The M-norms ||Lambda^(1/2) Q^T v|| of degree-n vectors, through the cached Q.
+
+    Unlike sqrt(v^T M v), this never cancels: that quadratic form turns
+    negative once the float M stops being numerically positive definite
+    (n >= 30).
+    """
+    spec = _spectral(n)
+    coords = np.sqrt(spec.lam)[:, None] * (spec.q.T @ np.column_stack(vectors))
+    return np.linalg.norm(coords, axis=0)
+
+
 def metrics(x_hat, x_ref, b, m) -> tuple:
     """Relative 2-norm error, relative M-norm error, relative residual.
 
-    Both M-norms are taken as ||Lambda^(1/2) Q^T v|| through the degree's
-    cached spectral decomposition, not as sqrt(v^T M v): that quadratic form
-    cancels, and turns negative once the float M stops being numerically
-    positive definite (n >= 30).  m feeds only the residual.
+    Both M-norms come from _m_norms, through the degree's cached spectral
+    decomposition; m feeds only the residual.
     """
     x_hat = np.asarray(x_hat, dtype=float)
     x_ref = np.asarray(x_ref, dtype=float)
@@ -205,9 +225,7 @@ def metrics(x_hat, x_ref, b, m) -> tuple:
         raise ValueError("reference solution has zero norm")
     d = x_hat - x_ref
     err2 = float(np.linalg.norm(d)) / ref2
-    spec = _spectral(x_ref.size - 1)
-    coords = np.sqrt(spec.lam)[:, None] * (spec.q.T @ np.column_stack((d, x_ref)))
-    dm, rm = np.linalg.norm(coords, axis=0)
+    dm, rm = _m_norms(x_ref.size - 1, d, x_ref)
     errm = float(dm / rm)
     bnorm = float(np.linalg.norm(bv))
     mm = np.asarray(m, dtype=float)

@@ -141,3 +141,28 @@ def test_m_inner_matches_exact():
         for j in range(3):
             expected += float(m[i][j]) * p.coeffs[i] * q.coeffs[j]
     assert m_inner(p, q) == pytest.approx(expected, rel=1e-14)
+
+
+def _unscaled_assembly(n):
+    # (d_i h_{i+j}) d_j from the unscaled moments: the scaled assembly must
+    # reproduce it bit for bit wherever the moments stay normal doubles
+    h, d = hankel_moments(n), binomial_diag(n)
+    idx = np.add.outer(np.arange(n + 1), np.arange(n + 1))
+    return (d[:, None] * h[idx]) * d[None, :]
+
+
+def test_mass_matrix_unchanged_through_degree_500():
+    for n in list(range(41)) + [64, 128, 255, 256, 499, 500]:
+        assert np.array_equal(mass_matrix(n).matrix, _unscaled_assembly(n)), n
+
+
+@pytest.mark.parametrize("n", [512, 515, 525, 535, 560, 581])
+def test_mass_matrix_accurate_past_degree_500(n):
+    # entry (i, j) = C(n,i) C(n,j) / ((2n+1) C(2n, i+j)), rounded once by
+    # int/int division
+    m = mass_matrix(n).matrix
+    c = [math.comb(n, k) for k in range(n + 1)]
+    den = [(2 * n + 1) * math.comb(2 * n, s) for s in range(2 * n + 1)]
+    want = np.array([[ci * cj / den[i + j] for j, cj in enumerate(c)] for i, ci in enumerate(c)])
+    tol = (n + 1) * np.finfo(float).eps * np.abs(want) + 16 * 2.0**-1074
+    assert np.all(np.abs(m - want) <= tol)

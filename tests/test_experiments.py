@@ -7,10 +7,12 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from bernmass.bernstein import BernsteinPoly, evaluate
+from bernmass import experiments
+from bernmass.bernstein import BernsteinPoly, DegreeTooLargeError, evaluate
 from bernmass.exact import mass_exact, rational_solve
 from bernmass.experiments import (
     ExperimentRecord,
+    _legendre_projections,
     default_rule,
     f1,
     f2,
@@ -24,7 +26,8 @@ from bernmass.experiments import (
     write_csv,
 )
 from bernmass.quadrature import integrate
-from bernmass.solvers import NotPositiveDefiniteError, cholesky_factor, solve
+from bernmass.inverse import hankel_inverse_exact
+from bernmass.solvers import NotPositiveDefiniteError, cholesky_factor, metrics, solve
 from bernmass.bernstein import mass_matrix
 
 
@@ -229,3 +232,127 @@ def test_function_norm_positive():
     assert function_norm(f2) == pytest.approx(
         math.sqrt(integrate(lambda x: f2(x) ** 2, default_rule())), rel=1e-14
     )
+
+
+def _series_coeffs(fv, n_max, rule):
+    # c_k = (2k+1) (f, L_k), by the sweep's own recurrence and operation order
+    y = 2.0 * rule.nodes - 1.0
+    p_prev, p = np.ones_like(y), y
+    out = []
+    for k in range(n_max + 1):
+        lk = p_prev if k == 0 else p
+        out.append((2 * k + 1) * float(rule.weights @ (fv * lk)))
+        if k:
+            p_prev, p = p, ((2 * k + 1) * y * p - k * p_prev) / (k + 1)
+    return out
+
+
+@pytest.mark.parametrize("f", [f1, f2])
+def test_legendre_projections_match_exact_elevation(f):
+    # the same c_k, with L_k elevated exactly: coefficient i of degree n is
+    # sum_k c_k sum_j (-1)^(k+j) C(k,j)^2 C(n-k,i-j) / C(n,i)
+    rule = default_rule()
+    fv = f(rule.nodes)
+    sweep = _legendre_projections(fv, 20, rule)
+    c = [Fraction(v) for v in _series_coeffs(fv, 20, rule)]
+    for n, got in enumerate(sweep):
+        exact = [
+            sum(
+                c[k]
+                * sum(
+                    (-1) ** (k + j) * math.comb(k, j) ** 2 * math.comb(n - k, i - j)
+                    for j in range(max(0, i - n + k), min(k, i) + 1)
+                )
+                for k in range(n + 1)
+            )
+            / math.comb(n, i)
+            for i in range(n + 1)
+        ]
+        want = np.array([float(v) for v in exact])
+        assert np.max(np.abs(got - want)) <= 4 * np.finfo(float).eps * np.max(np.abs(want)), n
+
+
+def test_legendre_reference_is_the_sweep_entry():
+    rule = default_rule()
+    for f in (f1, f2):
+        sweep = _legendre_projections(f(rule.nodes), 20, rule)
+        for n in (0, 1, 7, 20):
+            assert np.array_equal(legendre_reference(f, n, rule).coeffs, sweep[n])
+
+
+def test_run_projection_moments_are_bitwise(monkeypatch):
+    seen = {}
+
+    def spy(method, n, b, **kwargs):
+        seen[n] = np.array(b)
+        return solve(method, n, b, **kwargs)
+
+    monkeypatch.setattr(experiments, "solve", spy)
+    for f in (f1, f2):
+        seen.clear()
+        run_projection(f, 20, methods=["eig"])
+        assert sorted(seen) == list(range(21))
+        for n, b in seen.items():
+            assert np.array_equal(b, moments(f, n)), n
+
+
+def _fraction_reference(n, b):
+    # a rational route: b in Fractions, the integer Bezoutian applied entry by entry
+    binom = [math.comb(n, i) for i in range(n + 1)]
+    y = [Fraction(float(v)) / c for v, c in zip(b, binom)]
+    return np.array(
+        [float(sum(h * yj for h, yj in zip(row, y)) / c) for row, c in zip(hankel_inverse_exact(n), binom)]
+    )
+
+
+@pytest.mark.parametrize("n", [40, 60, 100])
+def test_reference_solution_matches_fraction_route(n):
+    rng = np.random.default_rng(n)
+    b = rng.uniform(-1.0, 1.0, n + 1) * 2.0 ** rng.integers(-60, 60, n + 1)
+    b[:4] = [0.0, -0.0, -3.0, 2.0**-1074]
+    got = reference_solution(n, b)
+    want = _fraction_reference(n, b)
+    assert np.array_equal(got, want)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+def test_pifp_and_metrics_match_rational_m_norm():
+    # past the Cholesky breakdown the quadratic form d.(M d) cancels to 0 or
+    # worse; both M-norms go through Q and must match the rational one
+    rule = default_rule()
+    fnorm = function_norm(f1, rule)
+    recs = run_projection("f1", 40, methods=["eig"], rule=rule)
+    for n in (20, 30, 35, 38, 40):
+        b = moments(f1, n, rule)
+        x_hat = solve("eig", n, b, max_degree=40).solution
+        ref = legendre_reference(f1, n, rule).coeffs
+        exact = mass_exact(n)
+
+        def m_norm(v):
+            f = [Fraction(float(t)) for t in v]
+            return math.sqrt(sum(fi * sum(a * fj for a, fj in zip(row, f)) for fi, row in zip(f, exact)))
+
+        want = m_norm(x_hat - ref)
+        assert abs(recs[n].values["EigPifp"] * fnorm - want) <= 1e-6 * want, n
+        _, errm, _ = metrics(x_hat, ref, b, mass_matrix(n).matrix)
+        want_rel = want / m_norm(ref)
+        assert abs(errm - want_rel) <= 1e-6 * want_rel, n
+
+
+def test_tables_flag_degree_too_large_cells(monkeypatch):
+    # a solve whose result leaves double range raises DegreeTooLargeError;
+    # the tables mark that method's cells nan at that degree and go on
+    def failing(method, n, b, **kwargs):
+        if method == "eig" and n == 3:
+            raise DegreeTooLargeError("eig solve left double range")
+        return solve(method, n, b, **kwargs)
+
+    monkeypatch.setattr(experiments, "solve", failing)
+    for recs, families in (
+        (run_projection("f2", 5), ("fp", "Pifp", "err", "res")),
+        (run_random(5, seed=42), ("L2err", "Merr", "res")),
+    ):
+        for rec in recs:
+            eig = [rec.values[f"Eig{fam}"] for fam in families]
+            assert all(map(math.isnan, eig)) == (rec.degree == 3)
+            assert np.isfinite(rec.values[f"cho{families[0]}"])

@@ -10,7 +10,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from bernmass.bernstein import mass_matrix
+from bernmass.bernstein import DegreeTooLargeError, mass_matrix
 from bernmass.exact import mass_exact, rational_solve
 from bernmass.experiments import reference_solution
 from bernmass.solvers import (
@@ -152,6 +152,27 @@ def test_zero_rhs_zero_residual():
     rep = solve("direct", 4, np.zeros(5))
     assert np.allclose(rep.solution, 0.0)
     assert rep.residual == 0.0
+
+
+@pytest.mark.parametrize("n", [512, 520, 545])
+def test_solve_refuses_non_finite_residual(n):
+    # the eigenvalues leave the normal range: the residual overflows at 512
+    # and 520, and at 545 three of them are 0, so the solution holds inf/nan
+    with np.errstate(all="ignore"):
+        with pytest.raises(DegreeTooLargeError, match="left double range"):
+            solve("eig", n, np.ones(n + 1), max_degree=600)
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_zero_rhs_gives_exact_zeros(method):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for n in (0, 7, 20):
+            rep = solve(method, n, np.zeros(n + 1))
+            assert np.array_equal(rep.solution, np.zeros(n + 1)) and rep.residual == 0.0
+        if method == "eig":  # where some eigenvalues underflow to 0
+            rep = solve(method, 545, np.zeros(546), max_degree=600)
+            assert np.array_equal(rep.solution, np.zeros(546)) and rep.residual == 0.0
 
 
 def test_report_error_fields():
