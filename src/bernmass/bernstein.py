@@ -91,20 +91,22 @@ def hankel_moments(n: int, scale_exp: int = 0) -> np.ndarray:
     """
     if n < 0:
         raise ValueError("degree must be nonnegative")
-    h = np.empty(2 * n + 1)
-    h[0] = math.ldexp(1.0, scale_exp) / (2 * n + 1)
+    v = math.ldexp(1.0, scale_exp) / (2 * n + 1)
+    h = [v]
     for s in range(2 * n):
-        h[s + 1] = h[s] * (s + 1) / (2 * n - s)
-    return h
+        v = v * (s + 1) / (2 * n - s)
+        h.append(v)
+    return np.array(h)
 
 
 def binomial_diag(n: int) -> np.ndarray:
     """The diagonal C(n,i), i = 0..n, by the ratio recurrence."""
-    d = np.empty(n + 1)
-    d[0] = 1.0
+    v = 1.0
+    d = [v]
     for i in range(n):
-        d[i + 1] = d[i] * (n - i) / (i + 1)
-    return d
+        v = v * (n - i) / (i + 1)
+        d.append(v)
+    return np.array(d)
 
 
 _MAX_DEGREE = 582  # the supported assembly range, through which Q and the eigenvalues are checked
@@ -128,9 +130,12 @@ def mass_matrix(n: int) -> MassMatrix:
     h = hankel_moments(n, s)
     d = binomial_diag(n)
     unscale = math.ldexp(1.0, -s)
-    idx = np.add.outer(np.arange(n + 1), np.arange(n + 1))
+    # the Hankel matrix as a read-only strided view of h: entry (i, j) is h[i + j]
+    hankel = np.ndarray((n + 1, n + 1), buffer=h, strides=(8, 8))
+    hankel.flags.writeable = False
     # group as (d_i * h) * d_j: d_i alone can be huge while d_i*h is tame
-    m = (d[:, None] * h[idx]) * (d * unscale)[None, :]
+    m = d[:, None] * hankel
+    m *= d * unscale
     return MassMatrix(n, m, h * unscale, d)
 
 

@@ -21,11 +21,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bernstein import BernsteinPoly, basis_values, mass_matrix
+from .bernstein import BernsteinPoly, basis_values
 from .inverse import hankel_inverse_exact
 from .quadrature import QuadratureRule, composite_gauss_legendre
 from .rng import Xorshift64Star
-from .solvers import METHODS, _m_norms, canonical_method, metrics, solve
+from .solvers import METHODS, _m_norms, _mass, canonical_method, metrics, solve
 
 __all__ = [
     "f1",
@@ -222,7 +222,7 @@ def run_random(n_max: int, seed: int = 42, methods=METHODS) -> list:
     gen = Xorshift64Star(seed)
     records = []
     for n in range(n_max + 1):
-        mm = mass_matrix(n).matrix
+        mm = _mass(n)  # the matrix solve() caches for its residuals
         x_true = gen.uniform(-0.5, 0.5, n + 1)
         b = mm @ x_true
         x_ref = reference_solution(n, b)

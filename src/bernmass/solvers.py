@@ -9,6 +9,7 @@ degree so repeated solves at the same degree only pay the assembly cost once.
 from __future__ import annotations
 
 import math
+import sys
 import threading
 from dataclasses import dataclass
 
@@ -149,11 +150,23 @@ def _cholesky(n: int) -> CholeskyFactor:
     return _cached("cholesky", n, lambda k: cholesky_factor(_mass(k)))
 
 
+def _norm(v: np.ndarray) -> float:
+    # sqrt(v.v) as numpy.linalg.norm forms it, bit for bit, but np.vdot
+    # returns inf on overflow without a RuntimeWarning
+    return math.sqrt(np.vdot(v, v))
+
+
 def _residual(n: int, x: np.ndarray, b: np.ndarray, bnorm: float) -> float:
     if bnorm == 0.0:
         return 0.0
     r = _mass(n) @ x - b
-    return float(np.linalg.norm(r)) / bnorm
+    rnorm = _norm(r)
+    if not math.isfinite(rnorm):
+        # r.r overflows once |r| passes about 1e154: scale by max|r| and retry
+        with np.errstate(over="ignore", invalid="ignore"):
+            big = float(np.max(np.abs(r)))
+            rnorm = big * _norm(r / big)
+    return rnorm / bnorm
 
 
 def solve(method: str, n: int, b, x_ref=None, max_degree: int = 25) -> SolveReport:
@@ -163,9 +176,11 @@ def solve(method: str, n: int, b, x_ref=None, max_degree: int = 25) -> SolveRepo
     solution is supplied the report carries relative 2-norm and M-norm
     errors alongside the residual.  A right-hand side with a nan or inf
     entry raises ValueError, for every method; so does a finite one whose
-    2-norm overflows (numpy may also warn about that overflow).  A solution
-    whose residual is not finite raises DegreeTooLargeError (eig once the
-    eigenvalues leave the normal range, from n = 512); b = 0 gives x = 0.
+    2-norm overflows.  A solution whose residual is not finite raises
+    DegreeTooLargeError; so does eig, before dividing, once the smallest
+    eigenvalue is not a normal double (from n = 509).  A residual whose
+    plain 2-norm overflows (|r| past about 1e154, from n near 286 for b
+    of order one) is taken again scaled by max|r|.  b = 0 gives x = 0.
     """
     name = canonical_method(method)
     if not 0 <= n <= max_degree:
@@ -174,7 +189,7 @@ def solve(method: str, n: int, b, x_ref=None, max_degree: int = 25) -> SolveRepo
     if bv.shape != (n + 1,):
         raise ValueError(f"right-hand side shape {bv.shape} does not match degree {n}")
     # one norm serves as the finiteness check and the residual's scale
-    bnorm = float(np.linalg.norm(bv))
+    bnorm = _norm(bv)
     if not math.isfinite(bnorm):
         raise ValueError(f"right-hand side is not finite (2-norm {bnorm})")
     if bnorm == 0.0:
@@ -185,7 +200,13 @@ def solve(method: str, n: int, b, x_ref=None, max_degree: int = 25) -> SolveRepo
     elif name == "dft":
         x = solve_dft(_structured(n), bv)
     elif name == "eig":
-        x = solve_spectral(_spectral(n), bv)
+        spec = _spectral(n)
+        if spec.lam[-1] < sys.float_info.min:  # the smallest normal double
+            raise DegreeTooLargeError(
+                f"eig solve at degree n={n} left double range "
+                f"(smallest eigenvalue {spec.lam[-1]:.3g} is not a normal double)"
+            )
+        x = solve_spectral(spec, bv)
     else:
         x = solve_cholesky(_cholesky(n), bv)
     residual = _residual(n, x, bv, bnorm)

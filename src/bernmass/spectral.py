@@ -47,11 +47,12 @@ def eigenvalues(n: int) -> np.ndarray:
     Built by the ratio recurrence lam(i+1) = lam(i) (n-i)/(n+i+2) from
     lam(0) = 1/(n+1), avoiding explicit factorials.
     """
-    lam = np.empty(n + 1)
-    lam[0] = 1.0 / (n + 1)
+    v = 1.0 / (n + 1)
+    lam = [v]
     for i in range(n):
-        lam[i + 1] = lam[i] * (n - i) / (n + i + 2)
-    return lam
+        v = v * (n - i) / (n + i + 2)
+        lam.append(v)
+    return np.array(lam)
 
 
 def eigenvalue(n: int, i: int) -> float:
@@ -93,7 +94,7 @@ def build_q(n: int) -> SpectralDecomp:
         q[i + 1] = ((b + d + mu) * q[i] - d * prev) / b
         prev = q[i]
     half = n // 2
-    q[half + 1 :] = sign * q[n - np.arange(half + 1, n + 1)]
+    np.multiply(sign, q[n - half - 1 :: -1], out=q[half + 1 :])
     return SpectralDecomp(n, q, lam)
 
 

@@ -4,9 +4,9 @@ The binomially descaled mass matrix is Hankel, and its inverse splits into a
 difference of Toeplitz-times-Hankel products whose entries are signed squared
 binomials.  All of those operators are applied through circulant embedding
 and numpy's real FFT, giving an O(n log n) solve.  The Bezout matrix of two
-polynomials, built by the Heinig-Rost recurrence, is the exact kernel of the
-closed-form inverse; the Hankel inversion formula around it is kept for
-validation.
+polynomials, built by the Heinig-Rost recurrence, underlies the closed-form
+inverse (whose kernel runs the recurrence on a quarter band only); the
+Hankel inversion formula around it is kept for validation.
 
 The dense builders (toeplitz_dense, hankel_dense, bezout_matrix and the
 *_exact split) work over plain Python numbers, so feeding them ints or
@@ -248,14 +248,20 @@ def heinig_rost_inverse(antidiagonals) -> np.ndarray:
 # the Toeplitz/Hankel split of the inverse
 
 
-def _band_values(n: int) -> list:
-    # first column of the unit-diagonal lower-triangular Toeplitz factor
-    return [(-1) ** d * math.comb(n + 1, d) ** 2 for d in range(n + 1)]
+def _squared_binomial_row(n: int) -> list:
+    """The integers (-1)^d C(n+1, d)^2, d = 0..n+1, behind every split factor.
 
-
-def _anti_values(n: int) -> list:
-    # anti-diagonals of the Hankel factor
-    return [(-1) ** (s + 1) * math.comb(n + 1, s + 1) ** 2 for s in range(2 * n + 1)]
+    Entries 0..n are the first column of the unit-diagonal lower-triangular
+    Toeplitz factor; entries 1..n+1, followed by n zeros, are the 2n+1
+    anti-diagonals of the Hankel factor.  C(n+1, d) comes from the ratio
+    recurrence c <- c (n+1-d) / (d+1), exact in integers.
+    """
+    c = 1
+    row = [1]
+    for d in range(n + 1):
+        c = c * (n + 1 - d) // (d + 1)
+        row.append(c * c if d % 2 else -c * c)
+    return row
 
 
 def structured_inverse_exact(n: int):
@@ -265,8 +271,9 @@ def structured_inverse_exact(n: int):
     matrix equals t_weighted @ h - t @ h_weighted, and conjugating by the
     inverse binomial diagonal gives the inverse mass matrix itself.
     """
-    band = _band_values(n)
-    anti = _anti_values(n)
+    row = _squared_binomial_row(n)
+    band = row[:-1]
+    anti = row[1:] + [0] * n
     t = toeplitz_dense(band, [band[0]] + [0] * n)
     tw = toeplitz_dense([d * band[d] for d in range(n + 1)], [0] * (n + 1))
     h = hankel_dense(anti)
@@ -314,16 +321,17 @@ def structured_inverse(n: int) -> StructuredInverse:
     that error alone, not by numpy warnings.
     """
     try:
-        t_col = np.array(_band_values(n), dtype=float)
-        anti = np.array(_anti_values(n), dtype=float)
+        row = np.array(_squared_binomial_row(n), dtype=float)
     except OverflowError:
         raise ValueError(
             f"squared binomial factors overflow double precision at degree n={n}"
         ) from None
-    if not (np.all(np.isfinite(t_col)) and np.all(np.isfinite(anti))):
+    if not np.all(np.isfinite(row)):
         raise ValueError(
             f"squared binomial factors overflow double precision at degree n={n}"
         )
+    t_col = row[:-1]
+    anti = np.concatenate((row[1:], np.zeros(n)))
     with np.errstate(over="ignore"):
         tt_col = np.arange(n + 1) * t_col
         ht = np.arange(1, 2 * n + 2) * anti

@@ -166,3 +166,38 @@ def test_mass_matrix_accurate_past_degree_500(n):
     want = np.array([[ci * cj / den[i + j] for j, cj in enumerate(c)] for i, ci in enumerate(c)])
     tol = (n + 1) * np.finfo(float).eps * np.abs(want) + 16 * 2.0**-1074
     assert np.all(np.abs(m - want) <= tol)
+
+
+def _numpy_moments(n, scale_exp):
+    # the ratio recurrences stepped through numpy scalars, entry by entry
+    h = np.empty(2 * n + 1)
+    h[0] = math.ldexp(1.0, scale_exp) / (2 * n + 1)
+    for s in range(2 * n):
+        h[s + 1] = h[s] * (s + 1) / (2 * n - s)
+    d = np.empty(n + 1)
+    d[0] = 1.0
+    for i in range(n):
+        d[i + 1] = d[i] * (n - i) / (i + 1)
+    return h, d
+
+
+def _gathered_assembly(n):
+    # the scaled assembly through an (n+1)^2 index array and a gather of h
+    s = max(0, 2 * n - 1000)
+    h, d = _numpy_moments(n, s)
+    idx = np.add.outer(np.arange(n + 1), np.arange(n + 1))
+    return (d[:, None] * h[idx]) * (d * math.ldexp(1.0, -s))[None, :], h, d
+
+
+@pytest.mark.parametrize(
+    "n", list(range(41)) + [64, 255, 256, 499, 500, 501, 509, 512, 535, 581, 582]
+)
+def test_mass_matrix_bitwise_equal_to_gathered_assembly(n):
+    want, h, d = _gathered_assembly(n)
+    s = max(0, 2 * n - 1000)
+    assert np.array_equal(hankel_moments(n, s), h)
+    assert np.array_equal(binomial_diag(n), d)
+    mm = mass_matrix(n)
+    assert mm.matrix.tobytes() == want.tobytes()
+    assert mm.hankel_factor.tobytes() == (h * math.ldexp(1.0, -s)).tobytes()
+    assert mm.matrix.flags.writeable and mm.matrix.flags.c_contiguous

@@ -356,3 +356,21 @@ def test_tables_flag_degree_too_large_cells(monkeypatch):
             eig = [rec.values[f"Eig{fam}"] for fam in families]
             assert all(map(math.isnan, eig)) == (rec.degree == 3)
             assert np.isfinite(rec.values[f"cho{families[0]}"])
+
+
+def test_run_random_assembles_each_mass_matrix_once(monkeypatch):
+    from bernmass import solvers
+
+    built = []
+
+    def counting(n):
+        built.append(n)
+        return mass_matrix(n)
+
+    monkeypatch.setattr(solvers, "mass_matrix", counting)
+    solvers.clear_cache()
+    try:
+        run_random(8, seed=3)
+    finally:
+        solvers.clear_cache()
+    assert built == list(range(9))

@@ -18,6 +18,7 @@ from bernmass.inverse import (
     last_column_y_exact,
 )
 from bernmass.bernstein import mass_matrix
+from bernmass.structured import bezout_coeff_u, bezout_coeff_v, bezout_matrix
 
 
 def test_two_by_two_inverse():
@@ -123,3 +124,22 @@ def test_last_column_matches_inverse_column():
         inv = [[inverse_entry_exact(n, i, j) for j in range(n + 1)] for i in range(n + 1)]
         col = [inv[i][n] for i in range(n + 1)]
         assert col == [Fraction(v) for v in last_column_y_exact(n)]
+
+
+@pytest.mark.parametrize("n", list(range(41)) + [63, 64, 127, 128])
+def test_hankel_inverse_exact_equals_full_bezoutian(n):
+    # every entry of Bez(v, u), each divided by v[-1] on its own
+    v = bezout_coeff_v(n)
+    full = [[e // v[-1] for e in row] for row in bezout_matrix(v, bezout_coeff_u(n))]
+    assert hankel_inverse_exact(n) == full
+
+
+@pytest.mark.parametrize("n", [63, 64, 128])
+def test_inverse_matrix_symmetric_and_persymmetric(n):
+    a = inverse_matrix(n)
+    assert np.array_equal(a, a.T)
+    assert np.array_equal(a, a[::-1, ::-1].T)
+    for i, j in [(0, 0), (0, n), (n, 0), (1, n - 2), (n // 2, n // 2), (n // 2, n // 2 + 1),
+                 (n // 3, 2 * n // 3 + 1), (n - 1, 2), (n, n)]:
+        want = hankel_inverse_entry(n, i, j) / (math.comb(n, i) * math.comb(n, j))
+        assert a[i, j] == want, (i, j)

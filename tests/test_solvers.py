@@ -226,3 +226,29 @@ def test_cache_reuse_is_deterministic():
     clear_cache()
     third = solve("dft", 7, b).solution
     assert np.array_equal(first, third)
+
+
+@pytest.mark.parametrize("n", [509, 512, 520, 545])
+def test_eig_refused_once_smallest_eigenvalue_is_subnormal(n):
+    # refused before solve_spectral divides, so no numpy warning leaks
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DegreeTooLargeError, match="left double range"):
+            solve("eig", n, np.ones(n + 1), max_degree=600)
+
+
+@pytest.mark.parametrize(
+    "method, n, rhs",
+    [("direct", 286, "uniform"), ("direct", 300, "ones"), ("direct", 508, "ones"),
+     ("eig", 300, "uniform"), ("eig", 314, "ones"), ("eig", 508, "ones")],
+)
+def test_residual_norm_overflow_is_rescaled(method, n, rhs):
+    # |r| passes about 1e154 here, so r.r overflows although r and x are finite
+    b = np.ones(n + 1) if rhs == "ones" else np.random.default_rng(n).uniform(-0.5, 0.5, n + 1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rep = solve(method, n, b, max_degree=600)
+    r = mass_matrix(n).matrix @ rep.solution - b
+    assert np.all(np.isfinite(rep.solution)) and np.isinf(np.vdot(r, r))
+    want = math.hypot(*r.tolist()) / math.hypot(*b.tolist())
+    assert rep.residual == pytest.approx(want, rel=1e-14)

@@ -146,3 +146,33 @@ def test_solve_then_apply_roundtrip():
     rng = np.random.default_rng(13)
     b = rng.standard_normal(n + 1)
     assert np.allclose(apply_mass_spectral(d, solve_spectral(d, b)), b, atol=1e-9)
+
+
+def _build_q_gathered(n):
+    # build_q's march with the lower half mirrored by a fancy-index gather
+    lam = np.array([eigenvalue(n, i) for i in range(n + 1)])
+    j = np.arange(n + 1.0)
+    k = j[:-1]
+    ratio = np.sqrt((2.0 * k + 3.0) * (n - k) / ((2.0 * k + 1.0) * (n + k + 2.0)))
+    s = np.cumprod(np.concatenate(([1.0 / math.sqrt(n + 1)], ratio)))
+    sign = np.where(j % 2 == 0, 1.0, -1.0)
+    mu = j * (j + 1.0)
+    q = np.empty((n + 1, n + 1))
+    q[0] = sign * s
+    prev = np.zeros(n + 1)
+    for i in range(n // 2):
+        b, d = (i + 1.0) * (i - n), i * (i - n - 1.0)
+        q[i + 1] = ((b + d + mu) * q[i] - d * prev) / b
+        prev = q[i]
+    half = n // 2
+    q[half + 1 :] = sign * q[n - np.arange(half + 1, n + 1)]
+    return q, lam
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 4, 7, 20, 63, 64, 255, 256, 511, 512, 580, 581])
+def test_build_q_bitwise_equal_to_gathered_mirror(n):
+    want_q, want_lam = _build_q_gathered(n)
+    got = build_q(n)
+    assert got.q.tobytes() == want_q.tobytes()
+    assert got.lam.tobytes() == want_lam.tobytes()
+    assert eigenvalues(n).tobytes() == want_lam.tobytes()

@@ -1,6 +1,7 @@
 """Circulant-embedded products, Bezout machinery, and the compressed
 inverse split."""
 
+import math
 import warnings
 from fractions import Fraction
 
@@ -18,6 +19,8 @@ from bernmass.structured import (
     hankel_extension,
     hankel_matvec,
     heinig_rost_inverse,
+    StructuredInverse,
+    _squared_binomial_row,
     next_pow2,
     solve_dft,
     structured_inverse,
@@ -267,3 +270,34 @@ def test_structured_inverse_overflow_guards():
                 structured_inverse(n)  # spectra overflow
         with pytest.raises(ValueError):
             structured_inverse(600)  # band entries overflow
+
+
+def _comb_split_lists(n):
+    # the Toeplitz band and the Hankel anti-diagonals, each entry from math.comb
+    band = [(-1) ** d * math.comb(n + 1, d) ** 2 for d in range(n + 1)]
+    anti = [(-1) ** (s + 1) * math.comb(n + 1, s + 1) ** 2 for s in range(2 * n + 1)]
+    return band, anti
+
+
+@pytest.mark.parametrize("n", list(range(41)) + [509])
+def test_squared_binomial_row_gives_band_and_anti_diagonals(n):
+    band, anti = _comb_split_lists(n)
+    row = _squared_binomial_row(n)
+    assert row[:-1] == band
+    assert row[1:] + [0] * n == anti
+    t, tw, h, hw = structured_inverse_exact(n)
+    assert [r[0] for r in t] == band and h[0] + h[-1][1:] == anti
+
+
+@pytest.mark.parametrize("n", list(range(41)) + [255, 256, 509])
+def test_structured_inverse_bitwise_equal_to_comb_lists(n):
+    band, anti = _comb_split_lists(n)
+    t_col = np.array(band, dtype=float)
+    h = np.array(anti, dtype=float)
+    with np.errstate(over="ignore"):
+        want = StructuredInverse(
+            n, t_col, np.arange(n + 1) * t_col, h, np.arange(1, 2 * n + 2) * h, binomial_diag(n)
+        )
+    got = structured_inverse(n)
+    for field in ("t_col", "tt_col", "h", "ht", "binom_diag", "_t_hat", "_tt_hat", "_h_hat", "_ht_hat"):
+        assert getattr(got, field).tobytes() == getattr(want, field).tobytes(), field
