@@ -22,7 +22,6 @@ from .bernstein import (
 from .conditioning import (
     ConditionRecord,
     PerturbationStudy,
-    PowerIterationError,
     condition_table,
     kappa_2,
     kappa_m_to_2,
@@ -111,7 +110,6 @@ __all__ = [
     # conditioning
     "ConditionRecord",
     "PerturbationStudy",
-    "PowerIterationError",
     "condition_table",
     "kappa_2",
     "kappa_m_to_2",

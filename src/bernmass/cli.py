@@ -18,7 +18,7 @@ import sys
 import numpy as np
 
 from .bernstein import DegreeTooLargeError, mass_matrix
-from .conditioning import PowerIterationError, kappa_2, kappa_m_to_2
+from .conditioning import kappa_2, kappa_m_to_2
 from .experiments import ExperimentRecord, render_csv, run_projection, run_random
 from .inverse import inverse_matrix
 from .solvers import NotPositiveDefiniteError, UnknownMethodError, canonical_method
@@ -126,7 +126,6 @@ def main(argv=None) -> int:
     except (
         DegreeTooLargeError,
         NotPositiveDefiniteError,
-        PowerIterationError,
         np.linalg.LinAlgError,
         ValueError,
         OverflowError,

@@ -2,10 +2,13 @@
 
 The 2-norm condition number has the closed form (2n+1)!/((n+1)! n!), i.e.
 the central-adjacent binomial coefficient C(2n+1, n); the mixed M-to-2-norm
-condition number is its square root.  Mixed operator norms of arbitrary
-matrices are estimated by power iteration on the corresponding symmetric
-pencils, and a sampling study shows random perturbations almost never
-realize the worst-case M-norm amplification.
+condition number is its square root.  Each mixed operator norm is one
+2-norm through the degree's cached M = Q Lambda Q^T, refused from n = 509,
+where lambda_min is not a normal double.  Past n near 30, that of the float
+M or of its float inverse is the norm of the rounded matrix, not of the
+exact one: lambda_min^{-1/2} amplifies its rounding.  A sampling study
+shows random perturbations almost never realize the worst-case M-norm
+amplification.
 """
 
 from __future__ import annotations
@@ -14,17 +17,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bernstein import mass_matrix
 from .rng import Xorshift64Star
-from .solvers import cholesky_factor, solve_cholesky
-from .spectral import build_q, eigenvalues
+from .solvers import _spectral_checked
+from .spectral import eigenvalues
 
 __all__ = [
     "kappa_2",
     "kappa_m_to_2",
     "ConditionRecord",
     "condition_table",
-    "PowerIterationError",
     "op_norm_m_to_2",
     "op_norm_2_to_m",
     "PerturbationStudy",
@@ -69,67 +70,26 @@ def condition_table(n_max: int) -> list:
     return out
 
 
-class PowerIterationError(RuntimeError):
-    """Power iteration failed to converge within the allowed iterations."""
-
-
-def _start_vector(size: int, seed: int) -> np.ndarray:
-    gen = Xorshift64Star(seed)
-    return gen.uniform(-1.0, 1.0, size)
-
-
-def op_norm_m_to_2(a, mass=None, tol: float = 1e-12, max_iter: int = 5000, seed: int = 20240901) -> float:
+def op_norm_m_to_2(a) -> float:
     """Operator norm of A from the M-inner-product space to Euclidean space.
 
-    The square of the norm is the largest mu with A^T A v = mu M v; the
-    iteration keeps v normalized in the M-norm and applies M^{-1} A^T A
-    through a cached Cholesky factor, with the Rayleigh quotient v^T A^T A v
-    as the estimate.
+    With M = Q Lambda Q^T the cached decomposition of the degree given by
+    A's column count, ||A||_{M->2} = ||A Q Lambda^{-1/2}||_2.
     """
     av = np.asarray(a, dtype=float)
-    s = av.shape[1]
-    m = np.asarray(mass, dtype=float) if mass is not None else mass_matrix(s - 1).matrix
-    factor = cholesky_factor(m)
-    v = _start_vector(s, seed)
-    v /= np.sqrt(v @ (m @ v))
-    mu = 0.0
-    for _ in range(max_iter):
-        w = av.T @ (av @ v)
-        mu_new = float(v @ w)
-        z = solve_cholesky(factor, w)
-        z /= np.sqrt(z @ (m @ z))
-        if abs(mu_new - mu) <= tol * abs(mu_new):
-            return float(np.sqrt(max(mu_new, 0.0)))
-        mu, v = mu_new, z
-    raise PowerIterationError(
-        f"M-to-2 norm iteration did not converge in {max_iter} steps (last mu={mu})"
-    )
+    spec = _spectral_checked(av.shape[1] - 1)
+    return float(np.linalg.norm((av @ spec.q) / np.sqrt(spec.lam), 2))
 
 
-def op_norm_2_to_m(a, mass=None, tol: float = 1e-12, max_iter: int = 5000, seed: int = 20240902) -> float:
+def op_norm_2_to_m(a) -> float:
     """Operator norm of A from Euclidean space into the M-inner-product space.
 
-    The square is the largest eigenvalue of the symmetric matrix A^T M A,
-    found by plain power iteration.
+    With M = Q Lambda Q^T the cached decomposition of the degree given by
+    A's row count, ||A||_{2->M} = ||Lambda^{1/2} Q^T A||_2.
     """
     av = np.asarray(a, dtype=float)
-    m = np.asarray(mass, dtype=float) if mass is not None else mass_matrix(av.shape[0] - 1).matrix
-    v = _start_vector(av.shape[1], seed)
-    v /= np.linalg.norm(v)
-    mu = 0.0
-    for _ in range(max_iter):
-        w = av.T @ (m @ (av @ v))
-        mu_new = float(v @ w)
-        norm = np.linalg.norm(w)
-        if norm == 0.0:
-            return 0.0
-        w /= norm
-        if abs(mu_new - mu) <= tol * abs(mu_new):
-            return float(np.sqrt(max(mu_new, 0.0)))
-        mu, v = mu_new, w
-    raise PowerIterationError(
-        f"2-to-M norm iteration did not converge in {max_iter} steps (last mu={mu})"
-    )
+    spec = _spectral_checked(av.shape[0] - 1)
+    return float(np.linalg.norm(np.sqrt(spec.lam)[:, None] * (spec.q.T @ av), 2))
 
 
 @dataclass
@@ -147,9 +107,10 @@ def perturbation_study(n: int, samples: int = 1000, seed: int = 12345) -> Pertur
     For delta b of unit 2-norm the M-norm of the solution perturbation is
     at most lambda_min^{-1/2}, attained only along the last eigenvector.
     Random directions are sampled and the extremal direction appended as the
-    final row, so the returned ratios always contain the sharp case.
+    final row, so the returned ratios always contain the sharp case.  Like
+    the mixed norms, it is refused from n = 509.
     """
-    d = build_q(n)
+    d = _spectral_checked(n)
     gen = Xorshift64Star(seed)
     draws = gen.uniform(-1.0, 1.0, (samples, n + 1))
     draws = np.vstack([draws, d.q[:, n]])

@@ -10,6 +10,7 @@ agree with each other and with the Bezoutian exactly.
 
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
 
@@ -82,8 +83,12 @@ def hankel_inverse_entry(n: int, i: int, j: int) -> int:
     return sign * sum(_primary_terms(n, i, j))
 
 
+@functools.lru_cache(maxsize=1)
 def _hankel_inverse_band(n: int) -> list:
     """Rows 0..n//2 of the integer inverse of the descaled factor, on the band i <= j <= n-i.
+
+    The last degree's band is kept, so an exact reference and the rounded
+    inverse of the same degree share one build; callers only read it.
 
     The inverse is Bez(v, u) / v_{n+1} with u, v from bezout_coeff_u/v
     (Heinig & Rost).  Since v_{n+1} = (-1)^n (n+1) divides every u_i and the

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bernstein import DegreeTooLargeError, mass_matrix
-from .inverse import inverse_matrix
+from .inverse import _hankel_inverse_band, inverse_matrix
 from .spectral import SpectralDecomp, build_q, solve_spectral
 from .structured import StructuredInverse, solve_dft, structured_inverse
 
@@ -128,14 +128,24 @@ def _cached(kind: str, n: int, builder):
 def clear_cache() -> None:
     with _cache_lock:
         _cache.clear()
+    _hankel_inverse_band.cache_clear()
 
 
 def _mass(n: int) -> np.ndarray:
     return _cached("mass", n, lambda k: mass_matrix(k).matrix)
 
 
-def _inverse(n: int) -> np.ndarray:
-    return _cached("inverse", n, inverse_matrix)
+def _inverse_with_cap(n: int) -> tuple:
+    # every partial sum of (inv @ b)_i is at most sqrt(n+1) max|inv| |b|_2, so
+    # a b whose 2-norm is within the cap (halved for rounding) cannot overflow
+    inv = inverse_matrix(n)
+    amax = float(np.max(np.abs(inv)))
+    return inv, sys.float_info.max / amax / (2.0 * math.sqrt(n + 1))
+
+
+def _inverse(n: int) -> tuple:
+    """The rounded inverse and the largest |b|_2 its apply cannot overflow at."""
+    return _cached("inverse", n, _inverse_with_cap)
 
 
 def _structured(n: int) -> StructuredInverse:
@@ -144,6 +154,17 @@ def _structured(n: int) -> StructuredInverse:
 
 def _spectral(n: int) -> SpectralDecomp:
     return _cached("spectral", n, build_q)
+
+
+def _spectral_checked(n: int) -> SpectralDecomp:
+    """The cached decomposition, refused once lambda_min is not a normal double (n >= 509)."""
+    spec = _spectral(n)
+    if spec.lam[-1] < sys.float_info.min:
+        raise DegreeTooLargeError(
+            f"degree n={n} left double range "
+            f"(smallest eigenvalue {spec.lam[-1]:.3g} is not a normal double)"
+        )
+    return spec
 
 
 def _cholesky(n: int) -> CholeskyFactor:
@@ -177,8 +198,9 @@ def solve(method: str, n: int, b, x_ref=None, max_degree: int = 25) -> SolveRepo
     errors alongside the residual.  A right-hand side with a nan or inf
     entry raises ValueError, for every method; so does a finite one whose
     2-norm overflows.  A solution whose residual is not finite raises
-    DegreeTooLargeError; so does eig, before dividing, once the smallest
-    eigenvalue is not a normal double (from n = 509).  A residual whose
+    DegreeTooLargeError; so does a direct apply that overflows (from
+    n = 510 or so), and eig, before dividing, once the smallest eigenvalue
+    is not a normal double (from n = 509).  A residual whose
     plain 2-norm overflows (|r| past about 1e154, from n near 286 for b
     of order one) is taken again scaled by max|r|.  b = 0 gives x = 0.
     """
@@ -196,17 +218,21 @@ def solve(method: str, n: int, b, x_ref=None, max_degree: int = 25) -> SolveRepo
         # M is nonsingular, so x = 0; no method runs, none can form 0/0
         x = np.zeros(n + 1)
     elif name == "direct":
-        x = _inverse(n) @ bv
+        inv, cap = _inverse(n)
+        if bnorm <= cap:
+            x = inv @ bv
+        else:
+            # the apply may overflow: refuse an x it left non-finite, unwarned
+            with np.errstate(over="ignore", invalid="ignore"):
+                x = inv @ bv
+            if not np.all(np.isfinite(x)):
+                raise DegreeTooLargeError(
+                    f"direct solve at degree n={n} left double range (the inverse's apply overflowed)"
+                )
     elif name == "dft":
         x = solve_dft(_structured(n), bv)
     elif name == "eig":
-        spec = _spectral(n)
-        if spec.lam[-1] < sys.float_info.min:  # the smallest normal double
-            raise DegreeTooLargeError(
-                f"eig solve at degree n={n} left double range "
-                f"(smallest eigenvalue {spec.lam[-1]:.3g} is not a normal double)"
-            )
-        x = solve_spectral(spec, bv)
+        x = solve_spectral(_spectral_checked(n), bv)
     else:
         x = solve_cholesky(_cholesky(n), bv)
     residual = _residual(n, x, bv, bnorm)

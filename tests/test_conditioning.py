@@ -1,13 +1,14 @@
 """Condition numbers, mixed operator norms, and the perturbation study."""
 
 import math
+import warnings
 
+import mpmath
 import numpy as np
 import pytest
 
-from bernmass.bernstein import mass_matrix
+from bernmass.bernstein import DegreeTooLargeError, mass_matrix
 from bernmass.conditioning import (
-    PowerIterationError,
     condition_table,
     kappa_2,
     kappa_m_to_2,
@@ -15,7 +16,9 @@ from bernmass.conditioning import (
     op_norm_m_to_2,
     perturbation_study,
 )
+from bernmass.exact import mass_exact
 from bernmass.inverse import inverse_matrix
+from bernmass.rng import Xorshift64Star
 from bernmass.spectral import eigenvalues
 
 
@@ -57,41 +60,72 @@ def test_mixed_norm_of_mass_is_sqrt_lambda_max():
     for n in (2, 5, 8):
         mm = mass_matrix(n).matrix
         lam = eigenvalues(n)
-        got = op_norm_m_to_2(mm, mm)
+        got = op_norm_m_to_2(mm)
         assert got == pytest.approx(math.sqrt(lam[0]), rel=1e-8)
 
 
 def test_mixed_norm_of_inverse_is_inv_sqrt_lambda_min():
     for n in (2, 5, 8):
-        mm = mass_matrix(n).matrix
         lam = eigenvalues(n)
-        got = op_norm_2_to_m(inverse_matrix(n), mm)
+        got = op_norm_2_to_m(inverse_matrix(n))
         assert got == pytest.approx(1.0 / math.sqrt(lam[-1]), rel=1e-8)
 
 
 def test_mixed_norm_product_is_condition_number():
     for n in (2, 5, 8, 12):
         mm = mass_matrix(n).matrix
-        a = op_norm_m_to_2(mm, mm)
-        b = op_norm_2_to_m(inverse_matrix(n), mm)
+        a = op_norm_m_to_2(mm)
+        b = op_norm_2_to_m(inverse_matrix(n))
         assert a * b == pytest.approx(kappa_m_to_2(n), rel=1e-8)
 
 
 def test_identity_norms_are_extreme_eigenvalue_roots():
     # the identity map seen M -> 2 has norm lam_min^{-1/2}
     n = 6
-    mm = mass_matrix(n).matrix
     lam = eigenvalues(n)
-    got = op_norm_m_to_2(np.eye(n + 1), mm)
+    got = op_norm_m_to_2(np.eye(n + 1))
     assert got == pytest.approx(lam[-1] ** -0.5, rel=1e-8)
-    got = op_norm_2_to_m(np.eye(n + 1), mm)
+    got = op_norm_2_to_m(np.eye(n + 1))
     assert got == pytest.approx(math.sqrt(lam[0]), rel=1e-8)
 
 
-def test_power_iteration_budget_enforced():
-    mm = mass_matrix(8).matrix
-    with pytest.raises(PowerIterationError):
-        op_norm_m_to_2(mm, mm, tol=1e-30, max_iter=2)
+def _pencil_reference(a):
+    """Both mixed norms of a float matrix to 60 digits, through the exact M.
+
+    With M = L L^T, ||A||_{M->2}^2 is the largest eigenvalue of the pencil
+    (A^T A, M), that of L^-1 A^T A L^-T, and ||A||_{2->M}^2 that of A^T M A.
+    """
+    n = a.shape[0] - 1
+    with mpmath.workdps(60):
+        m = mpmath.matrix([[mpmath.mpf(e.numerator) / e.denominator for e in row] for row in mass_exact(n)])
+        am = mpmath.matrix(a.tolist())
+        b = am * mpmath.inverse(mpmath.cholesky(m)).T
+
+        def top(s):
+            return float(mpmath.sqrt(max(mpmath.eigsy(s, eigvals_only=True))))
+
+        return top(b.T * b), top(am.T * m * am)
+
+
+@pytest.mark.parametrize("n", [20, 25, 29, 30, 40])
+def test_mixed_norms_of_random_matrix_match_pencil_reference(n):
+    # up to and past n = 30, where the float M stops being numerically
+    # positive definite
+    a = Xorshift64Star(3).uniform(-1.0, 1.0, (n + 1, n + 1))
+    fwd, bwd = _pencil_reference(a)
+    assert op_norm_m_to_2(a) == pytest.approx(fwd, rel=1e-13)
+    assert op_norm_2_to_m(a) == pytest.approx(bwd, rel=1e-13)
+
+
+@pytest.mark.parametrize("n", [509, 520])
+def test_refused_once_smallest_eigenvalue_is_subnormal(n):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for call in (op_norm_m_to_2, op_norm_2_to_m):
+            with pytest.raises(DegreeTooLargeError, match="left double range"):
+                call(np.eye(n + 1))
+        with pytest.raises(DegreeTooLargeError, match="left double range"):
+            perturbation_study(n, samples=10)
 
 
 def test_perturbation_study_hits_bound():

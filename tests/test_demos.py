@@ -1,4 +1,8 @@
-"""Every demo script runs to completion against the current API."""
+"""Every demo script runs to completion against the current API.
+
+Each child runs with RuntimeWarnings as errors, as pyproject.toml sets for
+the tests themselves; that setting does not reach subprocesses.
+"""
 
 import os
 import subprocess
@@ -19,6 +23,6 @@ def test_demos_found():
 def test_demo_runs(demo, tmp_path):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     proc = subprocess.run(
-        [sys.executable, str(demo)], cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120
+        [sys.executable, "-W", "error::RuntimeWarning", str(demo)], cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120
     )
     assert proc.returncode == 0, proc.stderr

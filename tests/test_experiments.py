@@ -2,6 +2,7 @@
 
 import io
 import math
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -27,7 +28,7 @@ from bernmass.experiments import (
 )
 from bernmass.quadrature import integrate
 from bernmass.inverse import hankel_inverse_exact
-from bernmass.solvers import NotPositiveDefiniteError, cholesky_factor, metrics, solve
+from bernmass.solvers import NotPositiveDefiniteError, cholesky_factor, clear_cache, metrics, solve
 from bernmass.bernstein import mass_matrix
 
 
@@ -374,3 +375,20 @@ def test_run_random_assembles_each_mass_matrix_once(monkeypatch):
     finally:
         solvers.clear_cache()
     assert built == list(range(9))
+
+
+def test_random_table_builds_each_band_once():
+    # the exact reference and the direct solve of a degree share one Bezoutian band
+    builds = []
+
+    def count(frame, event, arg):
+        if event == "call" and frame.f_code.co_name == "_hankel_inverse_band":
+            builds.append(frame.f_locals["n"])
+
+    clear_cache()
+    sys.setprofile(count)
+    try:
+        run_random(20, 7)
+    finally:
+        sys.setprofile(None)
+    assert builds == list(range(21))

@@ -13,6 +13,7 @@ import pytest
 from bernmass.bernstein import DegreeTooLargeError, mass_matrix
 from bernmass.exact import mass_exact, rational_solve
 from bernmass.experiments import reference_solution
+from bernmass.inverse import inverse_matrix
 from bernmass.solvers import (
     METHODS,
     DegreeRangeError,
@@ -235,6 +236,23 @@ def test_eig_refused_once_smallest_eigenvalue_is_subnormal(n):
         warnings.simplefilter("error")
         with pytest.raises(DegreeTooLargeError, match="left double range"):
             solve("eig", n, np.ones(n + 1), max_degree=600)
+
+
+@pytest.mark.parametrize("n", [511, 512, 582])
+def test_direct_apply_overflow_refused_unwarned(n):
+    # the inverse's entries pass 1e307 at 510 and overflow from 512, so the
+    # apply overflows; pytest's filter makes any RuntimeWarning an error
+    with pytest.raises(DegreeTooLargeError, match="left double range"):
+        solve("direct", n, np.ones(n + 1), max_degree=600)
+
+
+def test_direct_apply_near_overflow_still_solved():
+    # no bound proves this apply safe, yet it stays finite: the same x as before
+    n = 511
+    b = np.random.default_rng(n).uniform(-0.5, 0.5, n + 1)
+    rep = solve("direct", n, b, max_degree=600)
+    assert np.array_equal(rep.solution, inverse_matrix(n) @ b)
+    assert np.all(np.isfinite(rep.solution))
 
 
 @pytest.mark.parametrize(
