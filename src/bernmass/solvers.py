@@ -91,7 +91,11 @@ def cholesky_factor(mass) -> CholeskyFactor:
 
 
 def solve_cholesky(factor: CholeskyFactor, b) -> np.ndarray:
-    """Solve with L, then with L^T, through a cached factor."""
+    """Solve with L, then with L^T, through a cached factor.
+
+    numpy.linalg.solve does not know L is triangular: it runs a pivoted LU
+    of L and then of L^T on every call, so each solve is O(n^3).
+    """
     bv = np.asarray(b, dtype=float)
     y = np.linalg.solve(factor.lower, bv)
     return np.linalg.solve(factor.lower.T, y)
@@ -108,6 +112,8 @@ class SolveReport:
     err_2: float | None = None
     err_m: float | None = None
 
+
+_HALF_MAX = sys.float_info.max / 2.0
 
 _cache: dict = {}
 _cache_lock = threading.Lock()
@@ -173,21 +179,30 @@ def _cholesky(n: int) -> CholeskyFactor:
 
 def _norm(v: np.ndarray) -> float:
     # sqrt(v.v) as numpy.linalg.norm forms it, bit for bit, but np.vdot
-    # returns inf on overflow without a RuntimeWarning
-    return math.sqrt(np.vdot(v, v))
+    # returns inf on overflow without a RuntimeWarning; v.v overflows once
+    # |v| passes about 1e154, so then v is scaled by max|v| and retaken
+    nrm = math.sqrt(np.vdot(v, v))
+    if nrm == math.inf:
+        big = float(np.max(np.abs(v)))
+        if big < math.inf:
+            nrm = big * math.sqrt(np.vdot(v / big, v / big))
+    return nrm
 
 
 def _residual(n: int, x: np.ndarray, b: np.ndarray, bnorm: float) -> float:
     if bnorm == 0.0:
         return 0.0
-    r = _mass(n) @ x - b
-    rnorm = _norm(r)
-    if not math.isfinite(rnorm):
-        # r.r overflows once |r| passes about 1e154: scale by max|r| and retry
-        with np.errstate(over="ignore", invalid="ignore"):
-            big = float(np.max(np.abs(r)))
-            rnorm = big * _norm(r / big)
-    return rnorm / bnorm
+    return _norm(_mass(n) @ x - b) / bnorm
+
+
+def _apply_unwarned(name: str, n: int, apply) -> np.ndarray:
+    """x = apply() for a b past the cap below which the apply cannot overflow:
+    an x left non-finite raises DegreeTooLargeError, with no numpy warning."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        x = apply()
+    if not np.all(np.isfinite(x)):
+        raise DegreeTooLargeError(f"{name} solve at degree n={n} left double range (its apply overflowed)")
+    return x
 
 
 def solve(method: str, n: int, b, x_ref=None, max_degree: int = 25) -> SolveReport:
@@ -197,12 +212,13 @@ def solve(method: str, n: int, b, x_ref=None, max_degree: int = 25) -> SolveRepo
     solution is supplied the report carries relative 2-norm and M-norm
     errors alongside the residual.  A right-hand side with a nan or inf
     entry raises ValueError, for every method; so does a finite one whose
-    2-norm overflows.  A solution whose residual is not finite raises
-    DegreeTooLargeError; so does a direct apply that overflows (from
-    n = 510 or so), and eig, before dividing, once the smallest eigenvalue
-    is not a normal double (from n = 509).  A residual whose
-    plain 2-norm overflows (|r| past about 1e154, from n near 286 for b
-    of order one) is taken again scaled by max|r|.  b = 0 gives x = 0.
+    2-norm overflows (not merely b.b: like the residual's, from n near 286
+    for b of order one, it is rescaled by max|b|).  A solution whose
+    residual is not finite raises DegreeTooLargeError; so does an
+    overflowing direct apply (from n = 510 or so for b of order one) or eig
+    apply (b near the top of double range), and eig, before dividing, once
+    the smallest eigenvalue is not a normal double (from n = 509).  b = 0
+    gives x = 0.
     """
     name = canonical_method(method)
     if not 0 <= n <= max_degree:
@@ -219,20 +235,17 @@ def solve(method: str, n: int, b, x_ref=None, max_degree: int = 25) -> SolveRepo
         x = np.zeros(n + 1)
     elif name == "direct":
         inv, cap = _inverse(n)
-        if bnorm <= cap:
-            x = inv @ bv
-        else:
-            # the apply may overflow: refuse an x it left non-finite, unwarned
-            with np.errstate(over="ignore", invalid="ignore"):
-                x = inv @ bv
-            if not np.all(np.isfinite(x)):
-                raise DegreeTooLargeError(
-                    f"direct solve at degree n={n} left double range (the inverse's apply overflowed)"
-                )
+        x = inv @ bv if bnorm <= cap else _apply_unwarned(name, n, lambda: inv @ bv)
     elif name == "dft":
         x = solve_dft(_structured(n), bv)
     elif name == "eig":
-        x = solve_spectral(_spectral_checked(n), bv)
+        spec = _spectral_checked(n)
+        # |Q^T b| <= |b|_2 and Q's rows are unit vectors, so no partial sum
+        # passes |b|_2 / lambda_min, kept below half the largest double
+        if bnorm <= _HALF_MAX * spec.lam[-1]:
+            x = solve_spectral(spec, bv)
+        else:
+            x = _apply_unwarned(name, n, lambda: solve_spectral(spec, bv))
     else:
         x = solve_cholesky(_cholesky(n), bv)
     residual = _residual(n, x, bv, bnorm)
@@ -261,20 +274,21 @@ def _m_norms(n: int, *vectors) -> np.ndarray:
 def metrics(x_hat, x_ref, b, m) -> tuple:
     """Relative 2-norm error, relative M-norm error, relative residual.
 
-    Both M-norms come from _m_norms, through the degree's cached spectral
-    decomposition; m feeds only the residual.
+    The 2-norms are _norm's, rescaled where v.v overflows; both M-norms
+    come from _m_norms, through the degree's cached spectral decomposition;
+    m feeds only the residual.
     """
     x_hat = np.asarray(x_hat, dtype=float)
     x_ref = np.asarray(x_ref, dtype=float)
     bv = np.asarray(b, dtype=float)
-    ref2 = float(np.linalg.norm(x_ref))
+    ref2 = _norm(x_ref)
     if ref2 == 0.0:
         raise ValueError("reference solution has zero norm")
     d = x_hat - x_ref
-    err2 = float(np.linalg.norm(d)) / ref2
+    err2 = _norm(d) / ref2
     dm, rm = _m_norms(x_ref.size - 1, d, x_ref)
     errm = float(dm / rm)
-    bnorm = float(np.linalg.norm(bv))
+    bnorm = _norm(bv)
     mm = np.asarray(m, dtype=float)
-    res = float(np.linalg.norm(mm @ x_hat - bv)) / bnorm if bnorm > 0.0 else 0.0
+    res = _norm(mm @ x_hat - bv) / bnorm if bnorm > 0.0 else 0.0
     return err2, errm, res

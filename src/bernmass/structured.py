@@ -51,23 +51,20 @@ def next_pow2(m: int) -> int:
     return p
 
 
-def _embed_spectrum(first_col, first_row, plan):
+def _embed_spectrum(first_col, first_row, plan, out=None):
     """Real FFT of the circulant column that embeds a Toeplitz matrix.
 
     The circulant's first column is laid out bit-exactly as
     [first_col | zeros | reverse(first_row[1:])] of total length plan, so
     that entry (i-j) mod plan reproduces the Toeplitz band for |i-j| < s.
+    The spectrum is written into out when one is given.
     """
     s = len(first_col)
     c = np.zeros(plan)
     c[:s] = first_col
     if s > 1:
         c[plan - s + 1 :] = first_row[1:][::-1]
-    return np.fft.rfft(c)
-
-
-def _apply_spectrum(spectrum, x, s, plan):
-    return np.fft.irfft(spectrum * np.fft.rfft(x, plan), plan)[:s]
+    return np.fft.rfft(c, out=out)
 
 
 def toeplitz_matvec(first_col, first_row, x) -> np.ndarray:
@@ -85,7 +82,7 @@ def toeplitz_matvec(first_col, first_row, x) -> np.ndarray:
     if col[0] != row[0]:
         raise ValueError("first column and first row must share their leading entry")
     plan = next_pow2(2 * col.size)
-    return _apply_spectrum(_embed_spectrum(col, row, plan), xv, col.size, plan)
+    return np.fft.irfft(_embed_spectrum(col, row, plan) * np.fft.rfft(xv, plan), plan)[: col.size]
 
 
 def hankel_matvec(antidiagonals, x) -> np.ndarray:
@@ -286,7 +283,10 @@ class StructuredInverse:
 
     Holds the Toeplitz bands and Hankel anti-diagonals of the four factors,
     the binomial diagonal, and the precomputed circulant spectra at the
-    shared plan size (next power of two >= 2n+2).
+    shared plan size (next power of two >= 2n+2).  The spectra are paired in
+    the order solve_dft applies them, so each pair is one 2-row transform:
+    _h_pair rows (H, Ht) and _t_pair rows (Tt, T); _h_hat, _ht_hat, _tt_hat
+    and _t_hat are views of those rows.
     """
 
     def __init__(self, degree, t_col, tt_col, h, ht, binom_diag):
@@ -301,13 +301,18 @@ class StructuredInverse:
         zero_row = np.zeros(s)
         t_row = zero_row.copy()
         t_row[0] = t_col[0]
-        # overflow here is detected afterwards, not warned about per entry
+        self._h_pair = np.empty((2, self.plan_size // 2 + 1), dtype=complex)
+        self._t_pair = np.empty_like(self._h_pair)
+        self._h_hat, self._ht_hat = self._h_pair
+        self._tt_hat, self._t_hat = self._t_pair
+        # overflow here is detected afterwards, not warned about per entry;
+        # one 1-D rfft per spectrum, into its row (a 2-D embedding builds slower)
         with np.errstate(over="ignore", invalid="ignore"):
-            self._t_hat = _embed_spectrum(t_col, t_row, self.plan_size)
-            self._tt_hat = _embed_spectrum(tt_col, zero_row, self.plan_size)
             # Hankel factors act as Toeplitz operators on the reversed input
-            self._h_hat = _embed_spectrum(h[s - 1 :], h[s - 1 :: -1], self.plan_size)
-            self._ht_hat = _embed_spectrum(ht[s - 1 :], ht[s - 1 :: -1], self.plan_size)
+            _embed_spectrum(h[s - 1 :], h[s - 1 :: -1], self.plan_size, self._h_hat)
+            _embed_spectrum(ht[s - 1 :], ht[s - 1 :: -1], self.plan_size, self._ht_hat)
+            _embed_spectrum(tt_col, zero_row, self.plan_size, self._tt_hat)
+            _embed_spectrum(t_col, t_row, self.plan_size, self._t_hat)
 
     def __repr__(self):
         return f"StructuredInverse(degree={self.degree})"
@@ -336,11 +341,8 @@ def structured_inverse(n: int) -> StructuredInverse:
         tt_col = np.arange(n + 1) * t_col
         ht = np.arange(1, 2 * n + 2) * anti
     si = StructuredInverse(n, t_col, tt_col, anti, ht, binomial_diag(n))
-    for spectrum in (si._t_hat, si._tt_hat, si._h_hat, si._ht_hat):
-        if not np.all(np.isfinite(spectrum)):
-            raise ValueError(
-                f"circulant spectra overflow double precision at degree n={n}"
-            )
+    if not (np.all(np.isfinite(si._h_pair)) and np.all(np.isfinite(si._t_pair))):
+        raise ValueError(f"circulant spectra overflow double precision at degree n={n}")
     return si
 
 
@@ -349,7 +351,10 @@ def solve_dft(si: StructuredInverse, b) -> np.ndarray:
 
     Descale by the binomial diagonal, push through the two Hankel factors
     (sharing one forward transform of the reversed vector), then the two
-    Toeplitz factors, subtract, and descale again.  O(n log n) total.
+    Toeplitz factors, subtract, and descale again.  O(n log n) total, in
+    four numpy FFT calls: each spectrum pair is applied as one 2-row
+    transform, which numpy computes row by row exactly as it would two 1-D
+    calls.
 
     Raises DegreeTooLargeError when the products leave double range (from
     n = 257 on for right-hand sides of order one), instead of returning nan.
@@ -362,10 +367,10 @@ def solve_dft(si: StructuredInverse, b) -> np.ndarray:
     # overflow here is detected afterwards, not warned about per entry
     with np.errstate(over="ignore", invalid="ignore"):
         rev_hat = np.fft.rfft((bv / si.binom_diag)[::-1], plan)
-        hy = np.fft.irfft(si._h_hat * rev_hat, plan)[:s]
-        hty = np.fft.irfft(si._ht_hat * rev_hat, plan)[:s]
-        z = _apply_spectrum(si._tt_hat, hy, s, plan) - _apply_spectrum(si._t_hat, hty, s, plan)
-        x = z / si.binom_diag
+        # rows H y and Ht y, then Tt H y and T Ht y
+        hy = np.fft.irfft(si._h_pair * rev_hat, plan)[:, :s]
+        w = np.fft.irfft(si._t_pair * np.fft.rfft(hy, plan), plan)
+        x = (w[0, :s] - w[1, :s]) / si.binom_diag
     if not np.all(np.isfinite(x)):
         raise DegreeTooLargeError(
             f"structured inverse products overflow double precision at degree n={si.degree}"

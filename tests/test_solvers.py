@@ -94,11 +94,29 @@ def test_non_finite_rhs_rejected(method):
         b[2] = bad
         with pytest.raises(ValueError, match="not finite"):
             solve(method, 4, b)
-    # finite entries whose 2-norm overflows are refused too (numpy may warn)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        with pytest.raises(ValueError, match="not finite"):
-            solve(method, 4, np.full(5, 1e300))
+    # finite entries whose 2-norm itself overflows are refused too
+    with pytest.raises(ValueError, match="not finite"):
+        solve(method, 4, np.full(5, 1e308))
+    # b.b overflows here, but the 2-norm (2.2e300) does not
+    rep = solve(method, 4, np.full(5, 1e300))
+    assert np.all(np.isfinite(rep.solution)) and math.isfinite(rep.residual)
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_rhs_near_top_of_double_range(method):
+    # |b|_2 = 2.4e304: finite, or a typed refusal, never "not finite" and no
+    # RuntimeWarning (pytest's filter turns one into an error)
+    try:
+        rep = solve(method, 5, np.full(6, 1e304))
+    except DegreeTooLargeError:
+        return
+    assert np.all(np.isfinite(rep.solution)) and math.isfinite(rep.residual)
+
+
+@pytest.mark.parametrize("method", ["direct", "eig"])
+def test_overflowing_apply_refused_unwarned(method):
+    with pytest.raises(DegreeTooLargeError, match="its apply overflowed"):
+        solve(method, 5, [1e308, 1e308, 0, 0, 0, 0])
 
 
 def test_import_loads_no_scipy():
@@ -195,6 +213,9 @@ def test_metrics_values():
     assert res == pytest.approx(1.0)
     with pytest.raises(ValueError):
         metrics([1.0], [0.0], [1.0], np.eye(1))
+    # b.b and r.r overflow, their 2-norms do not
+    e2, em, res = metrics([2.0, 1.0], [1.0, 1.0], [1e300, 1e300], 1e300 * np.eye(2))
+    assert e2 == pytest.approx(math.sqrt(0.5)) and res == pytest.approx(math.sqrt(0.5))
 
 
 def test_metrics_m_norm_matches_exact_norm():

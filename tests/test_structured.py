@@ -8,8 +8,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from bernmass import solvers
 from bernmass.bernstein import DegreeTooLargeError, binomial_diag, mass_matrix
 from bernmass.exact import identity_exact, mass_exact, mat_mul, rational_inverse
+from bernmass.experiments import run_projection
 from bernmass.inverse import hankel_inverse_entry, inverse_matrix
 from bernmass.structured import (
     bezout_coeff_u,
@@ -301,3 +303,110 @@ def test_structured_inverse_bitwise_equal_to_comb_lists(n):
     got = structured_inverse(n)
     for field in ("t_col", "tt_col", "h", "ht", "binom_diag", "_t_hat", "_tt_hat", "_h_hat", "_ht_hat"):
         assert getattr(got, field).tobytes() == getattr(want, field).tobytes(), field
+
+
+# ---------------------------------------------------------------------------
+# the paired FFT apply against one 1-D call per transform
+
+
+def _spectrum_1d(first_col, first_row, plan):
+    # [first_col | zeros | reverse(first_row[1:])], one 1-D rfft
+    s = len(first_col)
+    c = np.zeros(plan)
+    c[:s] = first_col
+    if s > 1:
+        c[plan - s + 1 :] = first_row[1:][::-1]
+    return np.fft.rfft(c)
+
+
+def _solve_dft_seven_calls(si, b):
+    # the reference apply: every transform a separate 1-D numpy FFT call
+    bv = np.asarray(b, dtype=float)
+    s, plan = si.degree + 1, si.plan_size
+
+    def apply(spectrum, x):
+        return np.fft.irfft(spectrum * np.fft.rfft(x, plan), plan)[:s]
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        rev_hat = np.fft.rfft((bv / si.binom_diag)[::-1], plan)
+        hy = np.fft.irfft(si._h_hat * rev_hat, plan)[:s]
+        hty = np.fft.irfft(si._ht_hat * rev_hat, plan)[:s]
+        x = (apply(si._tt_hat, hy) - apply(si._t_hat, hty)) / si.binom_diag
+    if not np.all(np.isfinite(x)):
+        raise DegreeTooLargeError(
+            f"structured inverse products overflow double precision at degree n={si.degree}"
+        )
+    return x
+
+
+def _right_hand_sides(n):
+    rng = np.random.default_rng(n + 500)
+    yield mass_matrix(n).matrix @ rng.uniform(-0.5, 0.5, n + 1)
+    yield rng.standard_normal(n + 1) * 1e3
+    yield np.ones(n + 1)
+    yield rng.uniform(-1.0, 1.0, n + 1) * 1e-200
+
+
+@pytest.mark.parametrize("n", list(range(257)) + [300, 509])
+def test_spectra_bitwise_equal_to_one_rfft_each(n):
+    si = structured_inverse(n)
+    s, plan = n + 1, si.plan_size
+    t_row = np.zeros(s)
+    t_row[0] = si.t_col[0]
+    with np.errstate(over="ignore", invalid="ignore"):
+        want = {
+            "_h_hat": _spectrum_1d(si.h[s - 1 :], si.h[s - 1 :: -1], plan),
+            "_ht_hat": _spectrum_1d(si.ht[s - 1 :], si.ht[s - 1 :: -1], plan),
+            "_tt_hat": _spectrum_1d(si.tt_col, np.zeros(s), plan),
+            "_t_hat": _spectrum_1d(si.t_col, t_row, plan),
+        }
+    for field, spectrum in want.items():
+        assert getattr(si, field).tobytes() == spectrum.tobytes(), field
+
+
+def test_solve_dft_bitwise_equal_to_seven_call_apply():
+    # the same x, or the same refusal (from 257 for b of order one)
+    refused = set()
+    for n in list(range(257)) + [257, 300, 509]:
+        si = structured_inverse(n)
+        for b in _right_hand_sides(n):
+            try:
+                want = _solve_dft_seven_calls(si, b)
+            except DegreeTooLargeError as exc:
+                refused.add(n)
+                with pytest.raises(DegreeTooLargeError, match=str(exc)):
+                    solve_dft(si, b)
+            else:
+                assert solve_dft(si, b).tobytes() == want.tobytes(), n
+    assert {257, 300, 509} <= refused
+
+
+@pytest.mark.parametrize("func", ["f1", "f2"])
+def test_projection_table_bitwise_equal_under_seven_call_apply(func, monkeypatch):
+    got = run_projection(func, 20, ["dft"])
+    monkeypatch.setattr(solvers, "solve_dft", _solve_dft_seven_calls)
+    want = run_projection(func, 20, ["dft"])
+    assert [r.degree for r in got] == [r.degree for r in want]
+    for g, w in zip(got, want):
+        assert np.array(list(g.values.values())).tobytes() == np.array(list(w.values.values())).tobytes()
+        assert list(g.values) == list(w.values)
+
+
+def test_fft_call_counts(monkeypatch):
+    calls = []
+
+    def counting(fn):
+        def wrapped(*args, **kwargs):
+            calls.append(fn.__name__)
+            return fn(*args, **kwargs)
+        return wrapped
+
+    for name in ("rfft", "irfft", "fft", "ifft"):
+        monkeypatch.setattr(np.fft, name, counting(getattr(np.fft, name)))
+    for n in (0, 5, 20, 25):
+        del calls[:]
+        si = structured_inverse(n)
+        assert calls == ["rfft"] * 4, n
+        del calls[:]
+        solve_dft(si, np.ones(n + 1))
+        assert sorted(calls) == ["irfft", "irfft", "rfft", "rfft"], n
