@@ -25,7 +25,7 @@ from .bernstein import BernsteinPoly, basis_values
 from .inverse import hankel_inverse_exact
 from .quadrature import QuadratureRule, composite_gauss_legendre
 from .rng import Xorshift64Star
-from .solvers import METHODS, _m_norms, _mass, canonical_method, metrics, solve
+from .solvers import METHODS, _m_norms, _mass, _norm, canonical_method, metrics, solve
 
 __all__ = [
     "f1",
@@ -140,6 +140,17 @@ def _ordered_methods(methods) -> list:
     return [m for m in METHODS if m in requested]
 
 
+def _weighted_norm(weights, e) -> float:
+    """sqrt(sum w e^2), rescaled by max|e| where that sum overflows (|e| past about 1e154)."""
+    with np.errstate(over="ignore"):
+        total = float(weights @ e**2)
+    if total == math.inf:
+        big = float(np.max(np.abs(e)))
+        if big < math.inf:
+            return big * math.sqrt(float(weights @ (e / big) ** 2))
+    return math.sqrt(total)
+
+
 def run_projection(func, n_max: int, methods=METHODS, rule: QuadratureRule | None = None) -> list:
     """Project a target function at degrees 0..n_max with the chosen solvers.
 
@@ -160,7 +171,7 @@ def run_projection(func, n_max: int, methods=METHODS, rule: QuadratureRule | Non
         # them, and each method's values p = basis @ x_hat at the nodes
         basis = basis_values(n, rule.nodes)
         b = (rule.weights * fv) @ basis
-        ref_norm = float(np.linalg.norm(ref))
+        ref_norm = _norm(ref)
         per_method: dict = {m: {} for m in chosen}
         for m in chosen:
             try:
@@ -169,10 +180,10 @@ def run_projection(func, n_max: int, methods=METHODS, rule: QuadratureRule | Non
                 per_method[m] = dict.fromkeys(("fp", "Pifp", "err", "res"), float("nan"))
                 continue
             x_hat = report.solution
-            fp = math.sqrt(float(rule.weights @ (fv - basis @ x_hat) ** 2)) / fnorm
+            fp = _weighted_norm(rule.weights, fv - basis @ x_hat) / fnorm
             d = x_hat - ref
             pifp = float(_m_norms(n, d)[0]) / fnorm
-            err = float(np.linalg.norm(d)) / ref_norm
+            err = _norm(d) / ref_norm
             per_method[m] = {"fp": fp, "Pifp": pifp, "err": err, "res": report.residual}
         values = {}
         for family in ("fp", "Pifp", "err", "res"):

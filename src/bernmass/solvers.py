@@ -2,8 +2,10 @@
 
 Methods: the closed-form inverse applied densely ("direct"), the FFT-based
 structured apply ("dft"), the spectral decomposition ("eig"), and a Cholesky
-factorization ("cho").  Factorizations and precomputations are cached per
-degree so repeated solves at the same degree only pay the assembly cost once.
+factorization ("cho").  The first solve of a method at a degree caches one
+entry: the method's apply, the largest |b|_2 it cannot overflow at, and M
+for the residual.  Every later solve there is one dictionary lookup, the
+apply and the residual.
 """
 
 from __future__ import annotations
@@ -17,8 +19,8 @@ import numpy as np
 
 from .bernstein import DegreeTooLargeError, mass_matrix
 from .inverse import _hankel_inverse_band, inverse_matrix
-from .spectral import SpectralDecomp, build_q, solve_spectral
-from .structured import StructuredInverse, solve_dft, structured_inverse
+from .spectral import SpectralDecomp, build_q, eigenvalues, solve_spectral
+from .structured import solve_dft, structured_inverse
 
 __all__ = [
     "METHODS",
@@ -120,15 +122,14 @@ _cache_lock = threading.Lock()
 
 
 def _cached(kind: str, n: int, builder):
+    # a hit takes no lock; a miss builds outside it, and the first value stored wins
     key = (kind, n)
-    with _cache_lock:
-        hit = _cache.get(key)
+    hit = _cache.get(key)
     if hit is not None:
         return hit
     value = builder(n)
     with _cache_lock:
-        _cache.setdefault(key, value)
-        return _cache[key]
+        return _cache.setdefault(key, value)
 
 
 def clear_cache() -> None:
@@ -139,23 +140,6 @@ def clear_cache() -> None:
 
 def _mass(n: int) -> np.ndarray:
     return _cached("mass", n, lambda k: mass_matrix(k).matrix)
-
-
-def _inverse_with_cap(n: int) -> tuple:
-    # every partial sum of (inv @ b)_i is at most sqrt(n+1) max|inv| |b|_2, so
-    # a b whose 2-norm is within the cap (halved for rounding) cannot overflow
-    inv = inverse_matrix(n)
-    amax = float(np.max(np.abs(inv)))
-    return inv, sys.float_info.max / amax / (2.0 * math.sqrt(n + 1))
-
-
-def _inverse(n: int) -> tuple:
-    """The rounded inverse and the largest |b|_2 its apply cannot overflow at."""
-    return _cached("inverse", n, _inverse_with_cap)
-
-
-def _structured(n: int) -> StructuredInverse:
-    return _cached("structured", n, structured_inverse)
 
 
 def _spectral(n: int) -> SpectralDecomp:
@@ -173,8 +157,36 @@ def _spectral_checked(n: int) -> SpectralDecomp:
     return spec
 
 
-def _cholesky(n: int) -> CholeskyFactor:
-    return _cached("cholesky", n, lambda k: cholesky_factor(_mass(k)))
+def _overflowed(name: str, n: int) -> DegreeTooLargeError:
+    return DegreeTooLargeError(f"{name} solve at degree n={n} left double range (its apply overflowed)")
+
+
+def _solver(name: str, n: int) -> tuple:
+    """(apply, cap, M): x = apply(b) cannot overflow while |b|_2 <= cap, and M
+    gives the residual.  Each apply finds its function when called, patched or not."""
+    if name == "direct":
+        inv = inverse_matrix(n)
+        amax = float(np.max(np.abs(inv)))
+        if amax == math.inf:
+            # from n = 512: inf*b_j, or inf*0 = nan, reaches x for every b
+            raise _overflowed(name, n)
+        # every partial sum of (inv @ b)_i is at most sqrt(n+1) max|inv| |b|_2, so
+        # a b whose 2-norm is within the cap (halved for rounding) cannot overflow
+        apply, cap = (lambda bv: inv @ bv), sys.float_info.max / amax / (2.0 * math.sqrt(n + 1))
+    elif name == "dft":
+        si = structured_inverse(n)
+        apply, cap = (lambda bv: solve_dft(si, bv)), math.inf  # refuses its own overflow
+    elif name == "eig":
+        spec = _spectral_checked(n)
+        # |Q^T b| <= |b|_2 and Q's rows are unit vectors, so no partial sum
+        # passes |b|_2 / lambda_min, kept below half the largest double
+        apply, cap = (lambda bv: solve_spectral(spec, bv)), _HALF_MAX * float(spec.lam[-1])
+    else:
+        factor = cholesky_factor(_mass(n))
+        # |L^-1 b|_2 <= |b|_2 / sqrt(lambda_min) and |x|_2 <= |b|_2 / lambda_min:
+        # eig's cap, with lambda_min in closed form (the tests sweep n <= 29 under it)
+        apply, cap = (lambda bv: solve_cholesky(factor, bv)), _HALF_MAX * float(eigenvalues(n)[-1])
+    return apply, cap, _mass(n)
 
 
 def _norm(v: np.ndarray) -> float:
@@ -189,19 +201,13 @@ def _norm(v: np.ndarray) -> float:
     return nrm
 
 
-def _residual(n: int, x: np.ndarray, b: np.ndarray, bnorm: float) -> float:
-    if bnorm == 0.0:
-        return 0.0
-    return _norm(_mass(n) @ x - b) / bnorm
-
-
-def _apply_unwarned(name: str, n: int, apply) -> np.ndarray:
-    """x = apply() for a b past the cap below which the apply cannot overflow:
+def _apply_unwarned(name: str, n: int, apply, bv: np.ndarray) -> np.ndarray:
+    """x = apply(bv) for a b past the cap below which the apply cannot overflow:
     an x left non-finite raises DegreeTooLargeError, with no numpy warning."""
     with np.errstate(over="ignore", invalid="ignore"):
-        x = apply()
+        x = apply(bv)
     if not np.all(np.isfinite(x)):
-        raise DegreeTooLargeError(f"{name} solve at degree n={n} left double range (its apply overflowed)")
+        raise _overflowed(name, n)
     return x
 
 
@@ -215,10 +221,10 @@ def solve(method: str, n: int, b, x_ref=None, max_degree: int = 25) -> SolveRepo
     2-norm overflows (not merely b.b: like the residual's, from n near 286
     for b of order one, it is rescaled by max|b|).  A solution whose
     residual is not finite raises DegreeTooLargeError; so does an
-    overflowing direct apply (from n = 510 or so for b of order one) or eig
-    apply (b near the top of double range), and eig, before dividing, once
-    the smallest eigenvalue is not a normal double (from n = 509).  b = 0
-    gives x = 0.
+    overflowing direct apply (from n = 510 or so for b of order one), eig
+    or cho apply (b near the top of double range), and eig, before
+    dividing, once the smallest eigenvalue is not a normal double (from
+    n = 509).  b = 0 gives x = 0.
     """
     name = canonical_method(method)
     if not 0 <= n <= max_degree:
@@ -231,28 +237,18 @@ def solve(method: str, n: int, b, x_ref=None, max_degree: int = 25) -> SolveRepo
     if not math.isfinite(bnorm):
         raise ValueError(f"right-hand side is not finite (2-norm {bnorm})")
     if bnorm == 0.0:
-        # M is nonsingular, so x = 0; no method runs, none can form 0/0
-        x = np.zeros(n + 1)
-    elif name == "direct":
-        inv, cap = _inverse(n)
-        x = inv @ bv if bnorm <= cap else _apply_unwarned(name, n, lambda: inv @ bv)
-    elif name == "dft":
-        x = solve_dft(_structured(n), bv)
-    elif name == "eig":
-        spec = _spectral_checked(n)
-        # |Q^T b| <= |b|_2 and Q's rows are unit vectors, so no partial sum
-        # passes |b|_2 / lambda_min, kept below half the largest double
-        if bnorm <= _HALF_MAX * spec.lam[-1]:
-            x = solve_spectral(spec, bv)
-        else:
-            x = _apply_unwarned(name, n, lambda: solve_spectral(spec, bv))
+        # M is nonsingular, so x = 0; nothing is built, no method can form 0/0
+        x, residual = np.zeros(n + 1), 0.0
     else:
-        x = solve_cholesky(_cholesky(n), bv)
-    residual = _residual(n, x, bv, bnorm)
-    if not math.isfinite(residual):
-        raise DegreeTooLargeError(
-            f"{name} solve at degree n={n} left double range (relative residual {residual})"
-        )
+        apply, cap, mass = _cache.get((name, n)) or _cached(name, n, lambda k: _solver(name, k))
+        x = apply(bv) if bnorm <= cap else _apply_unwarned(name, n, apply, bv)
+        r = mass @ x
+        r -= bv
+        residual = _norm(r) / bnorm
+        if not math.isfinite(residual):
+            raise DegreeTooLargeError(
+                f"{name} solve at degree n={n} left double range (relative residual {residual})"
+            )
     report = SolveReport(name, n, x, residual)
     if x_ref is not None:
         report.err_2, report.err_m, _ = metrics(x, x_ref, bv, _mass(n))
@@ -264,11 +260,17 @@ def _m_norms(n: int, *vectors) -> np.ndarray:
 
     Unlike sqrt(v^T M v), this never cancels: that quadratic form turns
     negative once the float M stops being numerically positive definite
-    (n >= 30).
+    (n >= 30).  A column whose squares overflow is retaken by _norm,
+    rescaled by its max|.|.
     """
     spec = _spectral(n)
     coords = np.sqrt(spec.lam)[:, None] * (spec.q.T @ np.column_stack(vectors))
-    return np.linalg.norm(coords, axis=0)
+    with np.errstate(over="ignore"):
+        norms = np.linalg.norm(coords, axis=0)
+    for j, nrm in enumerate(norms.tolist()):
+        if nrm == math.inf:
+            norms[j] = _norm(coords[:, j])
+    return norms
 
 
 def metrics(x_hat, x_ref, b, m) -> tuple:

@@ -1,5 +1,11 @@
 """Command-line interface: subcommands, CSV output, exit codes."""
 
+import csv
+import io
+import os
+import subprocess
+import sys
+
 import numpy as np
 
 from bernmass.cli import main
@@ -130,3 +136,21 @@ def test_numerical_failures_exit_three(tmp_path, capsys):
     assert main(["matrix", "--n", "600", "--what", "mass"]) == 3
     err = capsys.readouterr().err
     assert "not representable" in err or "degree" in err
+
+
+def test_project_to_degree_300_exits_clean_without_inf():
+    # past n = 146 the dft solutions, and past 284 the direct and eig errors,
+    # have 2-norms whose squares overflow; every norm is rescaled instead, so
+    # no RuntimeWarning (an error under -W error) and no inf cell
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run(
+        [sys.executable, "-W", "error", "-m", "bernmass.cli", "project", "--func", "f1", "--max-degree", "300"],
+        env=env, capture_output=True, text=True,
+    )
+    assert out.returncode == 0, out.stderr
+    rows = list(csv.DictReader(io.StringIO(out.stdout)))
+    assert len(rows) == 301
+    inf_cells = [(row["n"], col) for row in rows for col, v in row.items() if v in ("inf", "-inf")]
+    assert inf_cells == []

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import threading
 import warnings
 from fractions import Fraction
 
@@ -13,12 +14,14 @@ import pytest
 from bernmass.bernstein import DegreeTooLargeError, mass_matrix
 from bernmass.exact import mass_exact, rational_solve
 from bernmass.experiments import reference_solution
+from bernmass import solvers
 from bernmass.inverse import inverse_matrix
 from bernmass.solvers import (
     METHODS,
     DegreeRangeError,
     NotPositiveDefiniteError,
     UnknownMethodError,
+    _norm,
     canonical_method,
     cholesky_factor,
     clear_cache,
@@ -26,6 +29,8 @@ from bernmass.solvers import (
     solve,
     solve_cholesky,
 )
+from bernmass.spectral import build_q, eigenvalues, solve_spectral
+from bernmass.structured import solve_dft, structured_inverse
 
 
 def exact_solution(n, b):
@@ -113,10 +118,35 @@ def test_rhs_near_top_of_double_range(method):
     assert np.all(np.isfinite(rep.solution)) and math.isfinite(rep.residual)
 
 
-@pytest.mark.parametrize("method", ["direct", "eig"])
+@pytest.mark.parametrize("method", ["direct", "eig", "cho"])
 def test_overflowing_apply_refused_unwarned(method):
     with pytest.raises(DegreeTooLargeError, match="its apply overflowed"):
         solve(method, 5, [1e308, 1e308, 0, 0, 0, 0])
+
+
+def test_cho_overflow_refused_unwarned_below_cap_unchanged():
+    # x from numpy.linalg.solve turned inf without a warning, and the residual
+    # then formed inf*0; past lambda_min's cap the apply runs unwarned instead
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DegreeTooLargeError, match="cho solve at degree n=1 left double range"):
+            solve("cho", 1, np.full(2, 1e308))
+        for n in range(30):
+            rng = np.random.default_rng(n)
+            shapes = (np.ones(n + 1), (-1.0) ** np.arange(n + 1), rng.uniform(-1.0, 1.0, n + 1))
+            factor = cholesky_factor(mass_matrix(n).matrix)
+            cap = sys.float_info.max / 2.0 * eigenvalues(n)[-1]
+            for e in range(150, 309, 4):
+                for shape in shapes:
+                    b = shape / math.sqrt(np.vdot(shape, shape)) * 10.0**e
+                    try:
+                        x = solve("cho", n, b, max_degree=29).solution
+                    except DegreeTooLargeError:
+                        assert _norm(b) > cap, (n, e)
+                        continue
+                    assert np.all(np.isfinite(x)), (n, e)
+                    if _norm(b) <= cap:
+                        assert x.tobytes() == solve_cholesky(factor, b).tobytes(), (n, e)
 
 
 def test_import_loads_no_scipy():
@@ -218,6 +248,14 @@ def test_metrics_values():
     assert e2 == pytest.approx(math.sqrt(0.5)) and res == pytest.approx(math.sqrt(0.5))
 
 
+def test_metrics_m_norm_overflow_rescaled():
+    # the squares of the M-norm coordinates overflow; the column is rescaled
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        e2, em, _ = metrics(np.full(3, 2e200), np.full(3, 1e200), np.ones(3), np.eye(3))
+    assert e2 == pytest.approx(1.0) and em == pytest.approx(1.0)
+
+
 def test_metrics_m_norm_matches_exact_norm():
     # past the Cholesky breakdown the quadratic form d.(M d) cancels to garbage
     # (even below 0); the spectral M-norm must still match the rational one
@@ -291,3 +329,133 @@ def test_residual_norm_overflow_is_rescaled(method, n, rhs):
     assert np.all(np.isfinite(rep.solution)) and np.isinf(np.vdot(r, r))
     want = math.hypot(*r.tolist()) / math.hypot(*b.tolist())
     assert rep.residual == pytest.approx(want, rel=1e-14)
+
+
+def _oracle(method, n, b):
+    # the explicit per-method apply, then |M x - b| / |b|, each built afresh
+    bv = np.asarray(b, dtype=float)
+    if _norm(bv) == 0.0:
+        # the b = 0 shortcut, which b.b underflowing to 0 takes too (|b| below about 1e-162)
+        return np.zeros(n + 1), 0.0
+    mm = mass_matrix(n).matrix
+    if method == "direct":
+        x = inverse_matrix(n) @ bv
+    elif method == "dft":
+        x = solve_dft(structured_inverse(n), bv)
+    elif method == "eig":
+        x = solve_spectral(build_q(n), bv)
+    else:
+        x = solve_cholesky(cholesky_factor(mm), bv)
+    return x, _norm(mm @ x - bv) / _norm(bv)
+
+
+def _oracle_rhs(n):
+    rng = np.random.default_rng(n + 900)
+    yield mass_matrix(n).matrix @ rng.uniform(-0.5, 0.5, n + 1)
+    yield np.ones(n + 1)
+    yield rng.standard_normal(n + 1) * 1e3
+    yield rng.uniform(-1.0, 1.0, n + 1) * 1e-200
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_solve_bitwise_equal_to_per_method_oracle(method):
+    clear_cache()
+    for n in range(26):
+        for b in _oracle_rhs(n):
+            want_x, want_res = _oracle(method, n, b)
+            for _ in range(2):  # the cold solve, then the warm one
+                rep = solve(method, n, b)
+                assert rep.solution.tobytes() == want_x.tobytes(), (method, n)
+                assert rep.residual == want_res, (method, n)
+
+
+@pytest.mark.parametrize(
+    "method, n, error, message",
+    [
+        ("eig", 509, DegreeTooLargeError,
+         "degree n=509 left double range (smallest eigenvalue 1.4e-308 is not a normal double)"),
+        ("eig", 545, DegreeTooLargeError,
+         "degree n=545 left double range (smallest eigenvalue 0 is not a normal double)"),
+        ("direct", 512, DegreeTooLargeError,
+         "direct solve at degree n=512 left double range (its apply overflowed)"),
+        ("direct", 583, DegreeTooLargeError,  # past assembly's limit, refused all the same
+         "direct solve at degree n=583 left double range (its apply overflowed)"),
+        ("dft", 257, DegreeTooLargeError,
+         "structured inverse products overflow double precision at degree n=257"),
+        ("dft", 510, ValueError, "circulant spectra overflow double precision at degree n=510"),
+    ],
+)
+def test_refusals_keep_type_and_message(method, n, error, message):
+    for _ in range(2):  # a refusal raised while building is not cached
+        with pytest.raises(error) as info:
+            solve(method, n, np.ones(n + 1), max_degree=600)
+        assert type(info.value) is error and str(info.value) == message
+    # the b = 0 shortcut still runs before anything is built
+    assert not solve(method, n, np.zeros(n + 1), max_degree=600).solution.any()
+
+
+def test_warm_solve_builds_nothing(monkeypatch):
+    built = []
+
+    def counting(fn):
+        def wrapped(*args):
+            built.append(fn.__name__)
+            return fn(*args)
+        return wrapped
+
+    for name in ("mass_matrix", "inverse_matrix", "structured_inverse", "build_q", "cholesky_factor"):
+        monkeypatch.setattr(solvers, name, counting(getattr(solvers, name)))
+    clear_cache()
+    try:
+        for method, builders in (
+            ("direct", ["inverse_matrix", "mass_matrix"]),
+            ("dft", ["structured_inverse"]),
+            ("eig", ["build_q"]),
+            ("cho", ["cholesky_factor"]),
+        ):
+            b = np.linspace(-1.0, 1.0, 12)
+            del built[:]
+            first = solve(method, 11, b)
+            assert built == builders, method  # M is built once, for the first method
+            second = solve(method, 11, b)
+            assert built == builders, method
+            assert second.solution.tobytes() == first.solution.tobytes()
+    finally:
+        clear_cache()
+
+
+def test_threaded_first_solves_match_serial():
+    n = 23
+    bs = [np.random.default_rng(k).uniform(-1.0, 1.0, n + 1) for k in range(3)]
+
+    def run_all():
+        return [(rep.solution.tobytes(), rep.residual)
+                for m in METHODS for b in bs for rep in [solve(m, n, b)]]
+
+    clear_cache()
+    serial = run_all()
+    clear_cache()
+    start = threading.Barrier(4)
+    results, errors = [None] * 4, []
+
+    def worker(i):
+        try:
+            start.wait()
+            results[i] = run_all()
+        except Exception as exc:  # surfaced by the assertion below
+            errors.append(exc)
+
+    threads = [threading.Thread(target=worker, args=(i,)) for i in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads often, inside builds and stores
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+        clear_cache()
+    assert not any(t.is_alive() for t in threads)
+    assert not errors
+    assert all(r == serial for r in results)

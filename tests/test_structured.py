@@ -384,8 +384,16 @@ def test_solve_dft_bitwise_equal_to_seven_call_apply():
 @pytest.mark.parametrize("func", ["f1", "f2"])
 def test_projection_table_bitwise_equal_under_seven_call_apply(func, monkeypatch):
     got = run_projection(func, 20, ["dft"])
-    monkeypatch.setattr(solvers, "solve_dft", _solve_dft_seven_calls)
+    ran = []
+
+    def seven_calls(si, b):
+        ran.append(si.degree)
+        return _solve_dft_seven_calls(si, b)
+
+    # the solves of the second table hit the cache, yet must reach the patched apply
+    monkeypatch.setattr(solvers, "solve_dft", seven_calls)
     want = run_projection(func, 20, ["dft"])
+    assert ran == list(range(21))
     assert [r.degree for r in got] == [r.degree for r in want]
     for g, w in zip(got, want):
         assert np.array(list(g.values.values())).tobytes() == np.array(list(w.values.values())).tobytes()
