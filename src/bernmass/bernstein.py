@@ -188,9 +188,19 @@ def basis_values(n: int, x) -> np.ndarray:
     nonnegative, so there is no cancellation.
     """
     xv = np.atleast_1d(np.asarray(x, dtype=float))
-    i = np.arange(n + 1)
+    return _basis_from_powers(n, *_power_tables(xv, n))
+
+
+def _power_tables(xv: np.ndarray, n: int) -> tuple:
+    """x^k and (1-x)^k for k = 0..n, each of shape (len(x), n+1)."""
+    k = np.arange(n + 1)
+    return xv[:, None] ** k, (1.0 - xv)[:, None] ** k
+
+
+def _basis_from_powers(n: int, xp: np.ndarray, yp: np.ndarray) -> np.ndarray:
+    """basis_values(n, x) from power tables of x reaching at least degree n."""
     c = np.array([float(math.comb(n, k)) for k in range(n + 1)])
-    return c * xv[:, None] ** i * (1.0 - xv)[:, None] ** (n - i)
+    return c * xp[:, : n + 1] * yp[:, n::-1]
 
 
 def legendre_coeffs(k: int, n: int) -> BernsteinPoly:

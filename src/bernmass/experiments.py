@@ -21,11 +21,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bernstein import BernsteinPoly, basis_values
+from .bernstein import BernsteinPoly, _basis_from_powers, _power_tables, basis_values
 from .inverse import hankel_inverse_exact
 from .quadrature import QuadratureRule, composite_gauss_legendre
 from .rng import Xorshift64Star
-from .solvers import METHODS, _m_norms, _mass, _norm, canonical_method, metrics, solve
+from .solvers import METHODS, _m_norms, _mass, _norm, _spectral_sweep, canonical_method, metrics, solve
 
 __all__ = [
     "f1",
@@ -165,11 +165,13 @@ def run_projection(func, n_max: int, methods=METHODS, rule: QuadratureRule | Non
     chosen = _ordered_methods(methods)
     fv = np.asarray(f(rule.nodes), dtype=float)
     fnorm = float(np.sqrt(rule.weights @ (fv * fv)))  # function_norm's expression
+    _spectral_sweep(n_max)  # every degree's Q for Pifp, in one batched build
+    xp, yp = _power_tables(rule.nodes, n_max)
     records = []
     for n, ref in enumerate(_legendre_projections(fv, n_max, rule)):
-        # one basis matrix per degree: the moments b exactly as `moments` forms
-        # them, and each method's values p = basis @ x_hat at the nodes
-        basis = basis_values(n, rule.nodes)
+        # one basis matrix per degree, bitwise basis_values(n, nodes): the moments b
+        # exactly as `moments` forms them, and each method's values p = basis @ x_hat
+        basis = _basis_from_powers(n, xp, yp)
         b = (rule.weights * fv) @ basis
         ref_norm = _norm(ref)
         per_method: dict = {m: {} for m in chosen}
@@ -231,6 +233,7 @@ def run_random(n_max: int, seed: int = 42, methods=METHODS) -> list:
     """
     chosen = _ordered_methods(methods)
     gen = Xorshift64Star(seed)
+    _spectral_sweep(n_max)  # every degree's Q for Merr, in one batched build
     records = []
     for n in range(n_max + 1):
         mm = _mass(n)  # the matrix solve() caches for its residuals

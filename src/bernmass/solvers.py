@@ -17,9 +17,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bernstein import DegreeTooLargeError, mass_matrix
+from .bernstein import _MAX_DEGREE, DegreeTooLargeError, mass_matrix
 from .inverse import _hankel_inverse_band, inverse_matrix
-from .spectral import SpectralDecomp, build_q, eigenvalues, solve_spectral
+from .spectral import SpectralDecomp, build_q, build_q_sweep, eigenvalues, solve_spectral
 from .structured import solve_dft, structured_inverse
 
 __all__ = [
@@ -146,6 +146,13 @@ def _spectral(n: int) -> SpectralDecomp:
     return _cached("spectral", n, build_q)
 
 
+def _spectral_sweep(n_max: int) -> None:
+    """Cache Q for every uncached degree 0..min(n_max, 582) through one build_q_sweep."""
+    missing = [k for k in range(min(n_max, _MAX_DEGREE) + 1) if ("spectral", k) not in _cache]
+    for spec in build_q_sweep(missing):
+        _cached("spectral", spec.degree, lambda _, built=spec: built)
+
+
 def _spectral_checked(n: int) -> SpectralDecomp:
     """The cached decomposition, refused once lambda_min is not a normal double (n >= 509)."""
     spec = _spectral(n)
@@ -189,14 +196,19 @@ def _solver(name: str, n: int) -> tuple:
     return apply, cap, _mass(n)
 
 
+# 2^-511: a norm below it exactly when v.v is below the smallest normal double
+_SQRT_TINY = math.sqrt(sys.float_info.min)
+
+
 def _norm(v: np.ndarray) -> float:
     # sqrt(v.v) as numpy.linalg.norm forms it, bit for bit, but np.vdot
-    # returns inf on overflow without a RuntimeWarning; v.v overflows once
-    # |v| passes about 1e154, so then v is scaled by max|v| and retaken
+    # returns inf on overflow without a RuntimeWarning.  v.v overflows once
+    # |v| passes about 1e154 and leaves the normal range below about 1e-154
+    # (reading 0 from about 1e-162), so then v is scaled by max|v| and retaken
     nrm = math.sqrt(np.vdot(v, v))
-    if nrm == math.inf:
+    if not _SQRT_TINY <= nrm < math.inf and v.size:
         big = float(np.max(np.abs(v)))
-        if big < math.inf:
+        if 0.0 < big < math.inf:
             nrm = big * math.sqrt(np.vdot(v / big, v / big))
     return nrm
 
@@ -219,7 +231,8 @@ def solve(method: str, n: int, b, x_ref=None, max_degree: int = 25) -> SolveRepo
     errors alongside the residual.  A right-hand side with a nan or inf
     entry raises ValueError, for every method; so does a finite one whose
     2-norm overflows (not merely b.b: like the residual's, from n near 286
-    for b of order one, it is rescaled by max|b|).  A solution whose
+    for b of order one, it is rescaled by max|b|, as it is where b.b
+    underflows, so a tiny nonzero b is not read as 0).  A solution whose
     residual is not finite raises DegreeTooLargeError; so does an
     overflowing direct apply (from n = 510 or so for b of order one), eig
     or cho apply (b near the top of double range), and eig, before
@@ -260,15 +273,15 @@ def _m_norms(n: int, *vectors) -> np.ndarray:
 
     Unlike sqrt(v^T M v), this never cancels: that quadratic form turns
     negative once the float M stops being numerically positive definite
-    (n >= 30).  A column whose squares overflow is retaken by _norm,
-    rescaled by its max|.|.
+    (n >= 30).  A column whose squares overflow or leave the normal range
+    is retaken by _norm, rescaled by its max|.|.
     """
     spec = _spectral(n)
     coords = np.sqrt(spec.lam)[:, None] * (spec.q.T @ np.column_stack(vectors))
     with np.errstate(over="ignore"):
         norms = np.linalg.norm(coords, axis=0)
     for j, nrm in enumerate(norms.tolist()):
-        if nrm == math.inf:
+        if not _SQRT_TINY <= nrm < math.inf:
             norms[j] = _norm(coords[:, j])
     return norms
 

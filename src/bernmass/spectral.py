@@ -5,7 +5,9 @@ matrix Q has columns proportional to degree-elevated Legendre coefficient
 vectors: as functions of the row index these are the discrete Chebyshev
 (Gram, Hahn alpha = beta = 0) polynomials at the Bernstein nodes (Farouki
 2000; Koekoek, Lesky & Swarttouw 2010, sec. 9.5).  build_q assembles Q in
-O(n^2) by marching their difference equation down the rows.  The naive
+O(n^2) by marching their difference equation down the rows, and
+build_q_sweep gives a sweep of degrees the same Qs, bit for bit, from
+marches batched across the degrees.  The naive
 construction that elevates each Legendre vector separately costs O(n^3)
 and is kept for cross-checking.
 """
@@ -23,6 +25,7 @@ __all__ = [
     "eigenvalue",
     "eigenvalues",
     "build_q",
+    "build_q_sweep",
     "build_q_by_elevation",
     "solve_spectral",
     "apply_mass_spectral",
@@ -96,6 +99,70 @@ def build_q(n: int) -> SpectralDecomp:
     half = n // 2
     np.multiply(sign, q[n - half - 1 :: -1], out=q[half + 1 :])
     return SpectralDecomp(n, q, lam)
+
+
+# padded entries one batched march holds (2 MB of doubles), so a sweep
+# holds little beyond the Qs it returns
+_SWEEP_BLOCK = 1 << 18
+
+
+def build_q_sweep(degrees) -> list:
+    """build_q(n) for every n in degrees, bit for bit, from batched marches.
+
+    The degrees are marched in descending order, so those still marching at
+    row i (n//2 > i) form a prefix, and each row step is one set of numpy
+    calls over a padded (degree x column) array rather than one per degree.
+    Every entry gets build_q's IEEE operations: b, d and b + d are exact
+    integers held as per-degree columns, and row 0 is a cumprod along the
+    row, which is sequential, so each degree's prefix is its own 1-D
+    cumprod.  The padding stays 0.  One degree is faster through build_q.
+    """
+    order = sorted(set(degrees), reverse=True)
+    built = {}
+    start = 0
+    while start < len(order):
+        top = order[start]
+        count = max(1, _SWEEP_BLOCK // ((top // 2 + 1) * (top + 1)))
+        for spec in _march_block(order[start : start + count]):
+            built[spec.degree] = spec
+        start += count
+    return [built[n] for n in degrees]
+
+
+def _march_block(order: list) -> list:
+    """build_q for a block of distinct degrees, largest first, in one padded march."""
+    top = order[0]
+    nv = np.array(order, dtype=float)[:, None]
+    j = np.arange(top + 1.0)
+    k = j[:-1]
+    # the padding (k >= n) clipped to a ratio of 0 rather than sqrt(negative)
+    ratio = np.sqrt((2.0 * k + 3.0) * np.maximum(nv - k, 0.0) / ((2.0 * k + 1.0) * (nv + k + 2.0)))
+    sign = np.where(j % 2 == 0, 1.0, -1.0)
+    mu = j * (j + 1.0)
+    rows = np.zeros((len(order), top // 2 + 1, top + 1))
+    s = rows[:, 0]
+    s[:, :1] = 1.0 / np.sqrt(nv + 1.0)
+    s[:, 1:] = ratio
+    np.cumprod(s, axis=1, out=s)
+    s *= sign
+    halves = [n // 2 for n in order]
+    active = len(order)
+    for i in range(top // 2):
+        while halves[active - 1] <= i:
+            active -= 1
+        n = nv[:active]
+        b, d = (i + 1.0) * (i - n), i * (i - n - 1.0)
+        prev = rows[:active, i - 1] if i else 0.0
+        rows[:active, i + 1] = ((b + d + mu) * rows[:active, i] - d * prev) / b
+    out = []
+    for slab, n in zip(rows, order):
+        # a fresh C-contiguous Q, since matmul's bits depend on the layout
+        half = n // 2
+        q = np.empty((n + 1, n + 1))
+        q[: half + 1] = slab[: half + 1, : n + 1]
+        np.multiply(sign[: n + 1], q[n - half - 1 :: -1], out=q[half + 1 :])
+        out.append(SpectralDecomp(n, q, eigenvalues(n)))
+    return out
 
 
 def build_q_by_elevation(n: int) -> SpectralDecomp:

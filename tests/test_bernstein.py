@@ -9,6 +9,8 @@ import pytest
 from bernmass.bernstein import (
     BernsteinPoly,
     DegreeTooLargeError,
+    _basis_from_powers,
+    _power_tables,
     basis_values,
     binomial_diag,
     elevate,
@@ -20,6 +22,7 @@ from bernmass.bernstein import (
     mass_matrix,
 )
 from bernmass.exact import mass_exact
+from bernmass.quadrature import composite_gauss_legendre
 
 
 def test_mass_matrix_matches_rational_oracle():
@@ -201,3 +204,17 @@ def test_mass_matrix_bitwise_equal_to_gathered_assembly(n):
     assert mm.matrix.tobytes() == want.tobytes()
     assert mm.hankel_factor.tobytes() == (h * math.ldexp(1.0, -s)).tobytes()
     assert mm.matrix.flags.writeable and mm.matrix.flags.c_contiguous
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 7, 20, 40, 300])
+def test_basis_bitwise_equal_to_closed_form_per_degree(n):
+    # the closed form with its powers taken for this degree alone; basis_values
+    # and the projection tables read them from power tables instead
+    x = composite_gauss_legendre(32, 8).nodes
+    i = np.arange(n + 1)
+    c = np.array([float(math.comb(n, k)) for k in range(n + 1)])
+    want = c * x[:, None] ** i * (1.0 - x)[:, None] ** (n - i)
+    got = basis_values(n, x)
+    assert got.flags.c_contiguous and got.tobytes() == want.tobytes()
+    from_table = _basis_from_powers(n, *_power_tables(x, 300))
+    assert from_table.flags.c_contiguous and from_table.tobytes() == want.tobytes()

@@ -392,3 +392,27 @@ def test_random_table_builds_each_band_once():
     finally:
         sys.setprofile(None)
     assert builds == list(range(21))
+
+
+def _tables(n_max, seed):
+    return [render_csv(run_projection(f, n_max)) for f in ("f1", "f2")] + [
+        render_csv(run_random(n_max, seed))
+    ]
+
+
+@pytest.mark.parametrize("n_max", [20, 40])
+def test_tables_unchanged_by_batched_q(n_max):
+    # the tables build every degree's Q in one build_q_sweep; with each Q
+    # cached beforehand by build_q, one degree at a time, the bytes are the same
+    from bernmass import solvers
+
+    clear_cache()
+    try:
+        swept = _tables(n_max, 11)
+        clear_cache()
+        for n in range(n_max + 1):
+            solvers._spectral(n)
+        one_by_one = _tables(n_max, 11)
+    finally:
+        clear_cache()
+    assert swept == one_by_one

@@ -1,6 +1,7 @@
 """Eigenvalues and the orthogonal eigenvector construction."""
 
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -12,6 +13,7 @@ from bernmass.spectral import (
     apply_mass_spectral,
     build_q,
     build_q_by_elevation,
+    build_q_sweep,
     eigenvalue,
     eigenvalues,
     solve_spectral,
@@ -176,3 +178,18 @@ def test_build_q_bitwise_equal_to_gathered_mirror(n):
     assert got.q.tobytes() == want_q.tobytes()
     assert got.lam.tobytes() == want_lam.tobytes()
     assert eigenvalues(n).tobytes() == want_lam.tobytes()
+
+
+@pytest.mark.parametrize("degrees", [list(range(41)), [128, 255, 256, 509, 512, 581, 582]])
+def test_build_q_sweep_bitwise_equal_to_build_q(degrees):
+    # degrees in ascending order, so the batched march reorders them; its
+    # padding must raise no warning (sqrt of a negative ratio, say)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = build_q_sweep(degrees)
+    assert [d.degree for d in got] == degrees
+    for n, d in zip(degrees, got):
+        want = build_q(n)
+        assert d.q.flags.c_contiguous, n
+        assert d.q.tobytes() == want.q.tobytes(), n
+        assert d.lam.tobytes() == want.lam.tobytes(), n
