@@ -9,15 +9,14 @@ Everything here is small enough to check by eye.
 
 import numpy as np
 
-from bernmass import (
-    binomial_diag,
+from bernmass import inverse_matrix, mass_matrix
+from bernmass.bernstein import binomial_diag
+from bernmass.oracle import (
     hankel_inverse_entry,
-    inverse_entry_exact,
     inverse_entry_dual_exact,
-    inverse_matrix,
-    last_column_y,
+    inverse_entry_exact,
+    last_column_y_exact,
     mass_exact,
-    mass_matrix,
 )
 
 
@@ -55,8 +54,9 @@ def main():
         print(" ", row)
 
     # the last column of the inverse is a signed integer pattern
-    print("\ninteger solution of M y = e_n:", last_column_y(n))
-    print("check M @ y:", np.round(mm.matrix @ last_column_y(n), 12))
+    y = np.array(last_column_y_exact(n), dtype=float)
+    print("\ninteger solution of M y = e_n:", y)
+    print("check M @ y:", np.round(mm.matrix @ y, 12))
 
 
 if __name__ == "__main__":

@@ -10,7 +10,8 @@ degree-elevation route.
 
 import numpy as np
 
-from bernmass import build_q, build_q_by_elevation, eigenvalues, mass_matrix
+from bernmass import build_q, eigenvalues, mass_matrix
+from bernmass.oracle import build_q_by_elevation
 
 n = 12
 lam = eigenvalues(n)

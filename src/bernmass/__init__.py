@@ -1,24 +1,13 @@
 """Structured linear algebra for the univariate Bernstein mass matrix.
 
 Assembly, four inversion/apply strategies (closed-form inverse, FFT-based
-structured apply, spectral decomposition, Cholesky), an exact rational
-oracle, conditioning analysis, and experiment harnesses with a CLI.
+structured apply, spectral decomposition, Cholesky), conditioning analysis,
+and experiment harnesses with a CLI.  The exact rational oracle and the
+cross-check routes live in bernmass.oracle, which this package never
+imports; every other name is importable from its own module.
 """
 
-from .bernstein import (
-    BernsteinPoly,
-    DegreeTooLargeError,
-    MassMatrix,
-    basis_values,
-    binomial_diag,
-    elevate,
-    elevation_matrix,
-    evaluate,
-    hankel_moments,
-    legendre_coeffs,
-    m_inner,
-    mass_matrix,
-)
+from .bernstein import BernsteinPoly, DegreeTooLargeError, MassMatrix, basis_values, evaluate, mass_matrix
 from .conditioning import (
     ConditionRecord,
     PerturbationStudy,
@@ -29,34 +18,18 @@ from .conditioning import (
     op_norm_m_to_2,
     perturbation_study,
 )
-from .exact import (
-    SingularMatrixError,
-    mass_entry_exact,
-    mass_exact,
-    rational_inverse,
-    rational_solve,
-)
 from .experiments import (
     ExperimentRecord,
     f1,
     f2,
-    legendre_reference,
-    moments,
     reference_solution,
     render_csv,
     run_projection,
     run_random,
     write_csv,
 )
-from .inverse import (
-    hankel_inverse_entry,
-    inverse_entry_dual_exact,
-    inverse_entry_exact,
-    inverse_matrix,
-    last_column_y,
-    last_column_y_exact,
-)
-from .quadrature import QuadratureRule, composite_gauss_legendre, gauss_legendre, integrate
+from .inverse import inverse_matrix
+from .quadrature import QuadratureRule, composite_gauss_legendre, gauss_legendre
 from .rng import Xorshift64Star
 from .solvers import (
     METHODS,
@@ -71,24 +44,8 @@ from .solvers import (
     solve,
     solve_cholesky,
 )
-from .spectral import (
-    SpectralDecomp,
-    apply_mass_spectral,
-    build_q,
-    build_q_by_elevation,
-    eigenvalue,
-    eigenvalues,
-    solve_spectral,
-)
-from .structured import (
-    StructuredInverse,
-    bezout_matrix,
-    hankel_matvec,
-    heinig_rost_inverse,
-    solve_dft,
-    structured_inverse,
-    toeplitz_matvec,
-)
+from .spectral import SpectralDecomp, build_q, eigenvalues, solve_spectral
+from .structured import StructuredInverse, solve_dft, structured_inverse, toeplitz_matvec
 
 __version__ = "0.1.0"
 
@@ -96,17 +53,35 @@ __all__ = [
     "__version__",
     # bernstein
     "BernsteinPoly",
-    "DegreeTooLargeError",
     "MassMatrix",
-    "basis_values",
-    "binomial_diag",
-    "elevate",
-    "elevation_matrix",
-    "evaluate",
-    "hankel_moments",
-    "legendre_coeffs",
-    "m_inner",
+    "DegreeTooLargeError",
     "mass_matrix",
+    "evaluate",
+    "basis_values",
+    # inverse
+    "inverse_matrix",
+    # structured
+    "StructuredInverse",
+    "structured_inverse",
+    "solve_dft",
+    "toeplitz_matvec",
+    # spectral
+    "SpectralDecomp",
+    "eigenvalues",
+    "build_q",
+    "solve_spectral",
+    # solvers
+    "METHODS",
+    "solve",
+    "SolveReport",
+    "DegreeRangeError",
+    "NotPositiveDefiniteError",
+    "UnknownMethodError",
+    "CholeskyFactor",
+    "cholesky_factor",
+    "solve_cholesky",
+    "metrics",
+    "clear_cache",
     # conditioning
     "ConditionRecord",
     "PerturbationStudy",
@@ -116,63 +91,19 @@ __all__ = [
     "op_norm_2_to_m",
     "op_norm_m_to_2",
     "perturbation_study",
-    # exact oracle
-    "SingularMatrixError",
-    "mass_entry_exact",
-    "mass_exact",
-    "rational_inverse",
-    "rational_solve",
     # experiments
     "ExperimentRecord",
     "f1",
     "f2",
-    "legendre_reference",
-    "moments",
     "reference_solution",
-    "render_csv",
     "run_projection",
     "run_random",
+    "render_csv",
     "write_csv",
-    # inverse formulas
-    "hankel_inverse_entry",
-    "inverse_entry_dual_exact",
-    "inverse_entry_exact",
-    "inverse_matrix",
-    "last_column_y",
-    "last_column_y_exact",
     # quadrature
     "QuadratureRule",
-    "composite_gauss_legendre",
     "gauss_legendre",
-    "integrate",
+    "composite_gauss_legendre",
     # rng
     "Xorshift64Star",
-    # solvers
-    "METHODS",
-    "CholeskyFactor",
-    "DegreeRangeError",
-    "NotPositiveDefiniteError",
-    "SolveReport",
-    "UnknownMethodError",
-    "cholesky_factor",
-    "clear_cache",
-    "metrics",
-    "solve",
-    "solve_cholesky",
-    # spectral
-    "SpectralDecomp",
-    "apply_mass_spectral",
-    "build_q",
-    "build_q_by_elevation",
-    "eigenvalue",
-    "eigenvalues",
-    "solve_spectral",
-    # structured
-    "StructuredInverse",
-    "bezout_matrix",
-    "hankel_matvec",
-    "heinig_rost_inverse",
-    "solve_dft",
-    "structured_inverse",
-    "toeplitz_matvec",
 ]

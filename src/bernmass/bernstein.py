@@ -1,4 +1,4 @@
-"""Bernstein basis core: polynomials, degree elevation, and the mass matrix.
+"""Bernstein basis core: polynomials, their evaluation, and the mass matrix.
 
 The basis on [0,1] is B^n_i(x) = C(n,i) x^i (1-x)^(n-i).  A polynomial is
 carried as its degree-n coefficient vector.  The mass matrix of pairwise L2
@@ -20,12 +20,9 @@ __all__ = [
     "mass_matrix",
     "hankel_moments",
     "binomial_diag",
-    "elevation_matrix",
-    "elevate",
+    "binomial_row",
     "evaluate",
     "basis_values",
-    "legendre_coeffs",
-    "m_inner",
 ]
 
 
@@ -99,8 +96,22 @@ def hankel_moments(n: int, scale_exp: int = 0) -> np.ndarray:
     return np.array(h)
 
 
+def binomial_row(n: int) -> list:
+    """The integers C(n,i), i = 0..n, by the exact ratio recurrence c (n-i) // (i+1)."""
+    c = 1
+    row = [c]
+    for i in range(n):
+        c = c * (n - i) // (i + 1)
+        row.append(c)
+    return row
+
+
 def binomial_diag(n: int) -> np.ndarray:
-    """The diagonal C(n,i), i = 0..n, by the ratio recurrence."""
+    """The diagonal C(n,i), i = 0..n, by the float ratio recurrence.
+
+    Not binomial_row rounded: from n = 55 the recurrence's rounding differs
+    from the correctly rounded row, and M's bits are tied to this one.
+    """
     v = 1.0
     d = [v]
     for i in range(n):
@@ -139,31 +150,6 @@ def mass_matrix(n: int) -> MassMatrix:
     return MassMatrix(n, m, h * unscale, d)
 
 
-def elevation_matrix(m: int, n: int) -> np.ndarray:
-    """The (n+1) x (m+1) matrix taking degree-m coefficients to degree n >= m.
-
-    Entry (i, j) is C(m,j) C(n-m,i-j) / C(n,i); each row is a convex
-    combination, so rows sum to one.
-    """
-    if not 0 <= m <= n:
-        raise ValueError(f"need 0 <= m <= n, got m={m}, n={n}")
-    e = np.zeros((n + 1, m + 1))
-    for i in range(n + 1):
-        den = math.comb(n, i)
-        for j in range(max(0, i - (n - m)), min(m, i) + 1):
-            e[i, j] = math.comb(m, j) * math.comb(n - m, i - j) / den
-    return e
-
-
-def elevate(p: BernsteinPoly, n: int) -> BernsteinPoly:
-    """Re-express p in the degree-n basis (n >= p.degree); values are unchanged."""
-    if n < p.degree:
-        raise ValueError(f"cannot elevate degree {p.degree} down to {n}")
-    if n == p.degree:
-        return BernsteinPoly(p.coeffs.copy())
-    return BernsteinPoly(elevation_matrix(p.degree, n) @ p.coeffs)
-
-
 def evaluate(p: BernsteinPoly, x):
     """Evaluate p at x (scalar or array) by de Casteljau's recursion.
 
@@ -199,27 +185,5 @@ def _power_tables(xv: np.ndarray, n: int) -> tuple:
 
 def _basis_from_powers(n: int, xp: np.ndarray, yp: np.ndarray) -> np.ndarray:
     """basis_values(n, x) from power tables of x reaching at least degree n."""
-    c = np.array([float(math.comb(n, k)) for k in range(n + 1)])
+    c = np.array(binomial_row(n), dtype=float)
     return c * xp[:, : n + 1] * yp[:, n::-1]
-
-
-def legendre_coeffs(k: int, n: int) -> BernsteinPoly:
-    """Degree-n Bernstein coefficients of the orthogonal polynomial L^k on [0,1].
-
-    L^k is the Legendre polynomial mapped to [0,1] and scaled so L^k(1) = 1;
-    its native degree-k coefficients are (-1)^(k+i) C(k,i), elevated to n.
-    """
-    if not 0 <= k <= n:
-        raise ValueError(f"need 0 <= k <= n, got k={k}, n={n}")
-    base = np.array([(-1.0) ** (k + i) * math.comb(k, i) for i in range(k + 1)])
-    return elevate(BernsteinPoly(base), n)
-
-
-def m_inner(p: BernsteinPoly, q: BernsteinPoly) -> float:
-    """The L2 inner product of p and q, computed as p^T M q."""
-    if p.degree != q.degree:
-        raise ValueError(
-            f"inner product needs equal degrees, got {p.degree} and {q.degree}"
-        )
-    m = mass_matrix(p.degree).matrix
-    return float(p.coeffs @ m @ q.coeffs)

@@ -21,11 +21,21 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bernstein import BernsteinPoly, _basis_from_powers, _power_tables, basis_values
+from .bernstein import BernsteinPoly, _basis_from_powers, _power_tables, basis_values, binomial_row
 from .inverse import hankel_inverse_exact
 from .quadrature import QuadratureRule, composite_gauss_legendre
 from .rng import Xorshift64Star
-from .solvers import METHODS, _m_norms, _mass, _norm, _spectral_sweep, canonical_method, metrics, solve
+from .solvers import (
+    _SQRT_TINY,
+    METHODS,
+    _m_norms,
+    _mass,
+    _norm,
+    _spectral_sweep,
+    canonical_method,
+    metrics,
+    solve,
+)
 
 __all__ = [
     "f1",
@@ -83,8 +93,7 @@ def moments(f, n: int, rule: QuadratureRule | None = None) -> np.ndarray:
 def function_norm(f, rule: QuadratureRule | None = None) -> float:
     """L2 norm of f over [0,1] under the moment rule."""
     rule = rule or default_rule()
-    fv = np.asarray(f(rule.nodes), dtype=float)
-    return float(np.sqrt(rule.weights @ (fv * fv)))
+    return _weighted_norm(rule.weights, np.asarray(f(rule.nodes), dtype=float))
 
 
 def _legendre_projections(fv, n_max: int, rule: QuadratureRule) -> list:
@@ -107,8 +116,9 @@ def _legendre_projections(fv, n_max: int, rule: QuadratureRule) -> list:
             i = np.arange(n + 1.0)
             a = np.append(0.0, i[1:] / n * a) + np.append((n - i[:-1]) / n * a, 0.0)
             p_prev, p = p, ((2 * n + 1) * y * p - n * p_prev) / (n + 1)
-        pascal = [(-1.0) ** (n + k) * math.comb(n, k) for k in range(n + 1)]
-        a = a + cn * np.array(pascal)
+        pascal = np.array(binomial_row(n), dtype=float)
+        pascal[(n + 1) % 2 :: 2] *= -1.0  # the sign (-1)^(n+k)
+        a = a + cn * pascal
         out.append(a)
     return out
 
@@ -141,14 +151,16 @@ def _ordered_methods(methods) -> list:
 
 
 def _weighted_norm(weights, e) -> float:
-    """sqrt(sum w e^2), rescaled by max|e| where that sum overflows (|e| past about 1e154)."""
+    """sqrt(sum w e^2), as _norm takes a 2-norm: where that sum overflows (|e|
+    past about 1e154) or leaves the normal range (|e| below about 1e-154), e is
+    scaled by max|e| and the sum retaken."""
     with np.errstate(over="ignore"):
-        total = float(weights @ e**2)
-    if total == math.inf:
+        nrm = math.sqrt(float(weights @ (e * e)))
+    if not _SQRT_TINY <= nrm < math.inf and e.size:
         big = float(np.max(np.abs(e)))
-        if big < math.inf:
-            return big * math.sqrt(float(weights @ (e / big) ** 2))
-    return math.sqrt(total)
+        if 0.0 < big < math.inf:
+            nrm = big * math.sqrt(float(weights @ (e / big) ** 2))
+    return nrm
 
 
 def run_projection(func, n_max: int, methods=METHODS, rule: QuadratureRule | None = None) -> list:
@@ -164,7 +176,7 @@ def run_projection(func, n_max: int, methods=METHODS, rule: QuadratureRule | Non
     rule = rule or default_rule()
     chosen = _ordered_methods(methods)
     fv = np.asarray(f(rule.nodes), dtype=float)
-    fnorm = float(np.sqrt(rule.weights @ (fv * fv)))  # function_norm's expression
+    fnorm = _weighted_norm(rule.weights, fv)  # function_norm's value
     _spectral_sweep(n_max)  # every degree's Q for Pifp, in one batched build
     xp, yp = _power_tables(rule.nodes, n_max)
     records = []
@@ -206,7 +218,7 @@ def reference_solution(n: int, b) -> np.ndarray:
     """
     ratios = [v.as_integer_ratio() for v in np.asarray(b, dtype=float).tolist()]
     e = max(den.bit_length() for _, den in ratios) - 1
-    binom = [math.comb(n, i) for i in range(n + 1)]
+    binom = binomial_row(n)
     lcm = math.lcm(*binom)
     y = [
         (num << (e + 1 - den.bit_length())) * (lcm // c)
@@ -263,12 +275,12 @@ def _format_value(v) -> str:
     return "%.17g" % float(v)
 
 
-def render_csv(records, degree_column: str = "n") -> str:
+def render_csv(records) -> str:
     """Records as CSV text: header, one line per degree, newline-terminated."""
     if not records:
         raise ValueError("no records to render")
     keys = list(records[0].values.keys())
-    lines = [",".join([degree_column] + keys)]
+    lines = [",".join(["n"] + keys)]
     for rec in records:
         if list(rec.values.keys()) != keys:
             raise ValueError("records disagree on their columns")
@@ -276,9 +288,9 @@ def render_csv(records, degree_column: str = "n") -> str:
     return "\n".join(lines) + "\n"
 
 
-def write_csv(records, destination, degree_column: str = "n") -> None:
+def write_csv(records, destination) -> None:
     """Render records and write them to a path or file-like object."""
-    text = render_csv(records, degree_column)
+    text = render_csv(records)
     if hasattr(destination, "write"):
         destination.write(text)
     else:

@@ -3,84 +3,45 @@
 The inverse of the binomially descaled (Hankel) factor is an integer matrix,
 the Bezoutian of two binomial coefficient vectors divided by one of their
 entries.  `hankel_inverse_exact` builds it in O(n^2) exact integer steps and
-`inverse_matrix` rounds each of its descaled entries once.  Two independent
-published entry formulas are kept in exact arithmetic as test oracles; they
-agree with each other and with the Bezoutian exactly.
+`inverse_matrix` rounds each of its descaled entries once.  The two
+published entry formulas and the full Bezout matrix, which agree with this
+kernel exactly, are validation routes and live in bernmass.oracle.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from fractions import Fraction
 
 import numpy as np
 
-from .structured import bezout_coeff_u, bezout_coeff_v
+from .bernstein import binomial_row
 
 __all__ = [
-    "inverse_entry_exact",
-    "inverse_entry_dual_exact",
-    "hankel_inverse_entry",
+    "bezout_coeff_u",
+    "bezout_coeff_v",
     "hankel_inverse_exact",
     "inverse_matrix",
-    "last_column_y",
-    "last_column_y_exact",
 ]
 
 
-def _check_indices(n, i, j):
-    if not (0 <= i <= n and 0 <= j <= n):
-        raise IndexError(f"indices ({i}, {j}) out of range for degree n={n}")
+def bezout_coeff_u(n: int) -> list:
+    """Monomial coefficients (length n+2) generating the scaled-inverse Bezoutian.
 
-
-def _primary_terms(n, i, j):
-    """Integer summands of the primary entry formula, nonzero k only."""
-    return [
-        (2 * k + 1 - i + j) * math.comb(n + 1, i - k) ** 2 * math.comb(n + 1, j + k + 1) ** 2
-        for k in range(min(i, n - j) + 1)
-    ]
-
-
-def _dual_terms(n, i, j):
-    """Integer summands of the dual-basis entry formula, nonzero k only."""
-    return [
-        (2 * k + 1)
-        * math.comb(n + k + 1, n - j)
-        * math.comb(n - k, n - j)
-        * math.comb(n + k + 1, n - i)
-        * math.comb(n - k, n - i)
-        for k in range(min(i, j) + 1)
-    ]
-
-
-def inverse_entry_exact(n: int, i: int, j: int) -> Fraction:
-    """Entry (i, j) of the inverse mass matrix from the primary closed form.
-
-    The value is (-1)^(i+j) / (C(n,i) C(n,j)) times a sum over k of
-    (2k+1-i+j) C(n+1,i-k)^2 C(n+1,j+k+1)^2; k runs where both binomials
-    are nonzero.  Evaluated exactly over the rationals.
+    Entry i is (-1)^(n+i) (n+1) C(n,i) C(n+1,i) for i <= n, padded by one
+    zero (degree elevation in the monomial basis).
     """
-    _check_indices(n, i, j)
-    sign = -1 if (i + j) % 2 else 1
-    return Fraction(sign * sum(_primary_terms(n, i, j)), math.comb(n, i) * math.comb(n, j))
+    c, c1 = binomial_row(n), binomial_row(n + 1)
+    return [(-1) ** (n + i) * (n + 1) * c[i] * c1[i] for i in range(n + 1)] + [0]
 
 
-def inverse_entry_dual_exact(n: int, i: int, j: int) -> Fraction:
-    """The dual-basis formula evaluated exactly over the rationals."""
-    _check_indices(n, i, j)
-    sign = -1 if (i + j) % 2 else 1
-    return Fraction(sign * sum(_dual_terms(n, i, j)), math.comb(n, i) * math.comb(n, j))
+def bezout_coeff_v(n: int) -> list:
+    """The companion coefficient vector: entry i is (-1)^(i+1) (n+1) C(n+1,i) C(n,i-1).
 
-
-def hankel_inverse_entry(n: int, i: int, j: int) -> int:
-    """Entry (i, j) of the inverse of the binomially descaled (Hankel) factor.
-
-    Equal to C(n,i) C(n,j) times the inverse-mass entry; an exact integer.
+    This is the reversal of the zero-padded u vector.
     """
-    _check_indices(n, i, j)
-    sign = -1 if (i + j) % 2 else 1
-    return sign * sum(_primary_terms(n, i, j))
+    c, c1 = binomial_row(n), binomial_row(n + 1)
+    return [0] + [(-1) ** (i + 1) * (n + 1) * c1[i] * c[i - 1] for i in range(1, n + 2)]
 
 
 @functools.lru_cache(maxsize=1)
@@ -117,7 +78,7 @@ def hankel_inverse_exact(n: int) -> list:
 
     Bez(v, u) / v_{n+1} with u, v from bezout_coeff_u/v (Heinig & Rost),
     O(n^2) exact integer work on a quarter of the entries, the rest filled in
-    by symmetry and persymmetry; entry (i, j) equals hankel_inverse_entry.
+    by symmetry and persymmetry; entry (i, j) equals oracle.hankel_inverse_entry.
     """
     band = _hankel_inverse_band(n)
     # row i <= n//2: column i of the rows above, its band, then by persymmetry
@@ -148,7 +109,7 @@ def inverse_matrix(n: int) -> np.ndarray:
     too, the band's rounded entries fill the rest of the matrix by symmetry
     and persymmetry.
     """
-    binom = [math.comb(n, i) for i in range(n + 1)]
+    binom = binomial_row(n)
     a = np.empty((n + 1, n + 1))
     for i, row in enumerate(_hankel_inverse_band(n)):
         bi, cols = binom[i], binom[i : n - i + 1]
@@ -164,13 +125,3 @@ def inverse_matrix(n: int) -> np.ndarray:
         a[n - i, ring] = top[::-1]
         a[ring, n - i] = top[::-1]
     return a
-
-
-def last_column_y(n: int) -> np.ndarray:
-    """The last column of the inverse mass matrix: (-1)^(n+i) (n+1) C(n+1,i)."""
-    return np.array(last_column_y_exact(n), dtype=float)
-
-
-def last_column_y_exact(n: int) -> list:
-    """Integer form of the last column of the inverse."""
-    return [(-1) ** (n + i) * (n + 1) * math.comb(n + 1, i) for i in range(n + 1)]

@@ -105,14 +105,12 @@ def solve_cholesky(factor: CholeskyFactor, b) -> np.ndarray:
 
 @dataclass
 class SolveReport:
-    """One solve: the answer plus its residual and (optional) error metrics."""
+    """One solve: the answer plus its relative residual."""
 
     method: str
     degree: int
     solution: np.ndarray
     residual: float
-    err_2: float | None = None
-    err_m: float | None = None
 
 
 _HALF_MAX = sys.float_info.max / 2.0
@@ -223,12 +221,11 @@ def _apply_unwarned(name: str, n: int, apply, bv: np.ndarray) -> np.ndarray:
     return x
 
 
-def solve(method: str, n: int, b, x_ref=None, max_degree: int = 25) -> SolveReport:
+def solve(method: str, n: int, b, max_degree: int = 25) -> SolveReport:
     """Solve M x = b at degree n with the chosen method.
 
-    Accepts canonical method names and their long aliases.  If a reference
-    solution is supplied the report carries relative 2-norm and M-norm
-    errors alongside the residual.  A right-hand side with a nan or inf
+    Accepts canonical method names and their long aliases; metrics() gives
+    the errors against a reference solution.  A right-hand side with a nan or inf
     entry raises ValueError, for every method; so does a finite one whose
     2-norm overflows (not merely b.b: like the residual's, from n near 286
     for b of order one, it is rescaled by max|b|, as it is where b.b
@@ -262,10 +259,7 @@ def solve(method: str, n: int, b, x_ref=None, max_degree: int = 25) -> SolveRepo
             raise DegreeTooLargeError(
                 f"{name} solve at degree n={n} left double range (relative residual {residual})"
             )
-    report = SolveReport(name, n, x, residual)
-    if x_ref is not None:
-        report.err_2, report.err_m, _ = metrics(x, x_ref, bv, _mass(n))
-    return report
+    return SolveReport(name, n, x, residual)
 
 
 def _m_norms(n: int, *vectors) -> np.ndarray:

@@ -7,9 +7,9 @@ vectors: as functions of the row index these are the discrete Chebyshev
 2000; Koekoek, Lesky & Swarttouw 2010, sec. 9.5).  build_q assembles Q in
 O(n^2) by marching their difference equation down the rows, and
 build_q_sweep gives a sweep of degrees the same Qs, bit for bit, from
-marches batched across the degrees.  The naive
-construction that elevates each Legendre vector separately costs O(n^3)
-and is kept for cross-checking.
+marches batched across the degrees.  The naive construction that elevates
+each Legendre vector separately costs O(n^3); it is kept for cross-checking
+as bernmass.oracle.build_q_by_elevation.
 """
 
 from __future__ import annotations
@@ -18,15 +18,11 @@ import math
 
 import numpy as np
 
-from .bernstein import legendre_coeffs
-
 __all__ = [
     "SpectralDecomp",
-    "eigenvalue",
     "eigenvalues",
     "build_q",
     "build_q_sweep",
-    "build_q_by_elevation",
     "solve_spectral",
     "apply_mass_spectral",
 ]
@@ -56,17 +52,6 @@ def eigenvalues(n: int) -> np.ndarray:
         v = v * (n - i) / (n + i + 2)
         lam.append(v)
     return np.array(lam)
-
-
-def eigenvalue(n: int, i: int) -> float:
-    """The i-th eigenvalue of the degree-n mass matrix (decreasing in i)."""
-    if not 0 <= i <= n:
-        raise IndexError(f"eigenvalue index {i} out of range for degree {n}")
-    lam = 1.0 / (n + 1)
-    for k in range(i):
-        # same operation order as eigenvalues() so both routes agree bitwise
-        lam = lam * (n - k) / (n + k + 2)
-    return lam
 
 
 def build_q(n: int) -> SpectralDecomp:
@@ -163,19 +148,6 @@ def _march_block(order: list) -> list:
         np.multiply(sign[: n + 1], q[n - half - 1 :: -1], out=q[half + 1 :])
         out.append(SpectralDecomp(n, q, eigenvalues(n)))
     return out
-
-
-def build_q_by_elevation(n: int) -> SpectralDecomp:
-    """Reference eigenvector construction: elevate each Legendre vector directly.
-
-    O(n^3) work; exists to validate build_q.
-    """
-    lam = eigenvalues(n)
-    q = np.empty((n + 1, n + 1))
-    for j in range(n + 1):
-        q[:, j] = legendre_coeffs(j, n).coeffs
-    q *= np.sqrt((2.0 * np.arange(n + 1) + 1.0) * lam)
-    return SpectralDecomp(n, q, lam)
 
 
 def solve_spectral(d: SpectralDecomp, b) -> np.ndarray:

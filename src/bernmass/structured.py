@@ -1,40 +1,25 @@
-"""Structured (Toeplitz/Hankel/Bezout) machinery for the inverse mass matrix.
+"""The FFT-based structured apply of the inverse mass matrix (the dft method).
 
 The binomially descaled mass matrix is Hankel, and its inverse splits into a
 difference of Toeplitz-times-Hankel products whose entries are signed squared
 binomials.  All of those operators are applied through circulant embedding
-and numpy's real FFT, giving an O(n log n) solve.  The Bezout matrix of two
-polynomials, built by the Heinig-Rost recurrence, underlies the closed-form
-inverse (whose kernel runs the recurrence on a quarter band only); the
-Hankel inversion formula around it is kept for validation.
-
-The dense builders (toeplitz_dense, hankel_dense, bezout_matrix and the
-*_exact split) work over plain Python numbers, so feeding them ints or
-Fractions keeps everything exact.
+and numpy's real FFT, giving an O(n log n) solve.  The dense split factors,
+the Bezout matrix and the Hankel inversion formula behind them are
+validation routes and live in bernmass.oracle.
 """
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
-from .bernstein import DegreeTooLargeError, binomial_diag
+from .bernstein import DegreeTooLargeError, binomial_diag, binomial_row
 
 __all__ = [
     "next_pow2",
     "toeplitz_matvec",
     "hankel_matvec",
-    "toeplitz_dense",
-    "hankel_dense",
-    "bezout_matrix",
-    "bezout_coeff_u",
-    "bezout_coeff_v",
-    "hankel_extension",
-    "heinig_rost_inverse",
     "StructuredInverse",
     "structured_inverse",
-    "structured_inverse_exact",
     "solve_dft",
 ]
 
@@ -103,145 +88,6 @@ def hankel_matvec(antidiagonals, x) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# dense builders (generic over the scalar type)
-
-
-def toeplitz_dense(first_col, first_row):
-    """Dense Toeplitz matrix as nested lists; ints/Fractions pass through."""
-    s = len(first_col)
-    if len(first_row) != s:
-        raise ValueError("first column and first row lengths must agree")
-    if first_col[0] != first_row[0]:
-        raise ValueError("first column and first row must share their leading entry")
-    return [
-        [first_col[i - j] if i >= j else first_row[j - i] for j in range(s)]
-        for i in range(s)
-    ]
-
-
-def hankel_dense(antidiagonals):
-    """Dense Hankel matrix as nested lists from its 2n+1 anti-diagonal values."""
-    if len(antidiagonals) % 2 == 0:
-        raise ValueError("a Hankel matrix has an odd number of anti-diagonals")
-    s = (len(antidiagonals) + 1) // 2
-    return [[antidiagonals[i + j] for j in range(s)] for i in range(s)]
-
-
-# ---------------------------------------------------------------------------
-# Bezout matrices
-
-
-def bezout_matrix(u, v):
-    """Bezout matrix of two polynomials given by monomial coefficients.
-
-    For u, v of length n+2 (degree at most n+1) the result is the
-    (n+1) x (n+1) matrix of coefficients of (u(s)v(t) - u(t)v(s))/(s - t):
-    b_{ij} = sum_k u_{j+k+1} v_{i-k} - u_{i-k} v_{j+k+1}, k = 0..min(i, n-j).
-    Each row comes from the one above by the Heinig-Rost recurrence
-    b_{ij} = b_{i-1,j+1} + u_{j+1} v_i - u_i v_{j+1} (entries outside the
-    matrix are zero), so the build is O(n^2).  Works over any scalar type
-    (ints and Fractions stay exact).
-    """
-    if len(u) != len(v):
-        raise ValueError("coefficient vectors must have equal length")
-    if len(u) < 2:
-        raise ValueError("need polynomials of degree at least 1")
-    s = len(u) - 1
-    rows = []
-    above = [0] * (s + 1)
-    for i in range(s):
-        row = [above[j + 1] + u[j + 1] * v[i] - u[i] * v[j + 1] for j in range(s)]
-        rows.append(row)
-        above = row + [0]
-    return rows
-
-
-def bezout_coeff_u(n: int) -> list:
-    """Monomial coefficients (length n+2) generating the scaled-inverse Bezoutian.
-
-    Entry i is (-1)^(n+i) (n+1) C(n,i) C(n+1,i) for i <= n, padded by one
-    zero (degree elevation in the monomial basis).
-    """
-    u = [
-        (-1) ** (n + i) * (n + 1) * math.comb(n, i) * math.comb(n + 1, i)
-        for i in range(n + 1)
-    ]
-    u.append(0)
-    return u
-
-
-def bezout_coeff_v(n: int) -> list:
-    """The companion coefficient vector: entry i is (-1)^(i+1) (n+1) C(n+1,i) C(n,i-1).
-
-    This is the reversal of the zero-padded u vector.
-    """
-    return [
-        (-1) ** (i + 1) * (n + 1) * math.comb(n + 1, i) * (math.comb(n, i - 1) if i >= 1 else 0)
-        for i in range(n + 2)
-    ]
-
-
-# ---------------------------------------------------------------------------
-# Hankel inversion via Bezoutians
-
-
-def hankel_extension(antidiagonals, x):
-    """Border a symmetric-profile Hankel matrix so the reversed solve carries over.
-
-    Given H with anti-diagonal values h (which must read the same forwards
-    and backwards, as the descaled mass matrix does) and x solving
-    H x = e_n (last unit vector) with x_0 != 0, returns (alpha, beta) such
-    that appending anti-diagonals alpha then beta yields an extended matrix
-    satisfying Hhat x^P = e_{n+1}, where x^P reverses [x; 0].
-    """
-    h = np.asarray(antidiagonals, dtype=float)
-    xv = np.asarray(x, dtype=float)
-    s = xv.size
-    if h.size != 2 * s - 1:
-        raise ValueError("anti-diagonal count must be twice the size minus one")
-    if xv[0] == 0.0:
-        raise ValueError("extension requires a nonzero leading solve entry")
-    if not np.allclose(h, h[::-1], rtol=1e-12, atol=0.0):
-        raise ValueError("extension formulas require a symmetric anti-diagonal profile")
-    e_last = np.zeros(s)
-    e_last[-1] = 1.0
-    resid = np.asarray(hankel_dense(h), dtype=float) @ xv - e_last
-    if np.max(np.abs(resid)) > 1e-10 * max(1.0, np.max(np.abs(xv))):
-        raise ValueError("x does not solve H x = e_n to the required accuracy")
-    alpha = -float(h[: s - 1] @ xv[1:]) / xv[0]
-    if s == 1:
-        beta = 1.0 / xv[0]
-    else:
-        beta = (1.0 - alpha * xv[1] - float(h[: s - 2] @ xv[2:])) / xv[0]
-    return alpha, beta
-
-
-def heinig_rost_inverse(antidiagonals) -> np.ndarray:
-    """Invert a symmetric-profile Hankel matrix through its Bezoutian.
-
-    u is the last column of the inverse (zero-padded by one), v its reversal,
-    which the extension lemma identifies with the last column of the inverse
-    of the bordered matrix.  The Bezoutian of (v, u) divided by the trailing
-    entry of v reproduces the inverse; this argument order is the one that
-    actually satisfies H * result = I (the opposite order yields the negated
-    matrix).
-    """
-    h = np.asarray(antidiagonals, dtype=float)
-    s = (h.size + 1) // 2
-    dense = np.asarray(hankel_dense(h), dtype=float)
-    e_last = np.zeros(s)
-    e_last[-1] = 1.0
-    x = np.linalg.solve(dense, e_last)
-    if x[0] == 0.0:
-        raise ValueError("inversion formula requires a nonzero leading solve entry")
-    # validates the solve and the symmetric profile
-    hankel_extension(h, x)
-    u = np.append(x, 0.0)
-    v = u[::-1]
-    return np.asarray(bezout_matrix(v, u), dtype=float) / v[-1]
-
-
-# ---------------------------------------------------------------------------
 # the Toeplitz/Hankel split of the inverse
 
 
@@ -250,32 +96,9 @@ def _squared_binomial_row(n: int) -> list:
 
     Entries 0..n are the first column of the unit-diagonal lower-triangular
     Toeplitz factor; entries 1..n+1, followed by n zeros, are the 2n+1
-    anti-diagonals of the Hankel factor.  C(n+1, d) comes from the ratio
-    recurrence c <- c (n+1-d) / (d+1), exact in integers.
+    anti-diagonals of the Hankel factor.  The squares of binomial_row(n+1).
     """
-    c = 1
-    row = [1]
-    for d in range(n + 1):
-        c = c * (n + 1 - d) // (d + 1)
-        row.append(c * c if d % 2 else -c * c)
-    return row
-
-
-def structured_inverse_exact(n: int):
-    """The four split factors as exact integer matrices (nested lists).
-
-    Returns (t, t_weighted, h, h_weighted): the inverse of the descaled mass
-    matrix equals t_weighted @ h - t @ h_weighted, and conjugating by the
-    inverse binomial diagonal gives the inverse mass matrix itself.
-    """
-    row = _squared_binomial_row(n)
-    band = row[:-1]
-    anti = row[1:] + [0] * n
-    t = toeplitz_dense(band, [band[0]] + [0] * n)
-    tw = toeplitz_dense([d * band[d] for d in range(n + 1)], [0] * (n + 1))
-    h = hankel_dense(anti)
-    hw = hankel_dense([(s + 1) * anti[s] for s in range(2 * n + 1)])
-    return t, tw, h, hw
+    return [-c * c if d % 2 else c * c for d, c in enumerate(binomial_row(n + 1))]
 
 
 class StructuredInverse:

@@ -20,16 +20,21 @@ from bernmass.conditioning import (
     op_norm_m_to_2,
     perturbation_study,
 )
-from bernmass.exact import mass_exact, mat_mul, rational_inverse
 from bernmass.experiments import default_rule, f2, moments, run_projection, run_random
-from bernmass.inverse import (
+from bernmass.inverse import inverse_matrix
+from bernmass.oracle import (
+    build_q_by_elevation,
     hankel_inverse_entry,
     inverse_entry_dual_exact,
     inverse_entry_exact,
-    inverse_matrix,
+    mass_exact,
+    mat_mul,
+    rational_inverse,
+    structured_inverse_exact,
+    toeplitz_dense,
 )
-from bernmass.spectral import build_q, build_q_by_elevation, eigenvalues
-from bernmass.structured import structured_inverse_exact, toeplitz_dense, toeplitz_matvec
+from bernmass.spectral import build_q, eigenvalues
+from bernmass.structured import toeplitz_matvec
 from bernmass.bernstein import BernsteinPoly, basis_values, evaluate
 from bernmass.solvers import solve
 

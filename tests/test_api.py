@@ -1,0 +1,61 @@
+"""The public surface: what `import bernmass` exposes and loads, and the README's tour."""
+
+import ast
+import contextlib
+import io
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
+
+import bernmass
+
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "bernmass"
+
+
+def test_import_loads_neither_oracle_nor_fractions():
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]))
+    code = "import sys, bernmass; print('bernmass.oracle' in sys.modules, 'fractions' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.split() == ["False", "False"]
+
+
+def _imported_modules(path):
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.ImportFrom):
+            yield node.module or ""
+            yield from (f"{node.module or ''}.{alias.name}" for alias in node.names)
+        elif isinstance(node, ast.Import):
+            yield from (alias.name for alias in node.names)
+
+
+def test_no_production_module_imports_the_oracle():
+    modules = sorted(p for p in PACKAGE.glob("*.py") if p.name != "oracle.py")
+    assert len(modules) >= 10
+    for path in modules:
+        assert all(name.split(".")[-1] != "oracle" for name in _imported_modules(path)), path.name
+
+
+def test_public_names_resolve():
+    assert len(bernmass.__all__) == len(set(bernmass.__all__)) == 47
+    for name in bernmass.__all__:
+        assert hasattr(bernmass, name), name
+
+
+def test_public_names_cover_the_benchmark():
+    used = set()
+    for path in (ROOT / "bench").glob("*.py"):
+        used.update(re.findall(r"\bbm\.([A-Za-z_]\w*)", path.read_text()))
+    assert len(used) >= 16
+    assert used <= set(bernmass.__all__), sorted(used - set(bernmass.__all__))
+
+
+def test_readme_quick_tour_runs():
+    readme = (ROOT / "README.md").read_text()
+    tour = readme[readme.index("## Quick tour") :]
+    code = re.search(r"```python\n(.*?)```", tour, re.S).group(1)
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        exec(compile(code, "README.md", "exec"), {})
+    assert out.getvalue()

@@ -16,7 +16,7 @@ from bernmass.conditioning import (
     op_norm_m_to_2,
     perturbation_study,
 )
-from bernmass.exact import mass_exact
+from bernmass.oracle import mass_exact
 from bernmass.inverse import inverse_matrix
 from bernmass.rng import Xorshift64Star
 from bernmass.spectral import eigenvalues

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from bernmass.exact import (
+from bernmass.oracle import (
     SingularMatrixError,
     binom,
     elevation_exact,

@@ -10,7 +10,6 @@ import pytest
 
 from bernmass import experiments
 from bernmass.bernstein import BernsteinPoly, DegreeTooLargeError, evaluate
-from bernmass.exact import mass_exact, rational_solve
 from bernmass.experiments import (
     ExperimentRecord,
     _legendre_projections,
@@ -26,6 +25,7 @@ from bernmass.experiments import (
     run_random,
     write_csv,
 )
+from bernmass.oracle import mass_exact, rational_solve
 from bernmass.quadrature import integrate
 from bernmass.inverse import hankel_inverse_exact
 from bernmass.solvers import NotPositiveDefiniteError, cholesky_factor, clear_cache, metrics, solve
@@ -233,6 +233,31 @@ def test_function_norm_positive():
     assert function_norm(f2) == pytest.approx(
         math.sqrt(integrate(lambda x: f2(x) ** 2, default_rule())), rel=1e-14
     )
+
+
+def test_function_norm_rescales_where_squares_leave_double_range():
+    rule = default_rule()
+    fv = f2(rule.nodes)
+    # bitwise the plain sum where w.f^2 is normal
+    assert function_norm(f2) == math.sqrt(rule.weights @ (fv * fv))
+    for scale in (1e-170, 1e170):
+        assert function_norm(lambda x: scale * f2(x)) == pytest.approx(scale * function_norm(f2), rel=1e-15)
+
+
+def test_projection_of_tiny_function_is_finite():
+    # w.f^2 underflows to 0 here, so fnorm once read 0 and fp divided by it
+    records = run_projection(lambda x: 1e-170 * np.ones_like(x), 3)
+    assert all(math.isfinite(v) for rec in records for v in rec.values.values())
+
+
+def test_projection_is_scale_invariant_far_below_one():
+    # 2^-570 f2 squares to below the smallest normal double; every relative cell stays put
+    tiny = run_projection(lambda x: 2.0**-570 * f2(x), 8)
+    plain = run_projection("f2", 8)
+    for a, b in zip(tiny, plain):
+        assert list(a.values) == list(b.values)
+        for key, want in b.values.items():
+            assert abs(a.values[key] - want) <= 1e-12 * abs(want), (a.degree, key)
 
 
 def _series_coeffs(fv, n_max, rule):

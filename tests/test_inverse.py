@@ -7,18 +7,20 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from bernmass.exact import identity_exact, mass_exact, mat_mul, mat_vec, rational_inverse
-from bernmass.inverse import (
+from bernmass.inverse import bezout_coeff_u, bezout_coeff_v, hankel_inverse_exact, inverse_matrix
+from bernmass.bernstein import mass_matrix
+from bernmass.oracle import (
+    bezout_matrix,
     hankel_inverse_entry,
-    hankel_inverse_exact,
+    identity_exact,
     inverse_entry_dual_exact,
     inverse_entry_exact,
-    inverse_matrix,
-    last_column_y,
     last_column_y_exact,
+    mass_exact,
+    mat_mul,
+    mat_vec,
+    rational_inverse,
 )
-from bernmass.bernstein import mass_matrix
-from bernmass.structured import bezout_coeff_u, bezout_coeff_v, bezout_matrix
 
 
 def test_two_by_two_inverse():
@@ -114,7 +116,7 @@ def test_last_column_solves_unit_vector():
 
 
 def test_last_column_closed_form():
-    y = last_column_y(3)
+    y = np.array(last_column_y_exact(3), dtype=float)
     expected = [(-1) ** (3 + i) * 4 * math.comb(4, i) for i in range(4)]
     assert np.array_equal(y, np.array(expected, dtype=float))
 

@@ -8,16 +8,8 @@ import numpy as np
 import pytest
 
 from bernmass.bernstein import mass_matrix
-from bernmass.exact import mass_exact, rational_solve
-from bernmass.spectral import (
-    apply_mass_spectral,
-    build_q,
-    build_q_by_elevation,
-    build_q_sweep,
-    eigenvalue,
-    eigenvalues,
-    solve_spectral,
-)
+from bernmass.oracle import build_q_by_elevation, mass_exact, rational_solve
+from bernmass.spectral import apply_mass_spectral, build_q, build_q_sweep, eigenvalues, solve_spectral
 
 
 def eigenvalue_exact(n, i):
@@ -37,14 +29,6 @@ def test_eigenvalues_match_exact_formula():
 def test_eigenvalues_sorted_descending():
     lam = eigenvalues(12)
     assert np.all(np.diff(lam) < 0)
-
-
-def test_single_eigenvalue_accessor():
-    lam = eigenvalues(9)
-    for i in range(10):
-        assert eigenvalue(9, i) == lam[i]
-    with pytest.raises(IndexError):
-        eigenvalue(9, 10)
 
 
 def test_trace_identity():
@@ -152,7 +136,7 @@ def test_solve_then_apply_roundtrip():
 
 def _build_q_gathered(n):
     # build_q's march with the lower half mirrored by a fancy-index gather
-    lam = np.array([eigenvalue(n, i) for i in range(n + 1)])
+    lam = eigenvalues(n)
     j = np.arange(n + 1.0)
     k = j[:-1]
     ratio = np.sqrt((2.0 * k + 3.0) * (n - k) / ((2.0 * k + 1.0) * (n + k + 2.0)))

@@ -10,24 +10,28 @@ import pytest
 
 from bernmass import solvers
 from bernmass.bernstein import DegreeTooLargeError, binomial_diag, mass_matrix
-from bernmass.exact import identity_exact, mass_exact, mat_mul, rational_inverse
 from bernmass.experiments import run_projection
-from bernmass.inverse import hankel_inverse_entry, inverse_matrix
-from bernmass.structured import (
-    bezout_coeff_u,
-    bezout_coeff_v,
+from bernmass.inverse import bezout_coeff_u, bezout_coeff_v, inverse_matrix
+from bernmass.oracle import (
     bezout_matrix,
     hankel_dense,
     hankel_extension,
-    hankel_matvec,
+    hankel_inverse_entry,
     heinig_rost_inverse,
+    identity_exact,
+    mass_exact,
+    mat_mul,
+    rational_inverse,
+    structured_inverse_exact,
+    toeplitz_dense,
+)
+from bernmass.structured import (
     StructuredInverse,
     _squared_binomial_row,
+    hankel_matvec,
     next_pow2,
     solve_dft,
     structured_inverse,
-    structured_inverse_exact,
-    toeplitz_dense,
     toeplitz_matvec,
 )
 
