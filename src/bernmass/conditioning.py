@@ -39,6 +39,8 @@ def kappa_2(n: int) -> float:
     Computed as the product of (n+1+i)/i for i = 1..n so intermediate
     values stay near the final magnitude.
     """
+    if n < 0:
+        raise ValueError("degree must be nonnegative")
     value = 1.0
     for i in range(1, n + 1):
         value *= (n + 1 + i) / i

@@ -21,13 +21,21 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bernstein import BernsteinPoly, _basis_from_powers, _power_tables, basis_values, binomial_row
+from .bernstein import (
+    BernsteinPoly,
+    DegreeTooLargeError,
+    _basis_from_powers,
+    _power_tables,
+    basis_values,
+    binomial_row,
+)
 from .inverse import hankel_inverse_exact
 from .quadrature import QuadratureRule, composite_gauss_legendre
 from .rng import Xorshift64Star
 from .solvers import (
     _SQRT_TINY,
     METHODS,
+    _dft_sweep,
     _m_norms,
     _mass,
     _norm,
@@ -178,6 +186,8 @@ def run_projection(func, n_max: int, methods=METHODS, rule: QuadratureRule | Non
     fv = np.asarray(f(rule.nodes), dtype=float)
     fnorm = _weighted_norm(rule.weights, fv)  # function_norm's value
     _spectral_sweep(n_max)  # every degree's Q for Pifp, in one batched build
+    if "dft" in chosen:
+        _dft_sweep(n_max)  # every degree's dft spectra, batched by plan size
     xp, yp = _power_tables(rule.nodes, n_max)
     records = []
     for n, ref in enumerate(_legendre_projections(fv, n_max, rule)):
@@ -214,7 +224,8 @@ def reference_solution(n: int, b) -> np.ndarray:
     Bezoutian inverse.  With 2^e the largest denominator among the entries
     of b and L = lcm C(n,i), y_i = 2^e L b_i / C(n,i) is an integer, so
     x_i = (H^-1 y)_i / (C(n,i) 2^e L) is one integer quotient, which int/int
-    division rounds correctly.
+    division rounds correctly.  An entry past double range raises
+    DegreeTooLargeError, as solve does (for b = sin(0..n) from n = 538).
     """
     ratios = [v.as_integer_ratio() for v in np.asarray(b, dtype=float).tolist()]
     e = max(den.bit_length() for _, den in ratios) - 1
@@ -225,12 +236,17 @@ def reference_solution(n: int, b) -> np.ndarray:
         for (num, den), c in zip(ratios, binom)
     ]
     scale = lcm << e
-    return np.array(
-        [
-            sum(map(operator.mul, row, y)) / (c * scale)
-            for row, c in zip(hankel_inverse_exact(n), binom)
-        ]
-    )
+    try:
+        return np.array(
+            [
+                sum(map(operator.mul, row, y)) / (c * scale)
+                for row, c in zip(hankel_inverse_exact(n), binom)
+            ]
+        )
+    except OverflowError:
+        raise DegreeTooLargeError(
+            f"exact reference solution at degree n={n} left double range (an entry overflows)"
+        ) from None
 
 
 def run_random(n_max: int, seed: int = 42, methods=METHODS) -> list:
@@ -246,6 +262,8 @@ def run_random(n_max: int, seed: int = 42, methods=METHODS) -> list:
     chosen = _ordered_methods(methods)
     gen = Xorshift64Star(seed)
     _spectral_sweep(n_max)  # every degree's Q for Merr, in one batched build
+    if "dft" in chosen:
+        _dft_sweep(n_max)  # every degree's dft spectra, batched by plan size
     records = []
     for n in range(n_max + 1):
         mm = _mass(n)  # the matrix solve() caches for its residuals

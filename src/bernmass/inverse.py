@@ -109,6 +109,8 @@ def inverse_matrix(n: int) -> np.ndarray:
     too, the band's rounded entries fill the rest of the matrix by symmetry
     and persymmetry.
     """
+    if n < 0:
+        raise ValueError("degree must be nonnegative")
     binom = binomial_row(n)
     a = np.empty((n + 1, n + 1))
     for i, row in enumerate(_hankel_inverse_band(n)):

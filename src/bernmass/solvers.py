@@ -5,7 +5,8 @@ structured apply ("dft"), the spectral decomposition ("eig"), and a Cholesky
 factorization ("cho").  The first solve of a method at a degree caches one
 entry: the method's apply, the largest |b|_2 it cannot overflow at, and M
 for the residual.  Every later solve there is one dictionary lookup, the
-apply and the residual.
+apply and the residual.  The tables fill the eig Qs and the dft entries of
+all their degrees up front, through the batched sweeps.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import numpy as np
 from .bernstein import _MAX_DEGREE, DegreeTooLargeError, mass_matrix
 from .inverse import _hankel_inverse_band, inverse_matrix
 from .spectral import SpectralDecomp, build_q, build_q_sweep, eigenvalues, solve_spectral
-from .structured import solve_dft, structured_inverse
+from .structured import _MAX_SPECTRA_DEGREE, solve_dft, structured_inverse, structured_inverse_sweep
 
 __all__ = [
     "METHODS",
@@ -114,6 +115,7 @@ class SolveReport:
 
 
 _HALF_MAX = sys.float_info.max / 2.0
+_FLOAT64 = np.dtype(float)
 
 _cache: dict = {}
 _cache_lock = threading.Lock()
@@ -151,6 +153,19 @@ def _spectral_sweep(n_max: int) -> None:
         _cached("spectral", spec.degree, lambda _, built=spec: built)
 
 
+def _dft_entry(si) -> tuple:
+    """_solver's dft entry: an apply that finds solve_dft when called, no cap
+    (solve_dft refuses its own overflow), and M."""
+    return (lambda bv: solve_dft(si, bv)), math.inf, _mass(si.degree)
+
+
+def _dft_sweep(n_max: int) -> None:
+    """Cache the dft entry of every uncached degree 0..min(n_max, 509), by one structured_inverse_sweep."""
+    missing = [k for k in range(min(n_max, _MAX_SPECTRA_DEGREE) + 1) if ("dft", k) not in _cache]
+    for si in structured_inverse_sweep(missing):
+        _cached("dft", si.degree, lambda _, built=si: _dft_entry(built))
+
+
 def _spectral_checked(n: int) -> SpectralDecomp:
     """The cached decomposition, refused once lambda_min is not a normal double (n >= 509)."""
     spec = _spectral(n)
@@ -169,6 +184,8 @@ def _overflowed(name: str, n: int) -> DegreeTooLargeError:
 def _solver(name: str, n: int) -> tuple:
     """(apply, cap, M): x = apply(b) cannot overflow while |b|_2 <= cap, and M
     gives the residual.  Each apply finds its function when called, patched or not."""
+    if name == "dft":
+        return _dft_entry(structured_inverse(n))
     if name == "direct":
         inv = inverse_matrix(n)
         amax = float(np.max(np.abs(inv)))
@@ -178,9 +195,6 @@ def _solver(name: str, n: int) -> tuple:
         # every partial sum of (inv @ b)_i is at most sqrt(n+1) max|inv| |b|_2, so
         # a b whose 2-norm is within the cap (halved for rounding) cannot overflow
         apply, cap = (lambda bv: inv @ bv), sys.float_info.max / amax / (2.0 * math.sqrt(n + 1))
-    elif name == "dft":
-        si = structured_inverse(n)
-        apply, cap = (lambda bv: solve_dft(si, bv)), math.inf  # refuses its own overflow
     elif name == "eig":
         spec = _spectral_checked(n)
         # |Q^T b| <= |b|_2 and Q's rows are unit vectors, so no partial sum
@@ -225,11 +239,12 @@ def solve(method: str, n: int, b, max_degree: int = 25) -> SolveReport:
     """Solve M x = b at degree n with the chosen method.
 
     Accepts canonical method names and their long aliases; metrics() gives
-    the errors against a reference solution.  A right-hand side with a nan or inf
-    entry raises ValueError, for every method; so does a finite one whose
-    2-norm overflows (not merely b.b: like the residual's, from n near 286
-    for b of order one, it is rescaled by max|b|, as it is where b.b
-    underflows, so a tiny nonzero b is not read as 0).  A solution whose
+    the errors against a reference solution.  A complex right-hand side, or
+    one with a nan or inf entry, raises ValueError, for every method; so
+    does a finite one whose 2-norm overflows (not merely b.b: like the
+    residual's, from n near 286 for b of order one, it is rescaled by
+    max|b|, as it is where b.b underflows, so a tiny nonzero b is not read
+    as 0).  A solution whose
     residual is not finite raises DegreeTooLargeError; so does an
     overflowing direct apply (from n = 510 or so for b of order one), eig
     or cho apply (b near the top of double range), and eig, before
@@ -239,7 +254,11 @@ def solve(method: str, n: int, b, max_degree: int = 25) -> SolveReport:
     name = canonical_method(method)
     if not 0 <= n <= max_degree:
         raise DegreeRangeError(f"degree {n} outside allowed range [0, {max_degree}]")
-    bv = np.asarray(b, dtype=float)
+    bv = np.asarray(b)
+    if bv.dtype is not _FLOAT64:  # a float64 b, as every warm solve passes, skips both
+        if bv.dtype.kind == "c":
+            raise ValueError(f"right-hand side is complex ({bv.dtype}); M x = b is real")
+        bv = bv.astype(float)
     if bv.shape != (n + 1,):
         raise ValueError(f"right-hand side shape {bv.shape} does not match degree {n}")
     # one norm serves as the finiteness check and the residual's scale

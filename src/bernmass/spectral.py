@@ -46,6 +46,8 @@ def eigenvalues(n: int) -> np.ndarray:
     Built by the ratio recurrence lam(i+1) = lam(i) (n-i)/(n+i+2) from
     lam(0) = 1/(n+1), avoiding explicit factorials.
     """
+    if n < 0:
+        raise ValueError("degree must be nonnegative")
     v = 1.0 / (n + 1)
     lam = [v]
     for i in range(n):

@@ -3,9 +3,13 @@
 The binomially descaled mass matrix is Hankel, and its inverse splits into a
 difference of Toeplitz-times-Hankel products whose entries are signed squared
 binomials.  All of those operators are applied through circulant embedding
-and numpy's real FFT, giving an O(n log n) solve.  The dense split factors,
-the Bezout matrix and the Hankel inversion formula behind them are
-validation routes and live in bernmass.oracle.
+and numpy's real FFT, giving an O(n log n) solve.  One builder,
+structured_inverse_sweep, makes the circulant spectra of a whole sweep of
+degrees: the degrees that share a plan size are transformed together, as
+rows of one 2-D rfft, and structured_inverse(n) is the sweep of [n]; the
+tables prefill their dft solves through it.  The dense split factors, the
+Bezout matrix and the Hankel inversion formula behind them are validation
+routes and live in bernmass.oracle.
 """
 
 from __future__ import annotations
@@ -13,6 +17,7 @@ from __future__ import annotations
 import numpy as np
 
 from .bernstein import DegreeTooLargeError, binomial_diag, binomial_row
+from .spectral import _SWEEP_BLOCK
 
 __all__ = [
     "next_pow2",
@@ -20,6 +25,7 @@ __all__ = [
     "hankel_matvec",
     "StructuredInverse",
     "structured_inverse",
+    "structured_inverse_sweep",
     "solve_dft",
 ]
 
@@ -36,28 +42,13 @@ def next_pow2(m: int) -> int:
     return p
 
 
-def _embed_spectrum(first_col, first_row, plan, out=None):
-    """Real FFT of the circulant column that embeds a Toeplitz matrix.
-
-    The circulant's first column is laid out bit-exactly as
-    [first_col | zeros | reverse(first_row[1:])] of total length plan, so
-    that entry (i-j) mod plan reproduces the Toeplitz band for |i-j| < s.
-    The spectrum is written into out when one is given.
-    """
-    s = len(first_col)
-    c = np.zeros(plan)
-    c[:s] = first_col
-    if s > 1:
-        c[plan - s + 1 :] = first_row[1:][::-1]
-    return np.fft.rfft(c, out=out)
-
-
 def toeplitz_matvec(first_col, first_row, x) -> np.ndarray:
     """Toeplitz product via circulant embedding and FFTs, O(n log n).
 
     first_col and first_row fix the matrix (their leading entries must
     agree); the embedding size is the next power of two at least twice the
-    dimension.
+    dimension.  The circulant's first column is [first_col | zeros |
+    reverse(first_row[1:])], so entry (i-j) mod plan reproduces the band.
     """
     col = np.asarray(first_col, dtype=float)
     row = np.asarray(first_row, dtype=float)
@@ -66,8 +57,12 @@ def toeplitz_matvec(first_col, first_row, x) -> np.ndarray:
         raise ValueError("first column, first row, and vector lengths must agree")
     if col[0] != row[0]:
         raise ValueError("first column and first row must share their leading entry")
-    plan = next_pow2(2 * col.size)
-    return np.fft.irfft(_embed_spectrum(col, row, plan) * np.fft.rfft(xv, plan), plan)[: col.size]
+    s = col.size
+    plan = next_pow2(2 * s)
+    c = np.zeros(plan)
+    c[:s] = col
+    c[plan - s + 1 :] = row[:0:-1]
+    return np.fft.irfft(np.fft.rfft(c) * np.fft.rfft(xv, plan), plan)[:s]
 
 
 def hankel_matvec(antidiagonals, x) -> np.ndarray:
@@ -105,49 +100,47 @@ class StructuredInverse:
     """Compressed form of the inverse split, ready for FFT application.
 
     Holds the Toeplitz bands and Hankel anti-diagonals of the four factors,
-    the binomial diagonal, and the precomputed circulant spectra at the
-    shared plan size (next power of two >= 2n+2).  The spectra are paired in
-    the order solve_dft applies them, so each pair is one 2-row transform:
-    _h_pair rows (H, Ht) and _t_pair rows (Tt, T); _h_hat, _ht_hat, _tt_hat
-    and _t_hat are views of those rows.
+    the binomial diagonal, and the circulant spectra at the shared plan size
+    (next power of two >= 2n+2).  The spectra are paired in the order
+    solve_dft applies them, so each pair is one 2-row transform: h_pair rows
+    (H, Ht) and t_pair rows (Tt, T), each pair C-contiguous; _h_hat,
+    _ht_hat, _tt_hat and _t_hat are views of those rows.
     """
 
-    def __init__(self, degree, t_col, tt_col, h, ht, binom_diag):
+    def __init__(self, degree, t_col, tt_col, h, ht, binom_diag, h_pair, t_pair):
         self.degree = degree
         self.t_col = t_col
         self.tt_col = tt_col
         self.h = h
         self.ht = ht
         self.binom_diag = binom_diag
-        self.plan_size = next_pow2(2 * degree + 2)
-        s = degree + 1
-        zero_row = np.zeros(s)
-        t_row = zero_row.copy()
-        t_row[0] = t_col[0]
-        self._h_pair = np.empty((2, self.plan_size // 2 + 1), dtype=complex)
-        self._t_pair = np.empty_like(self._h_pair)
-        self._h_hat, self._ht_hat = self._h_pair
-        self._tt_hat, self._t_hat = self._t_pair
-        # overflow here is detected afterwards, not warned about per entry;
-        # one 1-D rfft per spectrum, into its row (a 2-D embedding builds slower)
-        with np.errstate(over="ignore", invalid="ignore"):
-            # Hankel factors act as Toeplitz operators on the reversed input
-            _embed_spectrum(h[s - 1 :], h[s - 1 :: -1], self.plan_size, self._h_hat)
-            _embed_spectrum(ht[s - 1 :], ht[s - 1 :: -1], self.plan_size, self._ht_hat)
-            _embed_spectrum(tt_col, zero_row, self.plan_size, self._tt_hat)
-            _embed_spectrum(t_col, t_row, self.plan_size, self._t_hat)
+        self.plan_size = 2 * (h_pair.shape[1] - 1)
+        self._h_pair = h_pair
+        self._t_pair = t_pair
+        self._h_hat, self._ht_hat = h_pair
+        self._tt_hat, self._t_hat = t_pair
 
     def __repr__(self):
         return f"StructuredInverse(degree={self.degree})"
 
 
+# the last degree whose circulant spectra are finite doubles
+_MAX_SPECTRA_DEGREE = 509
+
+
 def structured_inverse(n: int) -> StructuredInverse:
-    """Build the compressed inverse factors for degree n.
+    """Build the compressed inverse factors for degree n: structured_inverse_sweep([n])[0].
 
     Raises ValueError when the squared binomial factors (or their circulant
-    spectra) are not representable in doubles; the overflow is reported by
-    that error alone, not by numpy warnings.
+    spectra) are not representable in doubles, which is from n = 510 on;
+    the overflow is reported by that error alone, not by numpy warnings.
     """
+    return structured_inverse_sweep([n])[0]
+
+
+def _split_factors(n: int) -> tuple:
+    """(t_col, tt_col, h, ht, binom_diag) of degree n: the Toeplitz bands, the
+    Hankel anti-diagonals and the binomial diagonal."""
     try:
         row = np.array(_squared_binomial_row(n), dtype=float)
     except OverflowError:
@@ -159,14 +152,68 @@ def structured_inverse(n: int) -> StructuredInverse:
             f"squared binomial factors overflow double precision at degree n={n}"
         )
     t_col = row[:-1]
-    anti = np.concatenate((row[1:], np.zeros(n)))
+    h = np.concatenate((row[1:], np.zeros(n)))
     with np.errstate(over="ignore"):
-        tt_col = np.arange(n + 1) * t_col
-        ht = np.arange(1, 2 * n + 2) * anti
-    si = StructuredInverse(n, t_col, tt_col, anti, ht, binomial_diag(n))
-    if not (np.all(np.isfinite(si._h_pair)) and np.all(np.isfinite(si._t_pair))):
+        return t_col, np.arange(n + 1) * t_col, h, np.arange(1, 2 * n + 2) * h, binomial_diag(n)
+
+
+def _spectra(chunk: list, factors: dict, plan: int) -> np.ndarray:
+    """The (4k, plan//2+1) spectra of k degrees sharing a plan size, rows (H, Ht, Tt, T) each.
+
+    The spectra, which the degrees keep, are allocated before the embedding
+    block, and the block is freed on return, so freeing it leaves no hole
+    below them.
+    """
+    spectra = np.empty((4 * len(chunk), plan // 2 + 1), dtype=complex)
+    block = np.zeros((4 * len(chunk), plan))
+    for r, n in zip(range(0, block.shape[0], 4), chunk):
+        t_col, tt_col, h, ht, _ = factors[n]
+        # the Hankel factors act as Toeplitz operators on the reversed input:
+        # [h_n..h_2n | zeros | h_0..h_(n-1)]; the Toeplitz ones are lower triangular
+        block[r, : n + 1] = h[n:]
+        block[r, plan - n :] = h[:n]
+        block[r + 1, : n + 1] = ht[n:]
+        block[r + 1, plan - n :] = ht[:n]
+        block[r + 2, : n + 1] = tt_col
+        block[r + 3, : n + 1] = t_col
+    # overflow here is detected afterwards, not warned about per entry
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.fft.rfft(block, out=spectra)
+
+
+def structured_inverse_sweep(degrees) -> list:
+    """structured_inverse(n) for every n in degrees, bit for bit, spectra batched by plan size.
+
+    The degrees that share a plan size have the four circulant embeddings of
+    each written as rows (H, Ht, Tt, T) of one zero-filled (4k, plan) block
+    of at most spectral._SWEEP_BLOCK entries, and each block is one 2-D
+    rfft, which numpy computes row by row exactly as it would 1-D calls;
+    each degree's two pairs are views of its block's spectra.  Raises
+    structured_inverse's ValueError for the first degree, in the order
+    given, whose squared binomials overflow; failing that, for the first
+    whose spectra do.
+    """
+    degrees = list(degrees)
+    if any(n < 0 for n in degrees):
+        raise ValueError("degree must be nonnegative")
+    factors = {n: _split_factors(n) for n in degrees}
+    groups: dict = {}
+    for n in factors:
+        groups.setdefault(next_pow2(2 * n + 2), []).append(n)
+    built, overflowed = {}, set()
+    for plan, group in groups.items():
+        count = max(1, _SWEEP_BLOCK // (4 * plan))
+        for start in range(0, len(group), count):
+            chunk = group[start : start + count]
+            spectra = _spectra(chunk, factors, plan)
+            finite = np.isfinite(spectra).reshape(len(chunk), -1).all(axis=1)
+            for r, n, ok in zip(range(0, spectra.shape[0], 4), chunk, finite):
+                built[n] = StructuredInverse(n, *factors[n], spectra[r : r + 2], spectra[r + 2 : r + 4])
+                if not ok:
+                    overflowed.add(n)
+    for n in filter(overflowed.__contains__, factors):
         raise ValueError(f"circulant spectra overflow double precision at degree n={n}")
-    return si
+    return [built[n] for n in degrees]
 
 
 def solve_dft(si: StructuredInverse, b) -> np.ndarray:

@@ -9,6 +9,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import bernmass
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -59,3 +61,23 @@ def test_readme_quick_tour_runs():
     with contextlib.redirect_stdout(io.StringIO()) as out:
         exec(compile(code, "README.md", "exec"), {})
     assert out.getvalue()
+
+
+@pytest.mark.parametrize(
+    "builder",
+    [
+        bernmass.mass_matrix,
+        bernmass.structured_inverse,
+        bernmass.build_q,
+        bernmass.eigenvalues,
+        bernmass.inverse_matrix,
+        bernmass.kappa_2,
+        bernmass.kappa_m_to_2,
+    ],
+    ids=lambda f: f.__name__,
+)
+def test_negative_degree_refused(builder):
+    for n in (-1, -7):
+        with pytest.raises(ValueError) as info:
+            builder(n)
+        assert type(info.value) is ValueError and str(info.value) == "degree must be nonnegative"

@@ -186,6 +186,22 @@ def test_reference_solution_uses_rational_oracle():
         assert np.array_equal(got, np.array([float(v) for v in sol]))
 
 
+def test_reference_solution_overflow_is_typed(monkeypatch, capsys):
+    # the exact entries pass double range from n = 538 for this b: a typed
+    # refusal, as solve gives, not the bare int/int OverflowError
+    assert np.all(np.isfinite(reference_solution(537, np.sin(np.arange(538.0)))))
+    for n in (538, 539):
+        with pytest.raises(DegreeTooLargeError) as info:
+            reference_solution(n, np.sin(np.arange(n + 1.0)))
+        assert str(info.value) == f"exact reference solution at degree n={n} left double range (an entry overflows)"
+    # the CLI reports it with exit 3
+    from bernmass import cli
+
+    monkeypatch.setattr(cli, "run_random", lambda n_max, seed: [reference_solution(539, np.sin(np.arange(540.0)))])
+    assert cli.main(["random"]) == 3
+    assert "left double range" in capsys.readouterr().err
+
+
 def test_csv_rendering_and_round_trip():
     recs = [
         ExperimentRecord(0, {"a": 1.0 / 3.0, "b": 269128937220.0}),
@@ -441,3 +457,79 @@ def test_tables_unchanged_by_batched_q(n_max):
     finally:
         clear_cache()
     assert swept == one_by_one
+
+
+@pytest.mark.parametrize("n_max", [20, 40])
+def test_tables_unchanged_by_dft_sweep(n_max):
+    # the tables build every degree's dft spectra in one structured_inverse_sweep;
+    # with each dft entry cached beforehand as a first solve caches it, one
+    # degree at a time, the bytes are the same
+    from bernmass import solvers
+
+    clear_cache()
+    try:
+        swept = _tables(n_max, 11)
+        clear_cache()
+        singles = {n: solvers._cached("dft", n, lambda k: solvers._solver("dft", k)) for n in range(n_max + 1)}
+        one_by_one = _tables(n_max, 11)
+        # the sweep left the single builds in place
+        assert all(solvers._cache[("dft", n)] is entry for n, entry in singles.items())
+    finally:
+        clear_cache()
+    assert swept == one_by_one
+
+
+def test_dft_prefill_entries_and_clear_cache(monkeypatch):
+    from bernmass import solvers
+
+    sweeps = []
+    original = solvers.structured_inverse_sweep
+
+    def counting(degrees):
+        sweeps.append(list(degrees))
+        return original(degrees)
+
+    monkeypatch.setattr(solvers, "structured_inverse_sweep", counting)
+    clear_cache()
+    try:
+        run_projection("f1", 20, ["dft"])
+        assert sweeps == [list(range(21))]
+        for n in range(21):
+            apply, cap, mass = solvers._cache[("dft", n)]
+            assert cap == math.inf and mass is solvers._cache[("mass", n)]
+        run_projection("f2", 20, ["dft"])  # every entry cached: nothing is built
+        assert sweeps == [list(range(21)), []]
+        clear_cache()
+        assert not solvers._cache
+        run_random(20, 3, ["dft"])  # after clear_cache, the full build again
+        assert sweeps[-1] == list(range(21))
+        # past 509 the tables build no dft spectra up front (recorded, not built)
+        monkeypatch.setattr(solvers, "structured_inverse_sweep", lambda degrees: sweeps.append(degrees) or [])
+        clear_cache()
+        solvers._dft_sweep(515)
+        assert sweeps[-1] == list(range(510))
+    finally:
+        clear_cache()
+
+
+def test_eig_only_tables_make_no_dft_transform(monkeypatch):
+    from bernmass import solvers
+
+    calls = []
+    rfft = np.fft.rfft
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return rfft(*args, **kwargs)
+
+    monkeypatch.setattr(np.fft, "rfft", counting)
+    clear_cache()
+    try:
+        run_projection("f1", 20, ["eig"])
+        run_random(20, 7, ["eig"])
+        assert not calls
+        assert not any(key[0] == "dft" for key in solvers._cache)
+        run_projection("f1", 20, ["dft"])
+        assert calls
+    finally:
+        clear_cache()

@@ -108,6 +108,20 @@ def test_non_finite_rhs_rejected(method):
 
 
 @pytest.mark.parametrize("method", METHODS)
+def test_complex_rhs_rejected(method):
+    # refused, not solved for its real part with a ComplexWarning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for b in (np.ones(4) + 1j, np.ones(4, dtype=np.complex64), [1.0, 2.0, 3.0, 4j]):
+            with pytest.raises(ValueError, match="right-hand side is complex"):
+                solve(method, 3, b)
+    # other dtypes are converted to float64 as before
+    want = solve(method, 3, np.arange(4.0)).solution
+    for b in (np.arange(4), [0, 1, 2, 3], np.arange(4, dtype=np.float32)):
+        assert solve(method, 3, b).solution.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("method", METHODS)
 def test_rhs_near_top_of_double_range(method):
     # |b|_2 = 2.4e304: finite, or a typed refusal, never "not finite" and no
     # RuntimeWarning (pytest's filter turns one into an error)

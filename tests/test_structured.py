@@ -1,6 +1,7 @@
 """Circulant-embedded products, Bezout machinery, and the compressed
 inverse split."""
 
+import functools
 import math
 import warnings
 from fractions import Fraction
@@ -26,12 +27,12 @@ from bernmass.oracle import (
     toeplitz_dense,
 )
 from bernmass.structured import (
-    StructuredInverse,
     _squared_binomial_row,
     hankel_matvec,
     next_pow2,
     solve_dft,
     structured_inverse,
+    structured_inverse_sweep,
     toeplitz_matvec,
 )
 
@@ -267,6 +268,28 @@ def test_structured_inverse_metadata():
     assert "degree=6" in repr(si)
 
 
+def test_sweep_raises_the_single_build_error():
+    with pytest.raises(ValueError) as single:
+        structured_inverse(510)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError) as swept:
+            structured_inverse_sweep([508, 509, 510])
+    assert type(swept.value) is type(single.value)
+    assert str(swept.value) == str(single.value) == "circulant spectra overflow double precision at degree n=510"
+    # the squared binomials are checked, in the order given, before any spectrum
+    with pytest.raises(ValueError, match="squared binomial factors overflow .* n=600"):
+        structured_inverse_sweep([510, 600])
+
+
+def test_sweep_keeps_order_and_repeats():
+    degrees = [7, 3, 20, 3, 0, 7]
+    swept = structured_inverse_sweep(degrees)
+    assert [si.degree for si in swept] == degrees
+    assert swept[1] is swept[3]
+    assert structured_inverse_sweep([]) == []
+
+
 def test_structured_inverse_overflow_guards():
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # overflow is reported by the ValueError alone
@@ -300,13 +323,26 @@ def test_structured_inverse_bitwise_equal_to_comb_lists(n):
     band, anti = _comb_split_lists(n)
     t_col = np.array(band, dtype=float)
     h = np.array(anti, dtype=float)
-    with np.errstate(over="ignore"):
-        want = StructuredInverse(
-            n, t_col, np.arange(n + 1) * t_col, h, np.arange(1, 2 * n + 2) * h, binomial_diag(n)
-        )
+    s, plan = n + 1, next_pow2(2 * n + 2)
+    t_row = np.zeros(s)
+    t_row[0] = t_col[0]
+    with np.errstate(over="ignore", invalid="ignore"):
+        tt_col, ht = np.arange(n + 1) * t_col, np.arange(1, 2 * n + 2) * h
+        want = {
+            "t_col": t_col,
+            "tt_col": tt_col,
+            "h": h,
+            "ht": ht,
+            "binom_diag": binomial_diag(n),
+            "_t_hat": _spectrum_1d(t_col, t_row, plan),
+            "_tt_hat": _spectrum_1d(tt_col, np.zeros(s), plan),
+            "_h_hat": _spectrum_1d(h[s - 1 :], h[s - 1 :: -1], plan),
+            "_ht_hat": _spectrum_1d(ht[s - 1 :], ht[s - 1 :: -1], plan),
+        }
     got = structured_inverse(n)
-    for field in ("t_col", "tt_col", "h", "ht", "binom_diag", "_t_hat", "_tt_hat", "_h_hat", "_ht_hat"):
-        assert getattr(got, field).tobytes() == getattr(want, field).tobytes(), field
+    assert got.plan_size == plan
+    for field, value in want.items():
+        assert getattr(got, field).tobytes() == value.tobytes(), field
 
 
 # ---------------------------------------------------------------------------
@@ -351,9 +387,25 @@ def _right_hand_sides(n):
     yield rng.uniform(-1.0, 1.0, n + 1) * 1e-200
 
 
-@pytest.mark.parametrize("n", list(range(257)) + [300, 509])
-def test_spectra_bitwise_equal_to_one_rfft_each(n):
-    si = structured_inverse(n)
+_SPECTRA_DEGREES = list(range(259)) + [300, 509]
+
+
+@functools.lru_cache(maxsize=1)
+def _swept_spectra():
+    # one sweep over every degree 509..0, in descending order: the 254 degrees
+    # of plan size 1024 go through four blocks of at most 64 degrees
+    return {si.degree: si for si in structured_inverse_sweep(range(509, -1, -1))}
+
+
+@pytest.mark.parametrize(
+    "n, swept",
+    [pytest.param(n, False, id=str(n)) for n in _SPECTRA_DEGREES]
+    + [pytest.param(n, True, id=f"sweep-{n}") for n in _SPECTRA_DEGREES],
+)
+def test_spectra_bitwise_equal_to_one_rfft_each(n, swept):
+    si = _swept_spectra()[n] if swept else structured_inverse(n)
+    assert si.degree == n
+    assert si._h_pair.flags.c_contiguous and si._t_pair.flags.c_contiguous
     s, plan = n + 1, si.plan_size
     t_row = np.zeros(s)
     t_row[0] = si.t_col[0]
@@ -418,7 +470,16 @@ def test_fft_call_counts(monkeypatch):
     for n in (0, 5, 20, 25):
         del calls[:]
         si = structured_inverse(n)
-        assert calls == ["rfft"] * 4, n
+        assert calls == ["rfft"], n  # the four spectra in one 2-D transform
         del calls[:]
         solve_dft(si, np.ones(n + 1))
         assert sorted(calls) == ["irfft", "irfft", "rfft", "rfft"], n
+    # one transform per plan size: 2, 4, 8 (n = 2, 3), 16 (4..7), 32 (8..15), 64 (16..20)
+    del calls[:]
+    swept = structured_inverse_sweep(range(21))
+    assert calls == ["rfft"] * 6
+    assert [si.degree for si in swept] == list(range(21))
+    # a group of more degrees than one block holds (64 at plan size 1024) takes one call per block
+    del calls[:]
+    structured_inverse_sweep(range(256, 510))
+    assert calls == ["rfft"] * 4
