@@ -17,11 +17,11 @@ import sys
 
 import numpy as np
 
-from .bernstein import DegreeTooLargeError, mass_matrix
+from .bernstein import mass_matrix
 from .conditioning import kappa_2, kappa_m_to_2
 from .experiments import ExperimentRecord, render_csv, run_projection, run_random
 from .inverse import inverse_matrix
-from .solvers import NotPositiveDefiniteError, UnknownMethodError, canonical_method
+from .solvers import UnknownMethodError, canonical_method
 from .spectral import build_q, eigenvalues
 
 __all__ = ["main"]
@@ -123,13 +123,7 @@ def main(argv=None) -> int:
     except UnknownMethodError as exc:
         print(f"bernmass: {exc}", file=sys.stderr)
         return 2
-    except (
-        DegreeTooLargeError,
-        NotPositiveDefiniteError,
-        np.linalg.LinAlgError,
-        ValueError,
-        OverflowError,
-    ) as exc:
+    except (ValueError, np.linalg.LinAlgError, OverflowError) as exc:
         print(f"bernmass: {exc}", file=sys.stderr)
         return 3
 

@@ -9,8 +9,9 @@ term, and one basis matrix per degree gives both the moments b and each
 method's values at the quadrature nodes.  A second harness solves randomly
 generated systems and reports error/residual metrics per method against
 the exact solution of the rounded system, found in integer arithmetic.
-Records go to CSV with 17-significant-digit floats so runs are
-reproducible byte for byte.
+Both harnesses run one table loop, which solves, flags a failing method's
+cells nan and orders the columns.  Records go to CSV with 17-significant-
+digit floats so runs are reproducible byte for byte.
 """
 
 from __future__ import annotations
@@ -21,24 +22,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bernstein import (
-    BernsteinPoly,
-    DegreeTooLargeError,
-    _basis_from_powers,
-    _power_tables,
-    basis_values,
-    binomial_row,
-)
+from .bernstein import DegreeTooLargeError, _basis_from_powers, _power_tables, binomial_row
 from .inverse import hankel_inverse_exact
 from .quadrature import QuadratureRule, composite_gauss_legendre
 from .rng import Xorshift64Star
 from .solvers import (
-    _SQRT_TINY,
     METHODS,
     _dft_sweep,
     _m_norms,
     _mass,
-    _norm,
+    _scaled_norm,
     _spectral_sweep,
     canonical_method,
     metrics,
@@ -51,9 +44,6 @@ __all__ = [
     "FUNCTIONS",
     "COLUMN_TAGS",
     "default_rule",
-    "moments",
-    "function_norm",
-    "legendre_reference",
     "ExperimentRecord",
     "run_projection",
     "run_random",
@@ -91,19 +81,6 @@ def default_rule() -> QuadratureRule:
     return _RULE
 
 
-def moments(f, n: int, rule: QuadratureRule | None = None) -> np.ndarray:
-    """Right-hand side b_i = integral of f times the i-th degree-n basis function."""
-    rule = rule or default_rule()
-    fv = np.asarray(f(rule.nodes), dtype=float)
-    return (rule.weights * fv) @ basis_values(n, rule.nodes)
-
-
-def function_norm(f, rule: QuadratureRule | None = None) -> float:
-    """L2 norm of f over [0,1] under the moment rule."""
-    rule = rule or default_rule()
-    return _weighted_norm(rule.weights, np.asarray(f(rule.nodes), dtype=float))
-
-
 def _legendre_projections(fv, n_max: int, rule: QuadratureRule) -> list:
     """Bernstein coefficients of the Legendre-series projections of degree 0..n_max.
 
@@ -131,20 +108,6 @@ def _legendre_projections(fv, n_max: int, rule: QuadratureRule) -> list:
     return out
 
 
-def legendre_reference(f, n: int, rule: QuadratureRule | None = None) -> BernsteinPoly:
-    """Degree-n best approximation of f assembled from its Legendre series.
-
-    The orthogonal-series coefficients (2k+1) (f, L_k) only need numerical
-    integration, so this route never touches the mass matrix and serves as
-    the independent reference for the projection experiments.
-    """
-    if n < 0:
-        raise ValueError(f"degree must be nonnegative, got {n}")
-    rule = rule or default_rule()
-    fv = np.asarray(f(rule.nodes), dtype=float)
-    return BernsteinPoly(_legendre_projections(fv, n, rule)[n])
-
-
 @dataclass
 class ExperimentRecord:
     """One degree's worth of metrics; values keep their insertion order."""
@@ -158,17 +121,32 @@ def _ordered_methods(methods) -> list:
     return [m for m in METHODS if m in requested]
 
 
-def _weighted_norm(weights, e) -> float:
-    """sqrt(sum w e^2), as _norm takes a 2-norm: where that sum overflows (|e|
-    past about 1e154) or leaves the normal range (|e| below about 1e-154), e is
-    scaled by max|e| and the sum retaken."""
-    with np.errstate(over="ignore"):
-        nrm = math.sqrt(float(weights @ (e * e)))
-    if not _SQRT_TINY <= nrm < math.inf and e.size:
-        big = float(np.max(np.abs(e)))
-        if 0.0 < big < math.inf:
-            nrm = big * math.sqrt(float(weights @ (e / big) ** 2))
-    return nrm
+def _run_table(families, methods, n_max: int, rows) -> list:
+    """The table loop: one record per degree 0..n_max, columns family x method tag.
+
+    rows yields, per degree, (b, measure): each chosen method solves M x = b
+    and measure(report) gives its values in family order.  A method whose
+    solve fails reads nan in every family and the run continues.  The eig
+    Qs (for the M-norms) and, with dft among the methods, the dft spectra of
+    every degree are built up front, each by one batched sweep.
+    """
+    chosen = _ordered_methods(methods)
+    _spectral_sweep(n_max)
+    if "dft" in chosen:
+        _dft_sweep(n_max)
+    records = []
+    for n, (b, measure) in enumerate(rows):
+        cells = {}
+        for m in chosen:
+            try:
+                report = solve(m, n, b, max_degree=n_max)
+            except (ValueError, np.linalg.LinAlgError):
+                cells[m] = (math.nan,) * len(families)
+            else:
+                cells[m] = measure(report)
+        values = {f"{COLUMN_TAGS[m]}{fam}": cells[m][k] for k, fam in enumerate(families) for m in chosen}
+        records.append(ExperimentRecord(n, values))
+    return records
 
 
 def run_projection(func, n_max: int, methods=METHODS, rule: QuadratureRule | None = None) -> list:
@@ -182,39 +160,26 @@ def run_projection(func, n_max: int, methods=METHODS, rule: QuadratureRule | Non
     """
     f = FUNCTIONS[func] if isinstance(func, str) else func
     rule = rule or default_rule()
-    chosen = _ordered_methods(methods)
     fv = np.asarray(f(rule.nodes), dtype=float)
-    fnorm = _weighted_norm(rule.weights, fv)  # function_norm's value
-    _spectral_sweep(n_max)  # every degree's Q for Pifp, in one batched build
-    if "dft" in chosen:
-        _dft_sweep(n_max)  # every degree's dft spectra, batched by plan size
+    fnorm = _scaled_norm(fv, rule.weights)  # the L2 norm of f under the rule
     xp, yp = _power_tables(rule.nodes, n_max)
-    records = []
-    for n, ref in enumerate(_legendre_projections(fv, n_max, rule)):
-        # one basis matrix per degree, bitwise basis_values(n, nodes): the moments b
-        # exactly as `moments` forms them, and each method's values p = basis @ x_hat
-        basis = _basis_from_powers(n, xp, yp)
-        b = (rule.weights * fv) @ basis
-        ref_norm = _norm(ref)
-        per_method: dict = {m: {} for m in chosen}
-        for m in chosen:
-            try:
-                report = solve(m, n, b, max_degree=n_max)
-            except (ValueError, np.linalg.LinAlgError):
-                per_method[m] = dict.fromkeys(("fp", "Pifp", "err", "res"), float("nan"))
-                continue
-            x_hat = report.solution
-            fp = _weighted_norm(rule.weights, fv - basis @ x_hat) / fnorm
-            d = x_hat - ref
-            pifp = float(_m_norms(n, d)[0]) / fnorm
-            err = _norm(d) / ref_norm
-            per_method[m] = {"fp": fp, "Pifp": pifp, "err": err, "res": report.residual}
-        values = {}
-        for family in ("fp", "Pifp", "err", "res"):
-            for m in chosen:
-                values[f"{COLUMN_TAGS[m]}{family}"] = per_method[m][family]
-        records.append(ExperimentRecord(n, values))
-    return records
+
+    def rows():
+        for n, ref in enumerate(_legendre_projections(fv, n_max, rule)):
+            # one basis matrix per degree, bitwise basis_values(n, nodes): the
+            # moments b and each method's values p = basis @ x_hat
+            basis = _basis_from_powers(n, xp, yp)
+            ref_norm = _scaled_norm(ref)
+
+            def measure(report):
+                x_hat = report.solution
+                d = x_hat - ref
+                fp = _scaled_norm(fv - basis @ x_hat, rule.weights) / fnorm
+                return fp, float(_m_norms(n, d)[0]) / fnorm, _scaled_norm(d) / ref_norm, report.residual
+
+            yield (rule.weights * fv) @ basis, measure
+
+    return _run_table(("fp", "Pifp", "err", "res"), methods, n_max, rows())
 
 
 def reference_solution(n: int, b) -> np.ndarray:
@@ -259,32 +224,17 @@ def run_random(n_max: int, seed: int = 42, methods=METHODS) -> list:
     M-norm ("Merr"), together with the relative residual ("res").  A solver
     failure flags its three values as nan and the run continues.
     """
-    chosen = _ordered_methods(methods)
     gen = Xorshift64Star(seed)
-    _spectral_sweep(n_max)  # every degree's Q for Merr, in one batched build
-    if "dft" in chosen:
-        _dft_sweep(n_max)  # every degree's dft spectra, batched by plan size
-    records = []
-    for n in range(n_max + 1):
-        mm = _mass(n)  # the matrix solve() caches for its residuals
-        x_true = gen.uniform(-0.5, 0.5, n + 1)
-        b = mm @ x_true
-        x_ref = reference_solution(n, b)
-        per_method: dict = {}
-        for m in chosen:
-            try:
-                report = solve(m, n, b, max_degree=n_max)
-            except (ValueError, np.linalg.LinAlgError):
-                per_method[m] = dict.fromkeys(("L2err", "Merr", "res"), float("nan"))
-                continue
-            err2, errm, res = metrics(report.solution, x_ref, b, mm)
-            per_method[m] = {"L2err": err2, "Merr": errm, "res": res}
-        values = {}
-        for family in ("L2err", "Merr", "res"):
-            for m in chosen:
-                values[f"{COLUMN_TAGS[m]}{family}"] = per_method[m][family]
-        records.append(ExperimentRecord(n, values))
-    return records
+
+    def rows():
+        for n in range(n_max + 1):
+            mm = _mass(n)  # the matrix solve() caches for its residuals
+            x_true = gen.uniform(-0.5, 0.5, n + 1)
+            b = mm @ x_true
+            x_ref = reference_solution(n, b)
+            yield b, lambda report: metrics(report.solution, x_ref, b, mm)
+
+    return _run_table(("L2err", "Merr", "res"), methods, n_max, rows())
 
 
 def _format_value(v) -> str:

@@ -1,5 +1,5 @@
-"""Cross-check routes: exact rational arithmetic and the derivations of M^-1
-that the solvers do not run.
+"""Cross-check routes: exact rational arithmetic, the derivations of M^-1
+that the solvers do not run, and single-degree forms of the table inputs.
 
 The paper reaches the inverse mass matrix several ways; production keeps one
 per method, and every other route lives here for the tests and demos to hold
@@ -9,9 +9,13 @@ the production paths against:
   and Gauss-Jordan inversion over ``fractions.Fraction``;
 - the two published entry formulas of the inverse and its integer last
   column;
-- the Hankel inversion through a Bezoutian (Heinig & Rost) and the dense
-  Toeplitz/Hankel split of the inverse;
-- Q built by elevating each Legendre vector, in O(n^3).
+- the Hankel inversion through a Bezoutian (Heinig & Rost), the dense
+  Toeplitz/Hankel split of the inverse, and a Hankel product through the
+  FFT Toeplitz apply;
+- Q built by elevating each Legendre vector, in O(n^3);
+- the projection table's moments, function norm and Legendre reference
+  for one degree at a time, which run_projection forms for all its
+  degrees in one pass.
 
 Matrices are plain row-major lists of lists, so ints and Fractions stay
 exact.  Nothing in the package imports this module.
@@ -24,9 +28,12 @@ from fractions import Fraction
 
 import numpy as np
 
-from .bernstein import BernsteinPoly, binomial_row
+from .bernstein import BernsteinPoly, basis_values, binomial_row
+from .experiments import _legendre_projections, default_rule
+from .quadrature import QuadratureRule
+from .solvers import _scaled_norm
 from .spectral import SpectralDecomp, eigenvalues
-from .structured import _squared_binomial_row
+from .structured import _squared_binomial_row, toeplitz_matvec
 
 # Row-major rational matrix; plain ints are accepted anywhere a Fraction is.
 RationalMatrix = list[list[Fraction]]
@@ -276,6 +283,23 @@ def hankel_dense(antidiagonals):
     return [[antidiagonals[i + j] for j in range(s)] for i in range(s)]
 
 
+def hankel_matvec(antidiagonals, x) -> np.ndarray:
+    """Hankel product H x with H_{ij} = h_{i+j}, via the Toeplitz path.
+
+    Reversing x turns the anti-diagonal structure into a diagonal one, so the
+    product is a Toeplitz matvec with band h_{n}..h_{2n} down and h_{n}..h_0
+    across.
+    """
+    h = np.asarray(antidiagonals, dtype=float)
+    xv = np.asarray(x, dtype=float)
+    s = xv.size
+    if h.size != 2 * s - 1:
+        raise ValueError(
+            f"need 2n+1 anti-diagonals for an (n+1)-vector, got {h.size} and {s}"
+        )
+    return toeplitz_matvec(h[s - 1 :], h[s - 1 :: -1], xv[::-1])
+
+
 def bezout_matrix(u, v):
     """Bezout matrix of two polynomials given by monomial coefficients.
 
@@ -372,3 +396,34 @@ def structured_inverse_exact(n: int):
     h = hankel_dense(anti)
     hw = hankel_dense([(s + 1) * anti[s] for s in range(2 * n + 1)])
     return t, tw, h, hw
+
+
+# ---------------------------------------------------------------------------
+# the projection table's inputs, one degree at a time
+
+
+def moments(f, n: int, rule: QuadratureRule | None = None) -> np.ndarray:
+    """Right-hand side b_i = integral of f times the i-th degree-n basis function."""
+    rule = rule or default_rule()
+    fv = np.asarray(f(rule.nodes), dtype=float)
+    return (rule.weights * fv) @ basis_values(n, rule.nodes)
+
+
+def function_norm(f, rule: QuadratureRule | None = None) -> float:
+    """L2 norm of f over [0,1] under the moment rule."""
+    rule = rule or default_rule()
+    return _scaled_norm(np.asarray(f(rule.nodes), dtype=float), rule.weights)
+
+
+def legendre_reference(f, n: int, rule: QuadratureRule | None = None) -> BernsteinPoly:
+    """Degree-n best approximation of f assembled from its Legendre series.
+
+    The orthogonal-series coefficients (2k+1) (f, L_k) only need numerical
+    integration, so this route never touches the mass matrix and serves as
+    the independent reference for the projection experiments.
+    """
+    if n < 0:
+        raise ValueError(f"degree must be nonnegative, got {n}")
+    rule = rule or default_rule()
+    fv = np.asarray(f(rule.nodes), dtype=float)
+    return BernsteinPoly(_legendre_projections(fv, n, rule)[n])

@@ -212,16 +212,23 @@ def _solver(name: str, n: int) -> tuple:
 _SQRT_TINY = math.sqrt(sys.float_info.min)
 
 
-def _norm(v: np.ndarray) -> float:
-    # sqrt(v.v) as numpy.linalg.norm forms it, bit for bit, but np.vdot
-    # returns inf on overflow without a RuntimeWarning.  v.v overflows once
-    # |v| passes about 1e154 and leaves the normal range below about 1e-154
-    # (reading 0 from about 1e-162), so then v is scaled by max|v| and retaken
-    nrm = math.sqrt(np.vdot(v, v))
+def _scaled_norm(v: np.ndarray, weights=None) -> float:
+    """sqrt(v.v), bit for bit as numpy.linalg.norm forms it, or sqrt(sum w v^2).
+
+    Where the sum overflows (|v| past about 1e154) or leaves the normal
+    range (below about 1e-154; it reads 0 from about 1e-162), v is scaled by
+    max|v| and the sum retaken, once: v / max|v| has max 1.  np.vdot
+    overflows to inf unwarned, so only the weighted sum enters np.errstate.
+    """
+    if weights is None:
+        nrm = math.sqrt(np.vdot(v, v))
+    else:
+        with np.errstate(over="ignore"):
+            nrm = math.sqrt(float(weights @ (v * v)))
     if not _SQRT_TINY <= nrm < math.inf and v.size:
         big = float(np.max(np.abs(v)))
-        if 0.0 < big < math.inf:
-            nrm = big * math.sqrt(np.vdot(v / big, v / big))
+        if 0.0 < big < math.inf and big != 1.0:
+            nrm = big * _scaled_norm(v / big, weights)
     return nrm
 
 
@@ -262,7 +269,7 @@ def solve(method: str, n: int, b, max_degree: int = 25) -> SolveReport:
     if bv.shape != (n + 1,):
         raise ValueError(f"right-hand side shape {bv.shape} does not match degree {n}")
     # one norm serves as the finiteness check and the residual's scale
-    bnorm = _norm(bv)
+    bnorm = _scaled_norm(bv)
     if not math.isfinite(bnorm):
         raise ValueError(f"right-hand side is not finite (2-norm {bnorm})")
     if bnorm == 0.0:
@@ -273,7 +280,7 @@ def solve(method: str, n: int, b, max_degree: int = 25) -> SolveReport:
         x = apply(bv) if bnorm <= cap else _apply_unwarned(name, n, apply, bv)
         r = mass @ x
         r -= bv
-        residual = _norm(r) / bnorm
+        residual = _scaled_norm(r) / bnorm
         if not math.isfinite(residual):
             raise DegreeTooLargeError(
                 f"{name} solve at degree n={n} left double range (relative residual {residual})"
@@ -287,7 +294,7 @@ def _m_norms(n: int, *vectors) -> np.ndarray:
     Unlike sqrt(v^T M v), this never cancels: that quadratic form turns
     negative once the float M stops being numerically positive definite
     (n >= 30).  A column whose squares overflow or leave the normal range
-    is retaken by _norm, rescaled by its max|.|.
+    is retaken by _scaled_norm, rescaled by its max|.|.
     """
     spec = _spectral(n)
     coords = np.sqrt(spec.lam)[:, None] * (spec.q.T @ np.column_stack(vectors))
@@ -295,28 +302,28 @@ def _m_norms(n: int, *vectors) -> np.ndarray:
         norms = np.linalg.norm(coords, axis=0)
     for j, nrm in enumerate(norms.tolist()):
         if not _SQRT_TINY <= nrm < math.inf:
-            norms[j] = _norm(coords[:, j])
+            norms[j] = _scaled_norm(coords[:, j])
     return norms
 
 
 def metrics(x_hat, x_ref, b, m) -> tuple:
     """Relative 2-norm error, relative M-norm error, relative residual.
 
-    The 2-norms are _norm's, rescaled where v.v overflows; both M-norms
+    The 2-norms are _scaled_norm's, rescaled where v.v overflows; both M-norms
     come from _m_norms, through the degree's cached spectral decomposition;
     m feeds only the residual.
     """
     x_hat = np.asarray(x_hat, dtype=float)
     x_ref = np.asarray(x_ref, dtype=float)
     bv = np.asarray(b, dtype=float)
-    ref2 = _norm(x_ref)
+    ref2 = _scaled_norm(x_ref)
     if ref2 == 0.0:
         raise ValueError("reference solution has zero norm")
     d = x_hat - x_ref
-    err2 = _norm(d) / ref2
+    err2 = _scaled_norm(d) / ref2
     dm, rm = _m_norms(x_ref.size - 1, d, x_ref)
     errm = float(dm / rm)
-    bnorm = _norm(bv)
+    bnorm = _scaled_norm(bv)
     mm = np.asarray(m, dtype=float)
-    res = _norm(mm @ x_hat - bv) / bnorm if bnorm > 0.0 else 0.0
+    res = _scaled_norm(mm @ x_hat - bv) / bnorm if bnorm > 0.0 else 0.0
     return err2, errm, res

@@ -24,7 +24,6 @@ __all__ = [
     "build_q",
     "build_q_sweep",
     "solve_spectral",
-    "apply_mass_spectral",
 ]
 
 
@@ -157,8 +156,3 @@ def solve_spectral(d: SpectralDecomp, b) -> np.ndarray:
     b = np.asarray(b, dtype=float)
     return d.q @ ((d.q.T @ b) / d.lam)
 
-
-def apply_mass_spectral(d: SpectralDecomp, c) -> np.ndarray:
-    """Apply the mass matrix itself through the decomposition: Q diag(lam) Q^T c."""
-    c = np.asarray(c, dtype=float)
-    return d.q @ (d.lam * (d.q.T @ c))

@@ -7,9 +7,10 @@ and numpy's real FFT, giving an O(n log n) solve.  One builder,
 structured_inverse_sweep, makes the circulant spectra of a whole sweep of
 degrees: the degrees that share a plan size are transformed together, as
 rows of one 2-D rfft, and structured_inverse(n) is the sweep of [n]; the
-tables prefill their dft solves through it.  The dense split factors, the
-Bezout matrix and the Hankel inversion formula behind them are validation
-routes and live in bernmass.oracle.
+tables prefill their dft solves through it; from n = 510 it raises
+DegreeTooLargeError.  The dense split factors, the Bezout matrix, the
+Hankel inversion formula behind them and a Hankel product through
+toeplitz_matvec are validation routes and live in bernmass.oracle.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ from .spectral import _SWEEP_BLOCK
 __all__ = [
     "next_pow2",
     "toeplitz_matvec",
-    "hankel_matvec",
     "StructuredInverse",
     "structured_inverse",
     "structured_inverse_sweep",
@@ -63,23 +63,6 @@ def toeplitz_matvec(first_col, first_row, x) -> np.ndarray:
     c[:s] = col
     c[plan - s + 1 :] = row[:0:-1]
     return np.fft.irfft(np.fft.rfft(c) * np.fft.rfft(xv, plan), plan)[:s]
-
-
-def hankel_matvec(antidiagonals, x) -> np.ndarray:
-    """Hankel product H x with H_{ij} = h_{i+j}, via the Toeplitz path.
-
-    Reversing x turns the anti-diagonal structure into a diagonal one, so the
-    product is a Toeplitz matvec with band h_{n}..h_{2n} down and h_{n}..h_0
-    across.
-    """
-    h = np.asarray(antidiagonals, dtype=float)
-    xv = np.asarray(x, dtype=float)
-    s = xv.size
-    if h.size != 2 * s - 1:
-        raise ValueError(
-            f"need 2n+1 anti-diagonals for an (n+1)-vector, got {h.size} and {s}"
-        )
-    return toeplitz_matvec(h[s - 1 :], h[s - 1 :: -1], xv[::-1])
 
 
 # ---------------------------------------------------------------------------
@@ -131,9 +114,10 @@ _MAX_SPECTRA_DEGREE = 509
 def structured_inverse(n: int) -> StructuredInverse:
     """Build the compressed inverse factors for degree n: structured_inverse_sweep([n])[0].
 
-    Raises ValueError when the squared binomial factors (or their circulant
-    spectra) are not representable in doubles, which is from n = 510 on;
-    the overflow is reported by that error alone, not by numpy warnings.
+    Raises DegreeTooLargeError when the squared binomial factors (or their
+    circulant spectra) are not representable in doubles, which is from
+    n = 510 on; the overflow is reported by that error alone, not by numpy
+    warnings.
     """
     return structured_inverse_sweep([n])[0]
 
@@ -144,13 +128,9 @@ def _split_factors(n: int) -> tuple:
     try:
         row = np.array(_squared_binomial_row(n), dtype=float)
     except OverflowError:
-        raise ValueError(
+        raise DegreeTooLargeError(
             f"squared binomial factors overflow double precision at degree n={n}"
         ) from None
-    if not np.all(np.isfinite(row)):
-        raise ValueError(
-            f"squared binomial factors overflow double precision at degree n={n}"
-        )
     t_col = row[:-1]
     h = np.concatenate((row[1:], np.zeros(n)))
     with np.errstate(over="ignore"):
@@ -189,7 +169,7 @@ def structured_inverse_sweep(degrees) -> list:
     of at most spectral._SWEEP_BLOCK entries, and each block is one 2-D
     rfft, which numpy computes row by row exactly as it would 1-D calls;
     each degree's two pairs are views of its block's spectra.  Raises
-    structured_inverse's ValueError for the first degree, in the order
+    structured_inverse's DegreeTooLargeError for the first degree, in the order
     given, whose squared binomials overflow; failing that, for the first
     whose spectra do.
     """
@@ -212,7 +192,7 @@ def structured_inverse_sweep(degrees) -> list:
                 if not ok:
                     overflowed.add(n)
     for n in filter(overflowed.__contains__, factors):
-        raise ValueError(f"circulant spectra overflow double precision at degree n={n}")
+        raise DegreeTooLargeError(f"circulant spectra overflow double precision at degree n={n}")
     return [built[n] for n in degrees]
 
 

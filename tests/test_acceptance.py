@@ -20,7 +20,7 @@ from bernmass.conditioning import (
     op_norm_m_to_2,
     perturbation_study,
 )
-from bernmass.experiments import default_rule, f2, moments, run_projection, run_random
+from bernmass.experiments import default_rule, f2, run_projection, run_random
 from bernmass.inverse import inverse_matrix
 from bernmass.oracle import (
     build_q_by_elevation,
@@ -29,6 +29,7 @@ from bernmass.oracle import (
     inverse_entry_exact,
     mass_exact,
     mat_mul,
+    moments,
     rational_inverse,
     structured_inverse_exact,
     toeplitz_dense,

@@ -40,6 +40,26 @@ def test_no_production_module_imports_the_oracle():
         assert all(name.split(".")[-1] != "oracle" for name in _imported_modules(path)), path.name
 
 
+def test_every_production_definition_is_public_or_used():
+    # a top-level function or class that production code names nowhere outside
+    # its own body is dead, or a test-only helper that belongs in the oracle;
+    # docstrings and __all__ entries are strings, so they do not count
+    defined, used = set(), set()
+    for path in PACKAGE.glob("*.py"):
+        if path.name == "oracle.py":
+            continue
+        for stmt in ast.parse(path.read_text()).body:
+            owner = stmt.name if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)) else None
+            defined.add(owner)
+            nodes = list(ast.walk(stmt))
+            refs = {n.id for n in nodes if isinstance(n, ast.Name)}
+            used |= (refs | {n.attr for n in nodes if isinstance(n, ast.Attribute)}) - {owner}
+    defined.discard(None)
+    assert len(defined) >= 60
+    unused = defined - used - set(bernmass.__all__)
+    assert not unused, sorted(unused)
+
+
 def test_public_names_resolve():
     assert len(bernmass.__all__) == len(set(bernmass.__all__)) == 47
     for name in bernmass.__all__:

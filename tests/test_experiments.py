@@ -16,17 +16,13 @@ from bernmass.experiments import (
     default_rule,
     f1,
     f2,
-    function_norm,
-    legendre_reference,
-    moments,
     reference_solution,
     render_csv,
     run_projection,
     run_random,
     write_csv,
 )
-from bernmass.oracle import mass_exact, rational_solve
-from bernmass.quadrature import integrate
+from bernmass.oracle import function_norm, legendre_reference, mass_exact, moments, rational_solve
 from bernmass.inverse import hankel_inverse_exact
 from bernmass.solvers import NotPositiveDefiniteError, cholesky_factor, clear_cache, metrics, solve
 from bernmass.bernstein import mass_matrix
@@ -100,7 +96,8 @@ def test_run_projection_degree_zero():
     assert len(recs) == 1
     rec = recs[0]
     # degree-0 projection is the mean; all methods coincide on a 1x1 system
-    mean = integrate(f2, default_rule())
+    rule = default_rule()
+    mean = float(rule.weights @ f2(rule.nodes))
     x = solve("direct", 0, moments(f2, 0)).solution
     assert x[0] == pytest.approx(mean, rel=1e-14)
     vals = [rec.values[k] for k in ("directfp", "DFTfp", "Eigfp", "chofp")]
@@ -245,10 +242,9 @@ def test_render_csv_rejects_mismatched_records():
 
 
 def test_function_norm_positive():
+    rule = default_rule()
     assert function_norm(f1) > 0.1
-    assert function_norm(f2) == pytest.approx(
-        math.sqrt(integrate(lambda x: f2(x) ** 2, default_rule())), rel=1e-14
-    )
+    assert function_norm(f2) == pytest.approx(math.sqrt(float(rule.weights @ f2(rule.nodes) ** 2)), rel=1e-14)
 
 
 def test_function_norm_rescales_where_squares_leave_double_range():

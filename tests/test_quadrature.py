@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from bernmass.quadrature import QuadratureRule, composite_gauss_legendre, gauss_legendre, integrate
+from bernmass.quadrature import QuadratureRule, composite_gauss_legendre, gauss_legendre
 
 
 def test_one_point_rule_is_midpoint():
@@ -55,7 +55,7 @@ def test_weights_positive_and_normalized(m):
 def test_polynomial_exactness(m):
     r = gauss_legendre(m)
     for k in range(2 * m):
-        got = integrate(lambda x: x**k, r)
+        got = float(r.weights @ r.nodes**k)
         assert got == pytest.approx(1.0 / (k + 1), rel=1e-13), (m, k)
 
 
@@ -84,11 +84,11 @@ def test_composite_rule_self_convergence():
         lambda x: 1.0 / (1.0 + 396.0 * (x - 0.5) ** 2),
         lambda x: 0.01 + x / (x * x + 1.0),
     ):
-        a = integrate(f, coarse)
-        b = integrate(f, fine)
+        a = float(coarse.weights @ f(coarse.nodes))
+        b = float(fine.weights @ f(fine.nodes))
         assert abs(a - b) <= 1e-15 * max(1.0, abs(b))
 
 
 def test_integrate_simple():
     r = composite_gauss_legendre(8, 2)
-    assert integrate(np.exp, r) == pytest.approx(math.e - 1.0, rel=1e-14)
+    assert float(r.weights @ np.exp(r.nodes)) == pytest.approx(math.e - 1.0, rel=1e-14)

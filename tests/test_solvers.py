@@ -21,7 +21,7 @@ from bernmass.solvers import (
     DegreeRangeError,
     NotPositiveDefiniteError,
     UnknownMethodError,
-    _norm,
+    _scaled_norm,
     canonical_method,
     cholesky_factor,
     clear_cache,
@@ -166,10 +166,45 @@ def test_norm_unchanged_where_squares_are_normal():
     rng = np.random.default_rng(5)
     for e in range(-150, 151, 10):
         v = rng.standard_normal(7) * 10.0**e
-        assert _norm(v) == math.sqrt(np.vdot(v, v)), e
-    assert _norm(np.array([2.0**-511])) == 2.0**-511  # v.v is the smallest normal double
-    assert _norm(np.array([3.0, 4.0]) * 2.0**-600) == 5.0 * 2.0**-600
-    assert _norm(np.zeros(3)) == 0.0
+        assert _scaled_norm(v) == math.sqrt(np.vdot(v, v)), e
+    assert _scaled_norm(np.array([2.0**-511])) == 2.0**-511  # v.v is the smallest normal double
+    assert _scaled_norm(np.array([3.0, 4.0]) * 2.0**-600) == 5.0 * 2.0**-600
+    assert _scaled_norm(np.zeros(3)) == 0.0
+
+
+def test_weighted_norm_unchanged_where_sums_are_normal():
+    # sqrt(w.v^2) bit for bit where the sum is normal; rescaled where v^2 leaves range
+    rng = np.random.default_rng(6)
+    w = rng.uniform(0.01, 1.0, 9)
+    for e in range(-150, 151, 10):
+        v = rng.standard_normal(9) * 10.0**e
+        assert _scaled_norm(v, w) == math.sqrt(w @ (v * v)), e
+    v = rng.standard_normal(9)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for scale in (1e-200, 1e200):
+            assert _scaled_norm(scale * v, w) == pytest.approx(scale * _scaled_norm(v, w), rel=1e-15)
+    assert _scaled_norm(np.zeros(3), w[:3]) == 0.0
+    # all of v under a zero weight: the sum stays 0 after the one rescale
+    assert _scaled_norm(np.array([1e-200, 0.0]), np.array([0.0, 1.0])) == 0.0
+
+
+@pytest.mark.parametrize("method", ["direct", "eig", "cho"])
+def test_warm_solve_enters_no_errstate(monkeypatch, method):
+    entered = []
+    errstate = np.errstate
+
+    def counting(**kwargs):
+        entered.append(kwargs)
+        return errstate(**kwargs)
+
+    b = np.linspace(-1.0, 1.0, 21)
+    solve(method, 20, b)
+    monkeypatch.setattr(np, "errstate", counting)
+    solve(method, 20, b)
+    assert entered == []
+    _scaled_norm(b, np.ones(21))  # the weighted norm does, so the count sees solvers' calls
+    assert entered == [{"over": "ignore"}]
 
 
 @pytest.mark.parametrize("method", ["direct", "eig", "cho"])
@@ -196,10 +231,10 @@ def test_cho_overflow_refused_unwarned_below_cap_unchanged():
                     try:
                         x = solve("cho", n, b, max_degree=29).solution
                     except DegreeTooLargeError:
-                        assert _norm(b) > cap, (n, e)
+                        assert _scaled_norm(b) > cap, (n, e)
                         continue
                     assert np.all(np.isfinite(x)), (n, e)
-                    if _norm(b) <= cap:
+                    if _scaled_norm(b) <= cap:
                         assert x.tobytes() == solve_cholesky(factor, b).tobytes(), (n, e)
 
 
@@ -387,7 +422,7 @@ def test_residual_norm_overflow_is_rescaled(method, n, rhs):
 def _oracle(method, n, b):
     # the explicit per-method apply, then |M x - b| / |b|, each built afresh
     bv = np.asarray(b, dtype=float)
-    if _norm(bv) == 0.0:
+    if _scaled_norm(bv) == 0.0:
         # the b = 0 shortcut; the 1e-200 rows, whose b.b underflows, reach the apply
         return np.zeros(n + 1), 0.0
     mm = mass_matrix(n).matrix
@@ -399,7 +434,7 @@ def _oracle(method, n, b):
         x = solve_spectral(build_q(n), bv)
     else:
         x = solve_cholesky(cholesky_factor(mm), bv)
-    return x, _norm(mm @ x - bv) / _norm(bv)
+    return x, _scaled_norm(mm @ x - bv) / _scaled_norm(bv)
 
 
 def _oracle_rhs(n):
@@ -435,7 +470,8 @@ def test_solve_bitwise_equal_to_per_method_oracle(method):
          "direct solve at degree n=583 left double range (its apply overflowed)"),
         ("dft", 257, DegreeTooLargeError,
          "structured inverse products overflow double precision at degree n=257"),
-        ("dft", 510, ValueError, "circulant spectra overflow double precision at degree n=510"),
+        ("dft", 510, DegreeTooLargeError,
+         "circulant spectra overflow double precision at degree n=510"),
     ],
 )
 def test_refusals_keep_type_and_message(method, n, error, message):

@@ -18,6 +18,7 @@ from bernmass.oracle import (
     hankel_dense,
     hankel_extension,
     hankel_inverse_entry,
+    hankel_matvec,
     heinig_rost_inverse,
     identity_exact,
     mass_exact,
@@ -28,7 +29,6 @@ from bernmass.oracle import (
 )
 from bernmass.structured import (
     _squared_binomial_row,
-    hankel_matvec,
     next_pow2,
     solve_dft,
     structured_inverse,
