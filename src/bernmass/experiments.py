@@ -28,13 +28,14 @@ from .quadrature import QuadratureRule, composite_gauss_legendre
 from .rng import Xorshift64Star
 from .solvers import (
     METHODS,
+    _checked_rhs,
     _dft_sweep,
+    _errors,
     _m_norms,
     _mass,
     _scaled_norm,
     _spectral_sweep,
     canonical_method,
-    metrics,
     solve,
 )
 
@@ -190,9 +191,11 @@ def reference_solution(n: int, b) -> np.ndarray:
     of b and L = lcm C(n,i), y_i = 2^e L b_i / C(n,i) is an integer, so
     x_i = (H^-1 y)_i / (C(n,i) 2^e L) is one integer quotient, which int/int
     division rounds correctly.  An entry past double range raises
-    DegreeTooLargeError, as solve does (for b = sin(0..n) from n = 538).
+    DegreeTooLargeError, as solve does (for b = sin(0..n) from n = 538), and
+    a b that solve refuses raises its ValueError.
     """
-    ratios = [v.as_integer_ratio() for v in np.asarray(b, dtype=float).tolist()]
+    bv, _ = _checked_rhs(n, b)
+    ratios = [v.as_integer_ratio() for v in bv.tolist()]
     e = max(den.bit_length() for _, den in ratios) - 1
     binom = binomial_row(n)
     lcm = math.lcm(*binom)
@@ -232,7 +235,8 @@ def run_random(n_max: int, seed: int = 42, methods=METHODS) -> list:
             x_true = gen.uniform(-0.5, 0.5, n + 1)
             b = mm @ x_true
             x_ref = reference_solution(n, b)
-            yield b, lambda report: metrics(report.solution, x_ref, b, mm)
+            # metrics' two errors; its residual is the one solve reported
+            yield b, lambda report: (*_errors(report.solution, x_ref), report.residual)
 
     return _run_table(("L2err", "Merr", "res"), methods, n_max, rows())
 

@@ -21,7 +21,13 @@ import numpy as np
 from .bernstein import _MAX_DEGREE, DegreeTooLargeError, mass_matrix
 from .inverse import _hankel_inverse_band, inverse_matrix
 from .spectral import SpectralDecomp, build_q, build_q_sweep, eigenvalues, solve_spectral
-from .structured import _MAX_SPECTRA_DEGREE, solve_dft, structured_inverse, structured_inverse_sweep
+from .structured import (
+    _MAX_SPECTRA_DEGREE,
+    _dft_apply,
+    _products_overflowed,
+    structured_inverse,
+    structured_inverse_sweep,
+)
 
 __all__ = [
     "METHODS",
@@ -153,10 +159,25 @@ def _spectral_sweep(n_max: int) -> None:
         _cached("spectral", spec.degree, lambda _, built=spec: built)
 
 
+def _dft_cap(si) -> float:
+    """The |b|_2 up to which _dft_apply(si, b) cannot overflow, in closed form."""
+    n, s = si.degree, si.degree + 1
+    # A circulant spectrum is at most its column's l1 norm: the squared
+    # binomials of H and of T each sum to below k = C(2n+2, n+1) = 2 kappa_2(n),
+    # and Ht and Tt weight them by at most n+1.  So, with B = |b/D|_1 <= sqrt(s) |b|_2,
+    # rfft(b/D) is at most B, its products with the H spectra s k B, and so is
+    # each entry of H y and Ht y; their first s entries sum to s^2 k B, which
+    # the T spectra raise to s^3 k^2 B.  An unnormalised irfft sum of plan
+    # terms grows that by plan at most, so no intermediate passes
+    # plan s^3.5 k^2 |b|_2, kept below half the largest double
+    k = math.comb(2 * n + 2, n + 1)
+    return _HALF_MAX / k / k / (si.plan_size * s**3.5)
+
+
 def _dft_entry(si) -> tuple:
-    """_solver's dft entry: an apply that finds solve_dft when called, no cap
-    (solve_dft refuses its own overflow), and M."""
-    return (lambda bv: solve_dft(si, bv)), math.inf, _mass(si.degree)
+    """_solver's dft entry: an apply that finds solve_dft's bare kernel,
+    _dft_apply, when called, _dft_cap, and M."""
+    return (lambda bv: _dft_apply(si, bv)), _dft_cap(si), _mass(si.degree)
 
 
 def _dft_sweep(n_max: int) -> None:
@@ -178,12 +199,15 @@ def _spectral_checked(n: int) -> SpectralDecomp:
 
 
 def _overflowed(name: str, n: int) -> DegreeTooLargeError:
+    if name == "dft":
+        return _products_overflowed(n)
     return DegreeTooLargeError(f"{name} solve at degree n={n} left double range (its apply overflowed)")
 
 
 def _solver(name: str, n: int) -> tuple:
     """(apply, cap, M): x = apply(b) cannot overflow while |b|_2 <= cap, and M
-    gives the residual.  Each apply finds its function when called, patched or not."""
+    gives the residual.  Every method's apply is capped (dft's by _dft_entry),
+    and each finds its function when called, patched or not."""
     if name == "dft":
         return _dft_entry(structured_inverse(n))
     if name == "direct":
@@ -242,25 +266,10 @@ def _apply_unwarned(name: str, n: int, apply, bv: np.ndarray) -> np.ndarray:
     return x
 
 
-def solve(method: str, n: int, b, max_degree: int = 25) -> SolveReport:
-    """Solve M x = b at degree n with the chosen method.
-
-    Accepts canonical method names and their long aliases; metrics() gives
-    the errors against a reference solution.  A complex right-hand side, or
-    one with a nan or inf entry, raises ValueError, for every method; so
-    does a finite one whose 2-norm overflows (not merely b.b: like the
-    residual's, from n near 286 for b of order one, it is rescaled by
-    max|b|, as it is where b.b underflows, so a tiny nonzero b is not read
-    as 0).  A solution whose
-    residual is not finite raises DegreeTooLargeError; so does an
-    overflowing direct apply (from n = 510 or so for b of order one), eig
-    or cho apply (b near the top of double range), and eig, before
-    dividing, once the smallest eigenvalue is not a normal double (from
-    n = 509).  b = 0 gives x = 0.
-    """
-    name = canonical_method(method)
-    if not 0 <= n <= max_degree:
-        raise DegreeRangeError(f"degree {n} outside allowed range [0, {max_degree}]")
+def _checked_rhs(n: int, b) -> tuple:
+    """(b as float64, |b|_2) for a degree-n right-hand side; ValueError for a
+    complex b, one not of shape (n+1,), and one with a nan or inf entry or
+    whose 2-norm overflows."""
     bv = np.asarray(b)
     if bv.dtype is not _FLOAT64:  # a float64 b, as every warm solve passes, skips both
         if bv.dtype.kind == "c":
@@ -272,6 +281,32 @@ def solve(method: str, n: int, b, max_degree: int = 25) -> SolveReport:
     bnorm = _scaled_norm(bv)
     if not math.isfinite(bnorm):
         raise ValueError(f"right-hand side is not finite (2-norm {bnorm})")
+    return bv, bnorm
+
+
+def solve(method: str, n: int, b, max_degree: int = 25) -> SolveReport:
+    """Solve M x = b at degree n with the chosen method.
+
+    Accepts canonical method names and their long aliases; metrics() gives
+    the errors against a reference solution.  A complex right-hand side, or
+    one with a nan or inf entry, raises ValueError, for every method; so
+    does a finite one whose 2-norm overflows (not merely b.b: like the
+    residual's, from n near 286 for b of order one, it is rescaled by
+    max|b|, as it is where b.b underflows, so a tiny nonzero b is not read
+    as 0).  A solution whose
+    residual is not finite raises DegreeTooLargeError; so does an
+    overflowing direct apply (from n = 510 or so for b of order one), dft
+    apply (from n = 257 for b of order one), eig or cho apply (b near the
+    top of double range), and eig, before dividing, once the smallest
+    eigenvalue is not a normal double (from n = 509).  Each method's apply
+    runs bare while |b|_2 is within the cap below which it cannot overflow,
+    and past it under np.errstate with a finiteness check.  b = 0 gives
+    x = 0.
+    """
+    name = canonical_method(method)
+    if not 0 <= n <= max_degree:
+        raise DegreeRangeError(f"degree {n} outside allowed range [0, {max_degree}]")
+    bv, bnorm = _checked_rhs(n, b)
     if bnorm == 0.0:
         # M is nonsingular, so x = 0; nothing is built, no method can form 0/0
         x, residual = np.zeros(n + 1), 0.0
@@ -306,6 +341,16 @@ def _m_norms(n: int, *vectors) -> np.ndarray:
     return norms
 
 
+def _errors(x_hat: np.ndarray, x_ref: np.ndarray) -> tuple:
+    """metrics' relative 2-norm and M-norm errors of x_hat against x_ref."""
+    ref2 = _scaled_norm(x_ref)
+    if ref2 == 0.0:
+        raise ValueError("reference solution has zero norm")
+    d = x_hat - x_ref
+    dm, rm = _m_norms(x_ref.size - 1, d, x_ref)
+    return _scaled_norm(d) / ref2, float(dm / rm)
+
+
 def metrics(x_hat, x_ref, b, m) -> tuple:
     """Relative 2-norm error, relative M-norm error, relative residual.
 
@@ -314,15 +359,8 @@ def metrics(x_hat, x_ref, b, m) -> tuple:
     m feeds only the residual.
     """
     x_hat = np.asarray(x_hat, dtype=float)
-    x_ref = np.asarray(x_ref, dtype=float)
+    err2, errm = _errors(x_hat, np.asarray(x_ref, dtype=float))
     bv = np.asarray(b, dtype=float)
-    ref2 = _scaled_norm(x_ref)
-    if ref2 == 0.0:
-        raise ValueError("reference solution has zero norm")
-    d = x_hat - x_ref
-    err2 = _scaled_norm(d) / ref2
-    dm, rm = _m_norms(x_ref.size - 1, d, x_ref)
-    errm = float(dm / rm)
     bnorm = _scaled_norm(bv)
     mm = np.asarray(m, dtype=float)
     res = _scaled_norm(mm @ x_hat - bv) / bnorm if bnorm > 0.0 else 0.0

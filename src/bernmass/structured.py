@@ -196,6 +196,22 @@ def structured_inverse_sweep(degrees) -> list:
     return [built[n] for n in degrees]
 
 
+def _products_overflowed(n: int) -> DegreeTooLargeError:
+    return DegreeTooLargeError(f"structured inverse products overflow double precision at degree n={n}")
+
+
+def _dft_apply(si: StructuredInverse, bv: np.ndarray) -> np.ndarray:
+    """solve_dft's four FFT calls and descaling, bare: bv is a float64 vector of
+    the right length, and nothing checks or silences an overflow."""
+    s = si.degree + 1
+    plan = si.plan_size
+    rev_hat = np.fft.rfft((bv / si.binom_diag)[::-1], plan)
+    # rows H y and Ht y, then Tt H y and T Ht y
+    hy = np.fft.irfft(si._h_pair * rev_hat, plan)[:, :s]
+    w = np.fft.irfft(si._t_pair * np.fft.rfft(hy, plan), plan)
+    return (w[0, :s] - w[1, :s]) / si.binom_diag
+
+
 def solve_dft(si: StructuredInverse, b) -> np.ndarray:
     """Apply the inverse mass matrix entirely through FFT matvecs.
 
@@ -210,19 +226,11 @@ def solve_dft(si: StructuredInverse, b) -> np.ndarray:
     n = 257 on for right-hand sides of order one), instead of returning nan.
     """
     bv = np.asarray(b, dtype=float)
-    s = si.degree + 1
-    if bv.size != s:
+    if bv.size != si.degree + 1:
         raise ValueError(f"vector length {bv.size} does not match degree {si.degree}")
-    plan = si.plan_size
     # overflow here is detected afterwards, not warned about per entry
     with np.errstate(over="ignore", invalid="ignore"):
-        rev_hat = np.fft.rfft((bv / si.binom_diag)[::-1], plan)
-        # rows H y and Ht y, then Tt H y and T Ht y
-        hy = np.fft.irfft(si._h_pair * rev_hat, plan)[:, :s]
-        w = np.fft.irfft(si._t_pair * np.fft.rfft(hy, plan), plan)
-        x = (w[0, :s] - w[1, :s]) / si.binom_diag
+        x = _dft_apply(si, bv)
     if not np.all(np.isfinite(x)):
-        raise DegreeTooLargeError(
-            f"structured inverse products overflow double precision at degree n={si.degree}"
-        )
+        raise _products_overflowed(si.degree)
     return x

@@ -11,6 +11,7 @@ import pytest
 from bernmass import experiments
 from bernmass.bernstein import BernsteinPoly, DegreeTooLargeError, evaluate
 from bernmass.experiments import (
+    COLUMN_TAGS,
     ExperimentRecord,
     _legendre_projections,
     default_rule,
@@ -26,6 +27,8 @@ from bernmass.oracle import function_norm, legendre_reference, mass_exact, momen
 from bernmass.inverse import hankel_inverse_exact
 from bernmass.solvers import NotPositiveDefiniteError, cholesky_factor, clear_cache, metrics, solve
 from bernmass.bernstein import mass_matrix
+from bernmass.rng import Xorshift64Star
+from bernmass.structured import next_pow2
 
 
 def test_target_functions_pointwise():
@@ -197,6 +200,22 @@ def test_reference_solution_overflow_is_typed(monkeypatch, capsys):
     monkeypatch.setattr(cli, "run_random", lambda n_max, seed: [reference_solution(539, np.sin(np.arange(540.0)))])
     assert cli.main(["random"]) == 3
     assert "left double range" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "b",
+    [[1.0, 2.0], [1, 2, 3, 4, 5], np.ones((4, 1)), 1.0, [0.5, np.inf, 0.5, 0.5], [0.5, -np.inf, 0.5, 0.5],
+     [np.nan, 0.5, 0.5, 0.5], np.full(4, 1e308), np.ones(4) + 1j, [1.0, 2.0, 3.0, 4j]],
+    ids=["short", "long", "column", "scalar", "inf", "-inf", "nan", "norm-overflows", "complex", "complex-list"],
+)
+def test_reference_solution_refuses_as_solve_does(b):
+    # once a short or long b was truncated by zip and answered, inf raised a
+    # bare OverflowError and nan numpy's "cannot convert NaN to integer ratio"
+    with pytest.raises(ValueError) as want:
+        solve("direct", 3, b)
+    with pytest.raises(ValueError) as got:
+        reference_solution(3, b)
+    assert type(got.value) is type(want.value) and str(got.value) == str(want.value)
 
 
 def test_csv_rendering_and_round_trip():
@@ -414,6 +433,40 @@ def test_run_random_assembles_each_mass_matrix_once(monkeypatch):
     assert built == list(range(9))
 
 
+def test_run_random_forms_one_residual_per_cell(monkeypatch):
+    # M x_hat - b is formed once per cell, by solve; the table takes report.residual
+    from bernmass import solvers
+
+    products = []
+
+    class Counting(np.ndarray):
+        def __matmul__(self, other):
+            products.append(np.ndim(other))
+            return self.view(np.ndarray) @ other
+
+    monkeypatch.setattr(solvers, "mass_matrix", lambda n: type("Assembled", (), {"matrix": mass_matrix(n).matrix.view(Counting)}))
+    # the package's own conversions keep the subclass, so every product with
+    # the cached M counts, wherever it is formed
+    monkeypatch.setattr(np, "asarray", np.asanyarray)
+    solvers.clear_cache()
+    try:
+        recs = run_random(12, seed=5)
+    finally:
+        solvers.clear_cache()
+    # per degree: b = M x_true, then one residual for each of the four methods
+    assert products == [1] * (13 * (1 + len(solvers.METHODS)))
+    monkeypatch.undo()
+    # and every cell is metrics' value, bit for bit
+    gen = Xorshift64Star(5)
+    for rec in recs:
+        n, mm = rec.degree, mass_matrix(rec.degree).matrix
+        b = mm @ gen.uniform(-0.5, 0.5, n + 1)
+        x_ref = reference_solution(n, b)
+        for m, tag in COLUMN_TAGS.items():
+            want = metrics(solve(m, n, b, max_degree=12).solution, x_ref, b, mm)
+            assert tuple(rec.values[tag + col] for col in ("L2err", "Merr", "res")) == want, (m, n)
+
+
 def test_random_table_builds_each_band_once():
     # the exact reference and the direct solve of a degree share one Bezoutian band
     builds = []
@@ -492,7 +545,9 @@ def test_dft_prefill_entries_and_clear_cache(monkeypatch):
         assert sweeps == [list(range(21))]
         for n in range(21):
             apply, cap, mass = solvers._cache[("dft", n)]
-            assert cap == math.inf and mass is solvers._cache[("mass", n)]
+            k = math.comb(2 * n + 2, n + 1)
+            assert cap == sys.float_info.max / 2.0 / k / k / (next_pow2(2 * n + 2) * (n + 1) ** 3.5)
+            assert mass is solvers._cache[("mass", n)]
         run_projection("f2", 20, ["dft"])  # every entry cached: nothing is built
         assert sweeps == [list(range(21)), []]
         clear_cache()

@@ -1,0 +1,101 @@
+"""Every solve method, every alias and the exact reference take and refuse b alike."""
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from bernmass.experiments import reference_solution
+from bernmass.solvers import METHOD_ALIASES, solve
+
+# each name of METHOD_ALIASES, through solve, and the exact reference
+ROUTES = {name: (lambda n, b, name=name: solve(name, n, b).solution) for name in sorted(METHOD_ALIASES)}
+ROUTES["reference_solution"] = reference_solution
+
+SETTINGS = settings(max_examples=40, deadline=None, derandomize=True, database=None)
+
+degrees = st.integers(0, 12)
+finite = st.floats(-1e3, 1e3, allow_nan=False)
+
+
+def _outcome(route, n, b):
+    try:
+        route(n, b)
+    except Exception as exc:  # compared across routes below
+        return type(exc), str(exc)
+    return None
+
+
+def _same_refusal(n, b):
+    outcomes = {name: _outcome(route, n, b) for name, route in ROUTES.items()}
+    first = outcomes["direct"]
+    assert first is not None and first[0] is ValueError, outcomes
+    assert all(o == first for o in outcomes.values()), outcomes
+
+
+@SETTINGS
+@given(degrees.flatmap(lambda n: st.lists(st.integers(-1000, 1000), min_size=n + 1, max_size=n + 1)
+                        | st.lists(st.booleans(), min_size=n + 1, max_size=n + 1)))
+def test_ints_bools_and_lists_taken_as_float64(values):
+    n = len(values) - 1
+    b = np.array(values, dtype=float)
+    for name, route in ROUTES.items():
+        want = route(n, b).tobytes()
+        for form in (values, tuple(values), np.array(values), np.array(values, dtype=np.int32), b.tolist()):
+            assert route(n, form).tobytes() == want, (name, form)
+        if name in METHOD_ALIASES:  # an alias answers as its method does
+            assert want == ROUTES[METHOD_ALIASES[name]](n, b).tobytes(), name
+
+
+@SETTINGS
+@given(degrees.flatmap(lambda n: st.tuples(
+    st.lists(finite, min_size=n + 1, max_size=n + 1),
+    st.integers(0, n),
+    st.sampled_from([np.nan, np.inf, -np.inf]),
+)))
+def test_non_finite_entries_refused_alike(case):
+    values, at, bad = case
+    values[at] = bad
+    _same_refusal(len(values) - 1, np.array(values))
+    _same_refusal(len(values) - 1, values)
+
+
+@SETTINGS
+@given(degrees.flatmap(lambda n: st.tuples(
+    st.lists(finite, min_size=n + 1, max_size=n + 1),
+    st.sampled_from([np.complex64, np.complex128, "list"]),
+)))
+def test_complex_refused_alike(case):
+    values, kind = case
+    n = len(values) - 1
+    if kind == "list":
+        _same_refusal(n, values[:-1] + [complex(values[-1], 1.0)])
+    else:
+        _same_refusal(n, np.array(values, dtype=kind))
+
+
+@SETTINGS
+@given(degrees, finite, st.sampled_from(["float", "int", "numpy", "0-d array"]))
+def test_zero_dimensional_refused_alike(n, value, kind):
+    b = {"float": value, "int": int(value), "numpy": np.float64(value), "0-d array": np.array(value)}[kind]
+    _same_refusal(n, b)
+
+
+@SETTINGS
+@given(degrees, st.integers(0, 15), st.sampled_from(["vector", "column", "row"]))
+def test_wrong_shape_refused_alike(n, size, layout):
+    if layout == "vector":
+        if size == n + 1:
+            size += 1
+        b = np.ones(size)
+    else:
+        b = np.ones((n + 1, 1) if layout == "column" else (1, n + 1))
+    _same_refusal(n, b)
+
+
+@SETTINGS
+@given(degrees, st.sampled_from(["zeros", "negative zeros", "int list"]))
+def test_zero_rhs_answered_with_zeros(n, kind):
+    b = {"zeros": np.zeros(n + 1), "negative zeros": np.full(n + 1, -0.0), "int list": [0] * (n + 1)}[kind]
+    for name, route in ROUTES.items():
+        x = route(n, b)
+        assert x.dtype == np.float64 and x.shape == (n + 1,) and not x.any(), name

@@ -30,7 +30,7 @@ from bernmass.solvers import (
     solve_cholesky,
 )
 from bernmass.spectral import build_q, eigenvalues, solve_spectral
-from bernmass.structured import solve_dft, structured_inverse
+from bernmass.structured import solve_dft, structured_inverse, structured_inverse_sweep
 
 
 def exact_solution(n, b):
@@ -189,7 +189,7 @@ def test_weighted_norm_unchanged_where_sums_are_normal():
     assert _scaled_norm(np.array([1e-200, 0.0]), np.array([0.0, 1.0])) == 0.0
 
 
-@pytest.mark.parametrize("method", ["direct", "eig", "cho"])
+@pytest.mark.parametrize("method", METHODS)
 def test_warm_solve_enters_no_errstate(monkeypatch, method):
     entered = []
     errstate = np.errstate
@@ -207,10 +207,61 @@ def test_warm_solve_enters_no_errstate(monkeypatch, method):
     assert entered == [{"over": "ignore"}]
 
 
-@pytest.mark.parametrize("method", ["direct", "eig", "cho"])
+@pytest.mark.parametrize("method", METHODS)
 def test_overflowing_apply_refused_unwarned(method):
-    with pytest.raises(DegreeTooLargeError, match="its apply overflowed"):
-        solve(method, 5, [1e308, 1e308, 0, 0, 0, 0])
+    message = f"{method} solve at degree n=5 left double range (its apply overflowed)"
+    if method == "dft":
+        message = "structured inverse products overflow double precision at degree n=5"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DegreeTooLargeError) as info:
+            solve(method, 5, [1e308, 1e308, 0, 0, 0, 0])
+    assert str(info.value) == message
+
+
+def _cap_shapes(n):
+    # ones, alternating signs, the first, middle and last unit vectors, and a random b
+    units = np.eye(n + 1)[sorted({0, n // 2, n})]
+    return [np.ones(n + 1), (-1.0) ** np.arange(n + 1), *units,
+            np.random.default_rng(n + 700).uniform(-1.0, 1.0, n + 1)]
+
+
+def test_dft_cap_boundary():
+    # at the cap the bare kernel cannot overflow; just past it, solve runs the
+    # checked path and gives solve_dft's x or its refusal
+    sweep = structured_inverse_sweep(range(510))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for si in sweep:
+            n = si.degree
+            cap = solvers._dft_cap(si)
+            for shape in _cap_shapes(n):
+                b = shape * (cap / _scaled_norm(shape))
+                while _scaled_norm(b) > cap:
+                    b = np.nextafter(b, 0.0)
+                assert b.any(), n  # a subnormal cap (3.7e-316 at n = 509) still reaches b
+                x = solvers._dft_apply(si, b)
+                assert np.all(np.isfinite(x)), n
+                assert x.tobytes() == solve_dft(si, b).tobytes(), n
+                past = b
+                while _scaled_norm(past) <= cap:
+                    past = np.where(past != 0.0, np.nextafter(past, np.copysign(np.inf, past)), 0.0)
+                try:
+                    want = solve_dft(si, past)
+                except DegreeTooLargeError as exc:
+                    with pytest.raises(DegreeTooLargeError) as info:
+                        solve("dft", n, past, max_degree=509)
+                    assert str(info.value) == str(exc), n
+                else:
+                    try:
+                        got = solve("dft", n, past, max_degree=509).solution
+                    except DegreeTooLargeError as exc:
+                        # x finite, but |M x - b| / |b| is not: solve's own residual refusal
+                        assert "relative residual" in str(exc), n
+                        assert not math.isfinite(_scaled_norm(mass_matrix(n).matrix @ want - past) / _scaled_norm(past))
+                    else:
+                        assert got.tobytes() == want.tobytes(), n
+            clear_cache()  # M of every degree to 509 would hold 350 MB
 
 
 def test_cho_overflow_refused_unwarned_below_cap_unchanged():

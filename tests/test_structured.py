@@ -446,8 +446,8 @@ def test_projection_table_bitwise_equal_under_seven_call_apply(func, monkeypatch
         ran.append(si.degree)
         return _solve_dft_seven_calls(si, b)
 
-    # the solves of the second table hit the cache, yet must reach the patched apply
-    monkeypatch.setattr(solvers, "solve_dft", seven_calls)
+    # the solves of the second table hit the cache, yet must reach the patched kernel
+    monkeypatch.setattr(solvers, "_dft_apply", seven_calls)
     want = run_projection(func, 20, ["dft"])
     assert ran == list(range(21))
     assert [r.degree for r in got] == [r.degree for r in want]
