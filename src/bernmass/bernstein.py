@@ -106,6 +106,16 @@ def binomial_row(n: int) -> list:
     return row
 
 
+def _squared_binomial_row(n: int) -> list:
+    """The integers (-1)^d C(n+1, d)^2, d = 0..n+1, the squares of binomial_row(n+1).
+
+    Entries 0..n are the first column of the dft split's unit-diagonal lower
+    Toeplitz factor and entries 1..n+1, then n zeros, its Hankel factor's
+    anti-diagonals; the exact inverse's band grows by rank-one steps in it.
+    """
+    return [-c * c if d % 2 else c * c for d, c in enumerate(binomial_row(n + 1))]
+
+
 def binomial_diag(n: int) -> np.ndarray:
     """The diagonal C(n,i), i = 0..n, by the float ratio recurrence.
 
@@ -173,6 +183,8 @@ def basis_values(n: int, x) -> np.ndarray:
     Uses the closed form C(n,i) x^i (1-x)^(n-i); on [0,1] every factor is
     nonnegative, so there is no cancellation.
     """
+    if n < 0:
+        raise ValueError("degree must be nonnegative")
     xv = np.atleast_1d(np.asarray(x, dtype=float))
     return _basis_from_powers(n, *_power_tables(xv, n))
 

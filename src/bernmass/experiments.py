@@ -194,6 +194,8 @@ def reference_solution(n: int, b) -> np.ndarray:
     DegreeTooLargeError, as solve does (for b = sin(0..n) from n = 538), and
     a b that solve refuses raises its ValueError.
     """
+    if n < 0:
+        raise ValueError("degree must be nonnegative")
     bv, _ = _checked_rhs(n, b)
     ratios = [v.as_integer_ratio() for v in bv.tolist()]
     e = max(den.bit_length() for _, den in ratios) - 1

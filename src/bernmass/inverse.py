@@ -1,11 +1,12 @@
 """The closed-form inverse mass matrix.
 
-The inverse of the binomially descaled (Hankel) factor is an integer matrix,
-the Bezoutian of two binomial coefficient vectors divided by one of their
-entries.  `hankel_inverse_exact` builds it in O(n^2) exact integer steps and
-`inverse_matrix` rounds each of its descaled entries once.  The two
-published entry formulas and the full Bezout matrix, which agree with this
-kernel exactly, are validation routes and live in bernmass.oracle.
+The inverse of the binomially descaled (Hankel) factor is an integer
+Bezoutian (Heinig & Rost) whose recurrence has increments rank-one in the
+row s_m = (-1)^m C(n+1, m)^2 that the dft split is built from.
+`hankel_inverse_exact` builds it in O(n^2) exact integer steps and
+`inverse_matrix` rounds each of its descaled entries once.  The entry
+formulas, the Bezout coefficient vectors and the full Bezout matrix agree
+with this kernel exactly and live in bernmass.oracle.
 """
 
 from __future__ import annotations
@@ -15,33 +16,9 @@ import math
 
 import numpy as np
 
-from .bernstein import binomial_row
+from .bernstein import _squared_binomial_row, binomial_row
 
-__all__ = [
-    "bezout_coeff_u",
-    "bezout_coeff_v",
-    "hankel_inverse_exact",
-    "inverse_matrix",
-]
-
-
-def bezout_coeff_u(n: int) -> list:
-    """Monomial coefficients (length n+2) generating the scaled-inverse Bezoutian.
-
-    Entry i is (-1)^(n+i) (n+1) C(n,i) C(n+1,i) for i <= n, padded by one
-    zero (degree elevation in the monomial basis).
-    """
-    c, c1 = binomial_row(n), binomial_row(n + 1)
-    return [(-1) ** (n + i) * (n + 1) * c[i] * c1[i] for i in range(n + 1)] + [0]
-
-
-def bezout_coeff_v(n: int) -> list:
-    """The companion coefficient vector: entry i is (-1)^(i+1) (n+1) C(n+1,i) C(n,i-1).
-
-    This is the reversal of the zero-padded u vector.
-    """
-    c, c1 = binomial_row(n), binomial_row(n + 1)
-    return [0] + [(-1) ** (i + 1) * (n + 1) * c1[i] * c[i - 1] for i in range(1, n + 2)]
+__all__ = ["hankel_inverse_exact", "inverse_matrix"]
 
 
 @functools.lru_cache(maxsize=1)
@@ -51,24 +28,23 @@ def _hankel_inverse_band(n: int) -> list:
     The last degree's band is kept, so an exact reference and the rounded
     inverse of the same degree share one build; callers only read it.
 
-    The inverse is Bez(v, u) / v_{n+1} with u, v from bezout_coeff_u/v
-    (Heinig & Rost).  Since v_{n+1} = (-1)^n (n+1) divides every u_i and the
-    Bezoutian is bilinear, u is divided once, up front.  Row i of the band
-    comes from row i-1 by the recurrence b_ij = b_{i-1,j+1} + v_{j+1} u_i -
-    v_i u_{j+1}, which reads row i-1 only at j+1 <= n-i+1, inside its band.
-    The inverse is symmetric and, as h_s = h_{2n-s}, persymmetric, so this
-    quarter of its entries determines the rest.
+    The inverse is Bez(v, u) / v_{n+1} of the oracle's bezout_coeff_u/v, and
+    with u divided by v_{n+1} their Heinig-Rost increment v_{j+1} u_i - v_i u_{j+1}
+    is rank-one: -(j-i+1) s_i s_{j+1}, s = _squared_binomial_row(n).  So row i
+    is row i-1 shifted by two, less s_i s_{j+1} (j-i+1): one big-integer product
+    an entry, reading row i-1 only at j+1 <= n-i+1, inside its band.  The
+    inverse is symmetric and, as h_s = h_{2n-s}, persymmetric, so this quarter
+    of its entries determines the rest.
     """
-    v = bezout_coeff_v(n)
-    u = [e // v[-1] for e in bezout_coeff_u(n)]
+    if n < 0:
+        raise ValueError("degree must be nonnegative")
+    s = _squared_binomial_row(n)
     band = []
     above = [0] * (n + 3)
     for i in range(n // 2 + 1):
-        ui, vi = u[i], v[i]
-        above = [
-            a + vj * ui - vi * uj
-            for a, uj, vj in zip(above[2:], u[i + 1 : n - i + 2], v[i + 1 : n - i + 2])
-        ]
+        si = s[i]
+        steps = zip(range(1, n - 2 * i + 2), above[2:], s[i + 1 : n - i + 2])
+        above = [a - si * sj * w for w, a, sj in steps]
         band.append(above)
     return band
 
@@ -76,9 +52,9 @@ def _hankel_inverse_band(n: int) -> list:
 def hankel_inverse_exact(n: int) -> list:
     """The integer inverse of the descaled (Hankel) factor as nested lists.
 
-    Bez(v, u) / v_{n+1} with u, v from bezout_coeff_u/v (Heinig & Rost),
-    O(n^2) exact integer work on a quarter of the entries, the rest filled in
-    by symmetry and persymmetry; entry (i, j) equals oracle.hankel_inverse_entry.
+    O(n^2) exact integer work on the quarter band of _hankel_inverse_band,
+    the rest filled in by symmetry and persymmetry; entry (i, j) equals
+    oracle.hankel_inverse_entry.
     """
     band = _hankel_inverse_band(n)
     # row i <= n//2: column i of the rows above, its band, then by persymmetry
@@ -109,11 +85,10 @@ def inverse_matrix(n: int) -> np.ndarray:
     too, the band's rounded entries fill the rest of the matrix by symmetry
     and persymmetry.
     """
-    if n < 0:
-        raise ValueError("degree must be nonnegative")
+    band = _hankel_inverse_band(n)
     binom = binomial_row(n)
     a = np.empty((n + 1, n + 1))
-    for i, row in enumerate(_hankel_inverse_band(n)):
+    for i, row in enumerate(band):
         bi, cols = binom[i], binom[i : n - i + 1]
         try:
             vals = [e / (bi * bj) for e, bj in zip(row, cols)]

@@ -9,9 +9,9 @@ the production paths against:
   and Gauss-Jordan inversion over ``fractions.Fraction``;
 - the two published entry formulas of the inverse and its integer last
   column;
-- the Hankel inversion through a Bezoutian (Heinig & Rost), the dense
-  Toeplitz/Hankel split of the inverse, and a Hankel product through the
-  FFT Toeplitz apply;
+- the Hankel inversion through a Bezoutian (Heinig & Rost), its coefficient
+  vectors, the dense Toeplitz/Hankel split of the inverse, and a Hankel
+  product through the FFT Toeplitz apply;
 - Q built by elevating each Legendre vector, in O(n^3);
 - the projection table's moments, function norm and Legendre reference
   for one degree at a time, which run_projection forms for all its
@@ -28,12 +28,12 @@ from fractions import Fraction
 
 import numpy as np
 
-from .bernstein import BernsteinPoly, basis_values, binomial_row
+from .bernstein import BernsteinPoly, _squared_binomial_row, basis_values, binomial_row
 from .experiments import _legendre_projections, default_rule
 from .quadrature import QuadratureRule
 from .solvers import _scaled_norm
 from .spectral import SpectralDecomp, eigenvalues
-from .structured import _squared_binomial_row, toeplitz_matvec
+from .structured import toeplitz_matvec
 
 # Row-major rational matrix; plain ints are accepted anywhere a Fraction is.
 RationalMatrix = list[list[Fraction]]
@@ -298,6 +298,25 @@ def hankel_matvec(antidiagonals, x) -> np.ndarray:
             f"need 2n+1 anti-diagonals for an (n+1)-vector, got {h.size} and {s}"
         )
     return toeplitz_matvec(h[s - 1 :], h[s - 1 :: -1], xv[::-1])
+
+
+def bezout_coeff_u(n: int) -> list:
+    """Monomial coefficients (length n+2) generating the scaled-inverse Bezoutian.
+
+    Entry i is (-1)^(n+i) (n+1) C(n,i) C(n+1,i) for i <= n, padded by one
+    zero (degree elevation).  Bez(v, u) / v_{n+1} is hankel_inverse_exact(n).
+    """
+    c, c1 = binomial_row(n), binomial_row(n + 1)
+    return [(-1) ** (n + i) * (n + 1) * c[i] * c1[i] for i in range(n + 1)] + [0]
+
+
+def bezout_coeff_v(n: int) -> list:
+    """The companion coefficient vector: entry i is (-1)^(i+1) (n+1) C(n+1,i) C(n,i-1).
+
+    This is the reversal of the zero-padded u vector.
+    """
+    c, c1 = binomial_row(n), binomial_row(n + 1)
+    return [0] + [(-1) ** (i + 1) * (n + 1) * c1[i] * c[i - 1] for i in range(1, n + 2)]
 
 
 def bezout_matrix(u, v):

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .bernstein import DegreeTooLargeError, binomial_diag, binomial_row
+from .bernstein import DegreeTooLargeError, _squared_binomial_row, binomial_diag
 from .spectral import _SWEEP_BLOCK
 
 __all__ = [
@@ -67,16 +67,6 @@ def toeplitz_matvec(first_col, first_row, x) -> np.ndarray:
 
 # ---------------------------------------------------------------------------
 # the Toeplitz/Hankel split of the inverse
-
-
-def _squared_binomial_row(n: int) -> list:
-    """The integers (-1)^d C(n+1, d)^2, d = 0..n+1, behind every split factor.
-
-    Entries 0..n are the first column of the unit-diagonal lower-triangular
-    Toeplitz factor; entries 1..n+1, followed by n zeros, are the 2n+1
-    anti-diagonals of the Hankel factor.  The squares of binomial_row(n+1).
-    """
-    return [-c * c if d % 2 else c * c for d, c in enumerate(binomial_row(n + 1))]
 
 
 class StructuredInverse:

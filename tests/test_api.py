@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 
 import bernmass
+from bernmass.inverse import hankel_inverse_exact
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "bernmass"
@@ -100,4 +101,20 @@ def test_negative_degree_refused(builder):
     for n in (-1, -7):
         with pytest.raises(ValueError) as info:
             builder(n)
+        assert type(info.value) is ValueError and str(info.value) == "degree must be nonnegative"
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda n: bernmass.reference_solution(n, []),
+        hankel_inverse_exact,
+        lambda n: bernmass.basis_values(n, [0.0, 0.5, 1.0]),
+    ],
+    ids=["reference_solution", "hankel_inverse_exact", "basis_values"],
+)
+def test_negative_degree_refused_by_the_exact_routes_and_the_basis(call):
+    for n in (-1, -7):
+        with pytest.raises(ValueError) as info:
+            call(n)
         assert type(info.value) is ValueError and str(info.value) == "degree must be nonnegative"

@@ -2,11 +2,14 @@
 
 import io
 import math
+import struct
 import sys
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from bernmass import experiments
 from bernmass.bernstein import BernsteinPoly, DegreeTooLargeError, evaluate
@@ -240,6 +243,35 @@ def test_csv_rendering_and_round_trip():
             ExperimentRecord(int(parts[0]), {"a": float(parts[1]), "b": float(parts[2])})
         )
     assert render_csv(rebuilt) == text
+
+
+def _rendered_cell(x):
+    return render_csv([ExperimentRecord(0, {"v": x})]).split("\n")[1].split(",")[1]
+
+
+# every bit pattern with an all-ones exponent and a nonzero mantissa, either sign
+nan_bits = st.builds(lambda sign, mantissa: (sign << 63) | (0x7FF << 52) | mantissa,
+                     st.integers(0, 1), st.integers(1, (1 << 52) - 1))
+
+
+@settings(max_examples=500, deadline=None, derandomize=True, database=None)
+@given(st.floats(allow_nan=False))
+@example(0.0)
+@example(-0.0)
+@example(5e-324)
+@example(-2.2250738585072009e-308)
+@example(math.inf)
+@example(-math.inf)
+def test_csv_cell_round_trips_every_non_nan_double_bit_for_bit(x):
+    # +-0, subnormals and +-inf included: float() of the %.17g text is x itself
+    assert struct.pack("<d", float(_rendered_cell(x))) == struct.pack("<d", x)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(nan_bits)
+def test_csv_cell_renders_every_nan_as_nan(bits):
+    (x,) = struct.unpack("<d", struct.pack("<Q", bits))
+    assert math.isnan(x) and _rendered_cell(x) == "nan"
 
 
 def test_write_csv_to_path_and_buffer(tmp_path):

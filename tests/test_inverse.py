@@ -7,9 +7,11 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from bernmass.inverse import bezout_coeff_u, bezout_coeff_v, hankel_inverse_exact, inverse_matrix
-from bernmass.bernstein import mass_matrix
+from bernmass.inverse import hankel_inverse_exact, inverse_matrix
+from bernmass.bernstein import _squared_binomial_row, mass_matrix
 from bernmass.oracle import (
+    bezout_coeff_u,
+    bezout_coeff_v,
     bezout_matrix,
     hankel_inverse_entry,
     identity_exact,
@@ -128,12 +130,23 @@ def test_last_column_matches_inverse_column():
         assert col == [Fraction(v) for v in last_column_y_exact(n)]
 
 
-@pytest.mark.parametrize("n", list(range(41)) + [63, 64, 127, 128])
+@pytest.mark.parametrize("n", list(range(41)) + [63, 64, 127, 128, 255, 256, 511, 512])
 def test_hankel_inverse_exact_equals_full_bezoutian(n):
     # every entry of Bez(v, u), each divided by v[-1] on its own
     v = bezout_coeff_v(n)
     full = [[e // v[-1] for e in row] for row in bezout_matrix(v, bezout_coeff_u(n))]
     assert hankel_inverse_exact(n) == full
+
+
+@pytest.mark.parametrize("n", range(41))
+def test_bezoutian_increment_is_rank_one_in_the_squared_binomial_row(n):
+    # the Heinig-Rost increment of the band kernel, with u divided by v[-1]
+    v = bezout_coeff_v(n)
+    u = [e // v[-1] for e in bezout_coeff_u(n)]
+    s = _squared_binomial_row(n)
+    for i in range(n + 1):
+        for j in range(i, n + 1):
+            assert v[j + 1] * u[i] - v[i] * u[j + 1] == -(j - i + 1) * s[i] * s[j + 1], (i, j)
 
 
 @pytest.mark.parametrize("n", [63, 64, 128])

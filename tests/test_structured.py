@@ -10,10 +10,12 @@ import numpy as np
 import pytest
 
 from bernmass import solvers
-from bernmass.bernstein import DegreeTooLargeError, binomial_diag, mass_matrix
+from bernmass.bernstein import DegreeTooLargeError, _squared_binomial_row, binomial_diag, mass_matrix
 from bernmass.experiments import run_projection
-from bernmass.inverse import bezout_coeff_u, bezout_coeff_v, inverse_matrix
+from bernmass.inverse import inverse_matrix
 from bernmass.oracle import (
+    bezout_coeff_u,
+    bezout_coeff_v,
     bezout_matrix,
     hankel_dense,
     hankel_extension,
@@ -28,7 +30,6 @@ from bernmass.oracle import (
     toeplitz_dense,
 )
 from bernmass.structured import (
-    _squared_binomial_row,
     next_pow2,
     solve_dft,
     structured_inverse,
