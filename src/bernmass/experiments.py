@@ -24,16 +24,15 @@ import numpy as np
 
 from .bernstein import DegreeTooLargeError, _basis_from_powers, _power_tables, binomial_row
 from .inverse import hankel_inverse_exact
+from .kernels import _checked_rhs, _scaled_norm
 from .quadrature import QuadratureRule, composite_gauss_legendre
 from .rng import Xorshift64Star
 from .solvers import (
     METHODS,
-    _checked_rhs,
     _dft_sweep,
     _errors,
     _m_norms,
     _mass,
-    _scaled_norm,
     _spectral_sweep,
     canonical_method,
     solve,

@@ -1,0 +1,98 @@
+"""The bare pieces the solve methods share.
+
+rfft, irfft and solve1 are the compiled kernels that numpy.fft.rfft,
+numpy.fft.irfft and numpy.linalg.solve (with a vector b) run, called
+without those functions' per-call Python code: the same kernel with the
+same normalisation (1 forward, 1/plan backward), so the same bits.  This
+module is the only one that names numpy's private modules; where they
+cannot be imported (numpy < 2, or a numpy that moves them), the public
+functions stand in, and COMPILED is False.  _checked_rhs is the
+right-hand-side check of solve and of the public applies, and _scaled_norm
+the rescaled 2-norm it and the metrics take.
+"""
+
+from __future__ import annotations
+
+import math
+import sys
+
+import numpy as np
+
+__all__ = ["COMPILED", "rfft", "irfft", "solve1"]
+
+try:
+    from numpy.fft._pocketfft_umath import irfft as _irfft_ufunc
+    from numpy.fft._pocketfft_umath import rfft_n_even as _rfft_ufunc
+    from numpy.linalg._umath_linalg import solve1
+except ImportError:
+    COMPILED = False
+
+    def rfft(a, plan: int, out=None) -> np.ndarray:
+        """numpy.fft.rfft(a, plan) along the last axis, into out if given."""
+        spectrum = np.fft.rfft(a, plan)
+        if out is None:
+            return spectrum
+        out[...] = spectrum
+        return out
+
+    def irfft(a, plan: int) -> np.ndarray:
+        """numpy.fft.irfft(a, plan) along the last axis."""
+        return np.fft.irfft(a, plan)
+
+    solve1 = np.linalg.solve
+else:
+    COMPILED = True
+
+    def rfft(a, plan: int, out=None) -> np.ndarray:
+        """numpy.fft.rfft(a, plan) along the last axis, into out if given; plan is even."""
+        if out is None:
+            out = np.empty(a.shape[:-1] + (plan // 2 + 1,), dtype=complex)
+        return _rfft_ufunc(a, 1, out=out)
+
+    def irfft(a, plan: int) -> np.ndarray:
+        """numpy.fft.irfft(a, plan) along the last axis."""
+        return _irfft_ufunc(a, 1.0 / plan, out=np.empty(a.shape[:-1] + (plan,)))
+
+
+_FLOAT64 = np.dtype(float)
+
+# 2^-511: a norm below it exactly when v.v is below the smallest normal double
+_SQRT_TINY = math.sqrt(sys.float_info.min)
+
+
+def _scaled_norm(v: np.ndarray, weights=None) -> float:
+    """sqrt(v.v), bit for bit as numpy.linalg.norm forms it, or sqrt(sum w v^2).
+
+    Where the sum overflows (|v| past about 1e154) or leaves the normal
+    range (below about 1e-154; it reads 0 from about 1e-162), v is scaled by
+    max|v| and the sum retaken, once: v / max|v| has max 1.  np.vdot
+    overflows to inf unwarned, so only the weighted sum enters np.errstate.
+    """
+    if weights is None:
+        nrm = math.sqrt(np.vdot(v, v))
+    else:
+        with np.errstate(over="ignore"):
+            nrm = math.sqrt(float(weights @ (v * v)))
+    if not _SQRT_TINY <= nrm < math.inf and v.size:
+        big = float(np.max(np.abs(v)))
+        if 0.0 < big < math.inf and big != 1.0:
+            nrm = big * _scaled_norm(v / big, weights)
+    return nrm
+
+
+def _checked_rhs(n: int, b) -> tuple:
+    """(b as float64, |b|_2) for a degree-n right-hand side; ValueError for a
+    complex b, one not of shape (n+1,), and one with a nan or inf entry or
+    whose 2-norm overflows."""
+    bv = np.asarray(b)
+    if bv.dtype is not _FLOAT64:  # a float64 b, as every warm solve passes, skips both
+        if bv.dtype.kind == "c":
+            raise ValueError(f"right-hand side is complex ({bv.dtype}); M x = b is real")
+        bv = bv.astype(float)
+    if bv.shape != (n + 1,):
+        raise ValueError(f"right-hand side shape {bv.shape} does not match degree {n}")
+    # one norm serves as the finiteness check and the residual's scale
+    bnorm = _scaled_norm(bv)
+    if not math.isfinite(bnorm):
+        raise ValueError(f"right-hand side is not finite (2-norm {bnorm})")
+    return bv, bnorm

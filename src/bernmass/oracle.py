@@ -30,8 +30,8 @@ import numpy as np
 
 from .bernstein import BernsteinPoly, _squared_binomial_row, basis_values, binomial_row
 from .experiments import _legendre_projections, default_rule
+from .kernels import _scaled_norm
 from .quadrature import QuadratureRule
-from .solvers import _scaled_norm
 from .spectral import SpectralDecomp, eigenvalues
 from .structured import toeplitz_matvec
 

@@ -20,7 +20,9 @@ import numpy as np
 
 from .bernstein import _MAX_DEGREE, DegreeTooLargeError, mass_matrix
 from .inverse import _hankel_inverse_band, inverse_matrix
-from .spectral import SpectralDecomp, build_q, build_q_sweep, eigenvalues, solve_spectral
+from .kernels import _SQRT_TINY, _checked_rhs, _scaled_norm
+from .kernels import solve1 as _solve1
+from .spectral import SpectralDecomp, _eig_apply, build_q, build_q_sweep, eigenvalues
 from .structured import (
     _MAX_SPECTRA_DEGREE,
     _dft_apply,
@@ -103,9 +105,11 @@ def solve_cholesky(factor: CholeskyFactor, b) -> np.ndarray:
     """Solve with L, then with L^T, through a cached factor.
 
     numpy.linalg.solve does not know L is triangular: it runs a pivoted LU
-    of L and then of L^T on every call, so each solve is O(n^3).
+    of L and then of L^T on every call, so each solve is O(n^3).  b is
+    checked as solve checks it: a complex b, one not of shape (degree+1,),
+    or one with a nan or inf entry raises ValueError.
     """
-    bv = np.asarray(b, dtype=float)
+    bv, _ = _checked_rhs(factor.degree, b)
     y = np.linalg.solve(factor.lower, bv)
     return np.linalg.solve(factor.lower.T, y)
 
@@ -121,7 +125,6 @@ class SolveReport:
 
 
 _HALF_MAX = sys.float_info.max / 2.0
-_FLOAT64 = np.dtype(float)
 
 _cache: dict = {}
 _cache_lock = threading.Lock()
@@ -223,37 +226,19 @@ def _solver(name: str, n: int) -> tuple:
         spec = _spectral_checked(n)
         # |Q^T b| <= |b|_2 and Q's rows are unit vectors, so no partial sum
         # passes |b|_2 / lambda_min, kept below half the largest double
-        apply, cap = (lambda bv: solve_spectral(spec, bv)), _HALF_MAX * float(spec.lam[-1])
+        apply, cap = (lambda bv: _eig_apply(spec, bv)), _HALF_MAX * float(spec.lam[-1])
     else:
-        factor = cholesky_factor(_mass(n))
+        lower = cholesky_factor(_mass(n)).lower
+        upper = lower.T
         # |L^-1 b|_2 <= |b|_2 / sqrt(lambda_min) and |x|_2 <= |b|_2 / lambda_min:
-        # eig's cap, with lambda_min in closed form (the tests sweep n <= 29 under it)
-        apply, cap = (lambda bv: solve_cholesky(factor, bv)), _HALF_MAX * float(eigenvalues(n)[-1])
+        # eig's cap, with lambda_min in closed form (the tests sweep n <= 29 under it).
+        # The apply is solve_cholesky's two numpy.linalg.solve kernels, bare: L from
+        # a Cholesky that succeeded is nonsingular, so only _apply_unwarned needs np.errstate
+        cap = _HALF_MAX * float(eigenvalues(n)[-1])
+
+        def apply(bv):
+            return _solve1(upper, _solve1(lower, bv))
     return apply, cap, _mass(n)
-
-
-# 2^-511: a norm below it exactly when v.v is below the smallest normal double
-_SQRT_TINY = math.sqrt(sys.float_info.min)
-
-
-def _scaled_norm(v: np.ndarray, weights=None) -> float:
-    """sqrt(v.v), bit for bit as numpy.linalg.norm forms it, or sqrt(sum w v^2).
-
-    Where the sum overflows (|v| past about 1e154) or leaves the normal
-    range (below about 1e-154; it reads 0 from about 1e-162), v is scaled by
-    max|v| and the sum retaken, once: v / max|v| has max 1.  np.vdot
-    overflows to inf unwarned, so only the weighted sum enters np.errstate.
-    """
-    if weights is None:
-        nrm = math.sqrt(np.vdot(v, v))
-    else:
-        with np.errstate(over="ignore"):
-            nrm = math.sqrt(float(weights @ (v * v)))
-    if not _SQRT_TINY <= nrm < math.inf and v.size:
-        big = float(np.max(np.abs(v)))
-        if 0.0 < big < math.inf and big != 1.0:
-            nrm = big * _scaled_norm(v / big, weights)
-    return nrm
 
 
 def _apply_unwarned(name: str, n: int, apply, bv: np.ndarray) -> np.ndarray:
@@ -264,24 +249,6 @@ def _apply_unwarned(name: str, n: int, apply, bv: np.ndarray) -> np.ndarray:
     if not np.all(np.isfinite(x)):
         raise _overflowed(name, n)
     return x
-
-
-def _checked_rhs(n: int, b) -> tuple:
-    """(b as float64, |b|_2) for a degree-n right-hand side; ValueError for a
-    complex b, one not of shape (n+1,), and one with a nan or inf entry or
-    whose 2-norm overflows."""
-    bv = np.asarray(b)
-    if bv.dtype is not _FLOAT64:  # a float64 b, as every warm solve passes, skips both
-        if bv.dtype.kind == "c":
-            raise ValueError(f"right-hand side is complex ({bv.dtype}); M x = b is real")
-        bv = bv.astype(float)
-    if bv.shape != (n + 1,):
-        raise ValueError(f"right-hand side shape {bv.shape} does not match degree {n}")
-    # one norm serves as the finiteness check and the residual's scale
-    bnorm = _scaled_norm(bv)
-    if not math.isfinite(bnorm):
-        raise ValueError(f"right-hand side is not finite (2-norm {bnorm})")
-    return bv, bnorm
 
 
 def solve(method: str, n: int, b, max_degree: int = 25) -> SolveReport:

@@ -18,6 +18,8 @@ import math
 
 import numpy as np
 
+from .kernels import _checked_rhs
+
 __all__ = [
     "SpectralDecomp",
     "eigenvalues",
@@ -151,8 +153,15 @@ def _march_block(order: list) -> list:
     return out
 
 
-def solve_spectral(d: SpectralDecomp, b) -> np.ndarray:
-    """Apply the inverse mass matrix: Q diag(1/lam) Q^T b, O(n^2)."""
-    b = np.asarray(b, dtype=float)
-    return d.q @ ((d.q.T @ b) / d.lam)
+def _eig_apply(d: SpectralDecomp, bv: np.ndarray) -> np.ndarray:
+    """solve_spectral's product, bare: bv is a float64 vector of the right length."""
+    return d.q @ ((d.q.T @ bv) / d.lam)
 
+
+def solve_spectral(d: SpectralDecomp, b) -> np.ndarray:
+    """Apply the inverse mass matrix: Q diag(1/lam) Q^T b, O(n^2).
+
+    b is checked as solve checks it: a complex b, one not of shape
+    (degree+1,), or one with a nan or inf entry raises ValueError.
+    """
+    return _eig_apply(d, _checked_rhs(d.degree, b)[0])

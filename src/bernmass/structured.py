@@ -3,14 +3,15 @@
 The binomially descaled mass matrix is Hankel, and its inverse splits into a
 difference of Toeplitz-times-Hankel products whose entries are signed squared
 binomials.  All of those operators are applied through circulant embedding
-and numpy's real FFT, giving an O(n log n) solve.  One builder,
-structured_inverse_sweep, makes the circulant spectra of a whole sweep of
-degrees: the degrees that share a plan size are transformed together, as
-rows of one 2-D rfft, and structured_inverse(n) is the sweep of [n]; the
-tables prefill their dft solves through it; from n = 510 it raises
-DegreeTooLargeError.  The dense split factors, the Bezout matrix, the
-Hankel inversion formula behind them and a Hankel product through
-toeplitz_matvec are validation routes and live in bernmass.oracle.
+and numpy's real FFT, whose compiled kernels bernmass.kernels binds, giving
+an O(n log n) solve.  One builder, structured_inverse_sweep, makes the
+circulant spectra of a whole sweep of degrees: the degrees that share a
+plan size are transformed together, as rows of one 2-D rfft, and
+structured_inverse(n) is the sweep of [n]; the tables prefill their dft
+solves through it; from n = 510 it raises DegreeTooLargeError.  The dense
+split factors, the Bezout matrix, the Hankel inversion formula behind them
+and a Hankel product through toeplitz_matvec are validation routes and
+live in bernmass.oracle.
 """
 
 from __future__ import annotations
@@ -18,6 +19,9 @@ from __future__ import annotations
 import numpy as np
 
 from .bernstein import DegreeTooLargeError, _squared_binomial_row, binomial_diag
+from .kernels import _checked_rhs
+from .kernels import irfft as _irfft
+from .kernels import rfft as _rfft
 from .spectral import _SWEEP_BLOCK
 
 __all__ = [
@@ -148,7 +152,7 @@ def _spectra(chunk: list, factors: dict, plan: int) -> np.ndarray:
         block[r + 3, : n + 1] = t_col
     # overflow here is detected afterwards, not warned about per entry
     with np.errstate(over="ignore", invalid="ignore"):
-        return np.fft.rfft(block, out=spectra)
+        return _rfft(block, plan, out=spectra)
 
 
 def structured_inverse_sweep(degrees) -> list:
@@ -191,14 +195,14 @@ def _products_overflowed(n: int) -> DegreeTooLargeError:
 
 
 def _dft_apply(si: StructuredInverse, bv: np.ndarray) -> np.ndarray:
-    """solve_dft's four FFT calls and descaling, bare: bv is a float64 vector of
+    """solve_dft's four transforms and descaling, bare: bv is a float64 vector of
     the right length, and nothing checks or silences an overflow."""
     s = si.degree + 1
     plan = si.plan_size
-    rev_hat = np.fft.rfft((bv / si.binom_diag)[::-1], plan)
+    rev_hat = _rfft((bv / si.binom_diag)[::-1], plan)
     # rows H y and Ht y, then Tt H y and T Ht y
-    hy = np.fft.irfft(si._h_pair * rev_hat, plan)[:, :s]
-    w = np.fft.irfft(si._t_pair * np.fft.rfft(hy, plan), plan)
+    hy = _irfft(si._h_pair * rev_hat, plan)[:, :s]
+    w = _irfft(si._t_pair * _rfft(hy, plan), plan)
     return (w[0, :s] - w[1, :s]) / si.binom_diag
 
 
@@ -208,16 +212,16 @@ def solve_dft(si: StructuredInverse, b) -> np.ndarray:
     Descale by the binomial diagonal, push through the two Hankel factors
     (sharing one forward transform of the reversed vector), then the two
     Toeplitz factors, subtract, and descale again.  O(n log n) total, in
-    four numpy FFT calls: each spectrum pair is applied as one 2-row
-    transform, which numpy computes row by row exactly as it would two 1-D
-    calls.
+    four transforms through bernmass.kernels: each spectrum pair is applied
+    as one 2-row transform, which numpy computes row by row exactly as it
+    would two 1-D calls.
 
-    Raises DegreeTooLargeError when the products leave double range (from
-    n = 257 on for right-hand sides of order one), instead of returning nan.
+    b is checked as solve checks it: a complex b, one not of shape
+    (degree+1,), or one with a nan or inf entry raises ValueError.  Raises
+    DegreeTooLargeError when the products leave double range (from n = 257
+    on for right-hand sides of order one), instead of returning nan.
     """
-    bv = np.asarray(b, dtype=float)
-    if bv.size != si.degree + 1:
-        raise ValueError(f"vector length {bv.size} does not match degree {si.degree}")
+    bv, _ = _checked_rhs(si.degree, b)
     # overflow here is detected afterwards, not warned about per entry
     with np.errstate(over="ignore", invalid="ignore"):
         x = _dft_apply(si, bv)

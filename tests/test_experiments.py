@@ -596,16 +596,16 @@ def test_dft_prefill_entries_and_clear_cache(monkeypatch):
 
 
 def test_eig_only_tables_make_no_dft_transform(monkeypatch):
-    from bernmass import solvers
+    from bernmass import solvers, structured
 
     calls = []
-    rfft = np.fft.rfft
+    rfft = structured._rfft
 
     def counting(*args, **kwargs):
         calls.append(1)
         return rfft(*args, **kwargs)
 
-    monkeypatch.setattr(np.fft, "rfft", counting)
+    monkeypatch.setattr(structured, "_rfft", counting)
     clear_cache()
     try:
         run_projection("f1", 20, ["eig"])

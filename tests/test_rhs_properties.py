@@ -1,15 +1,21 @@
-"""Every solve method, every alias and the exact reference take and refuse b alike."""
+"""Every solve method, every alias, the exact reference and the public raw applies take and refuse b alike."""
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bernmass.bernstein import mass_matrix
 from bernmass.experiments import reference_solution
-from bernmass.solvers import METHOD_ALIASES, solve
+from bernmass.solvers import METHOD_ALIASES, cholesky_factor, solve, solve_cholesky
+from bernmass.spectral import build_q, solve_spectral
+from bernmass.structured import solve_dft, structured_inverse
 
-# each name of METHOD_ALIASES, through solve, and the exact reference
+# each name of METHOD_ALIASES, through solve, the exact reference and the public raw applies
 ROUTES = {name: (lambda n, b, name=name: solve(name, n, b).solution) for name in sorted(METHOD_ALIASES)}
 ROUTES["reference_solution"] = reference_solution
+ROUTES["solve_dft"] = lambda n, b: solve_dft(structured_inverse(n), b)
+ROUTES["solve_spectral"] = lambda n, b: solve_spectral(build_q(n), b)
+ROUTES["solve_cholesky"] = lambda n, b: solve_cholesky(cholesky_factor(mass_matrix(n).matrix), b)
 
 SETTINGS = settings(max_examples=40, deadline=None, derandomize=True, database=None)
 

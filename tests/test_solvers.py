@@ -289,6 +289,20 @@ def test_cho_overflow_refused_unwarned_below_cap_unchanged():
                         assert x.tobytes() == solve_cholesky(factor, b).tobytes(), (n, e)
 
 
+def test_cho_entry_bitwise_equal_to_solve_cholesky():
+    # the cached entry's bare LAPACK calls against numpy.linalg.solve's, at every degree that factors
+    try:
+        for n in range(30):
+            factor = cholesky_factor(mass_matrix(n).matrix)
+            apply, _, _ = solvers._solver("cho", n)
+            for b in _cap_shapes(n):
+                want = solve_cholesky(factor, b).tobytes()
+                assert apply(b).tobytes() == want, n
+                assert solve("cho", n, b, max_degree=29).solution.tobytes() == want, n
+    finally:
+        clear_cache()
+
+
 def test_import_loads_no_scipy():
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
