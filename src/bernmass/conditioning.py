@@ -18,8 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .rng import Xorshift64Star
-from .solvers import _spectral_checked
-from .spectral import eigenvalues
+from .solvers import _spectral
+from .spectral import _normal_lam_min, eigenvalues
 
 __all__ = [
     "kappa_2",
@@ -79,7 +79,7 @@ def op_norm_m_to_2(a) -> float:
     A's column count, ||A||_{M->2} = ||A Q Lambda^{-1/2}||_2.
     """
     av = np.asarray(a, dtype=float)
-    spec = _spectral_checked(av.shape[1] - 1)
+    spec = _normal_lam_min(_spectral(av.shape[1] - 1))
     return float(np.linalg.norm((av @ spec.q) / np.sqrt(spec.lam), 2))
 
 
@@ -90,7 +90,7 @@ def op_norm_2_to_m(a) -> float:
     A's row count, ||A||_{2->M} = ||Lambda^{1/2} Q^T A||_2.
     """
     av = np.asarray(a, dtype=float)
-    spec = _spectral_checked(av.shape[0] - 1)
+    spec = _normal_lam_min(_spectral(av.shape[0] - 1))
     return float(np.linalg.norm(np.sqrt(spec.lam)[:, None] * (spec.q.T @ av), 2))
 
 
@@ -112,7 +112,7 @@ def perturbation_study(n: int, samples: int = 1000, seed: int = 12345) -> Pertur
     final row, so the returned ratios always contain the sharp case.  Like
     the mixed norms, it is refused from n = 509.
     """
-    d = _spectral_checked(n)
+    d = _normal_lam_min(_spectral(n))
     gen = Xorshift64Star(seed)
     draws = gen.uniform(-1.0, 1.0, (samples, n + 1))
     draws = np.vstack([draws, d.q[:, n]])

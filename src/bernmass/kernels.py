@@ -6,9 +6,11 @@ without those functions' per-call Python code: the same kernel with the
 same normalisation (1 forward, 1/plan backward), so the same bits.  This
 module is the only one that names numpy's private modules; where they
 cannot be imported (numpy < 2, or a numpy that moves them), the public
-functions stand in, and COMPILED is False.  _checked_rhs is the
-right-hand-side check of solve and of the public applies, and _scaled_norm
-the rescaled 2-norm it and the metrics take.
+functions stand in, and COMPILED is False.  vdot is numpy.vdot's own C
+function, which numpy.vdot reaches through its __array_function__
+dispatch, or numpy.vdot itself where numpy keeps no _implementation.
+_checked_rhs is the right-hand-side check of solve and of the public
+applies, and _scaled_norm the rescaled 2-norm it and the metrics take.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ import sys
 
 import numpy as np
 
-__all__ = ["COMPILED", "rfft", "irfft", "solve1"]
+__all__ = ["COMPILED", "rfft", "irfft", "solve1", "vdot"]
 
 try:
     from numpy.fft._pocketfft_umath import irfft as _irfft_ufunc
@@ -54,6 +56,10 @@ else:
         return _irfft_ufunc(a, 1.0 / plan, out=np.empty(a.shape[:-1] + (plan,)))
 
 
+# the same C function, without the dispatch; not ndarray.dot, which warns
+# "overflow encountered in dot" where vdot overflows to inf silently
+vdot = getattr(np.vdot, "_implementation", np.vdot)
+
 _FLOAT64 = np.dtype(float)
 
 # 2^-511: a norm below it exactly when v.v is below the smallest normal double
@@ -65,11 +71,11 @@ def _scaled_norm(v: np.ndarray, weights=None) -> float:
 
     Where the sum overflows (|v| past about 1e154) or leaves the normal
     range (below about 1e-154; it reads 0 from about 1e-162), v is scaled by
-    max|v| and the sum retaken, once: v / max|v| has max 1.  np.vdot
+    max|v| and the sum retaken, once: v / max|v| has max 1.  vdot
     overflows to inf unwarned, so only the weighted sum enters np.errstate.
     """
     if weights is None:
-        nrm = math.sqrt(np.vdot(v, v))
+        nrm = math.sqrt(vdot(v, v))
     else:
         with np.errstate(over="ignore"):
             nrm = math.sqrt(float(weights @ (v * v)))
@@ -81,9 +87,13 @@ def _scaled_norm(v: np.ndarray, weights=None) -> float:
 
 
 def _checked_rhs(n: int, b) -> tuple:
-    """(b as float64, |b|_2) for a degree-n right-hand side; ValueError for a
-    complex b, one not of shape (n+1,), and one with a nan or inf entry or
-    whose 2-norm overflows."""
+    """(b as a C-contiguous float64 vector, |b|_2) for a degree-n right-hand
+    side; ValueError for a complex b, one not of shape (n+1,), and one with a
+    nan or inf entry or whose 2-norm overflows.
+
+    A strided b is copied, so the products and sums over it take the order
+    they take over its contiguous copy, and give the same bits.
+    """
     bv = np.asarray(b)
     if bv.dtype is not _FLOAT64:  # a float64 b, as every warm solve passes, skips both
         if bv.dtype.kind == "c":
@@ -91,6 +101,8 @@ def _checked_rhs(n: int, b) -> tuple:
         bv = bv.astype(float)
     if bv.shape != (n + 1,):
         raise ValueError(f"right-hand side shape {bv.shape} does not match degree {n}")
+    if not bv.flags.c_contiguous:
+        bv = bv.copy()
     # one norm serves as the finiteness check and the residual's scale
     bnorm = _scaled_norm(bv)
     if not math.isfinite(bnorm):

@@ -22,7 +22,7 @@ from .bernstein import _MAX_DEGREE, DegreeTooLargeError, mass_matrix
 from .inverse import _hankel_inverse_band, inverse_matrix
 from .kernels import _SQRT_TINY, _checked_rhs, _scaled_norm
 from .kernels import solve1 as _solve1
-from .spectral import SpectralDecomp, _eig_apply, build_q, build_q_sweep, eigenvalues
+from .spectral import SpectralDecomp, _eig_apply, _normal_lam_min, build_q, build_q_sweep, eigenvalues
 from .structured import (
     _MAX_SPECTRA_DEGREE,
     _dft_apply,
@@ -190,17 +190,6 @@ def _dft_sweep(n_max: int) -> None:
         _cached("dft", si.degree, lambda _, built=si: _dft_entry(built))
 
 
-def _spectral_checked(n: int) -> SpectralDecomp:
-    """The cached decomposition, refused once lambda_min is not a normal double (n >= 509)."""
-    spec = _spectral(n)
-    if spec.lam[-1] < sys.float_info.min:
-        raise DegreeTooLargeError(
-            f"degree n={n} left double range "
-            f"(smallest eigenvalue {spec.lam[-1]:.3g} is not a normal double)"
-        )
-    return spec
-
-
 def _overflowed(name: str, n: int) -> DegreeTooLargeError:
     if name == "dft":
         return _products_overflowed(n)
@@ -221,9 +210,9 @@ def _solver(name: str, n: int) -> tuple:
             raise _overflowed(name, n)
         # every partial sum of (inv @ b)_i is at most sqrt(n+1) max|inv| |b|_2, so
         # a b whose 2-norm is within the cap (halved for rounding) cannot overflow
-        apply, cap = (lambda bv: inv @ bv), sys.float_info.max / amax / (2.0 * math.sqrt(n + 1))
+        apply, cap = inv.dot, sys.float_info.max / amax / (2.0 * math.sqrt(n + 1))
     elif name == "eig":
-        spec = _spectral_checked(n)
+        spec = _normal_lam_min(_spectral(n))
         # |Q^T b| <= |b|_2 and Q's rows are unit vectors, so no partial sum
         # passes |b|_2 / lambda_min, kept below half the largest double
         apply, cap = (lambda bv: _eig_apply(spec, bv)), _HALF_MAX * float(spec.lam[-1])
@@ -280,7 +269,7 @@ def solve(method: str, n: int, b, max_degree: int = 25) -> SolveReport:
     else:
         apply, cap, mass = _cache.get((name, n)) or _cached(name, n, lambda k: _solver(name, k))
         x = apply(bv) if bnorm <= cap else _apply_unwarned(name, n, apply, bv)
-        r = mass @ x
+        r = mass.dot(x)
         r -= bv
         residual = _scaled_norm(r) / bnorm
         if not math.isfinite(residual):
@@ -323,12 +312,13 @@ def metrics(x_hat, x_ref, b, m) -> tuple:
 
     The 2-norms are _scaled_norm's, rescaled where v.v overflows; both M-norms
     come from _m_norms, through the degree's cached spectral decomposition;
-    m feeds only the residual.
+    m feeds only the residual.  Strided arguments are copied C-contiguous,
+    so their layout does not change the sums, as in solve.
     """
-    x_hat = np.asarray(x_hat, dtype=float)
-    err2, errm = _errors(x_hat, np.asarray(x_ref, dtype=float))
-    bv = np.asarray(b, dtype=float)
+    x_hat = np.ascontiguousarray(x_hat, dtype=float)
+    err2, errm = _errors(x_hat, np.ascontiguousarray(x_ref, dtype=float))
+    bv = np.ascontiguousarray(b, dtype=float)
     bnorm = _scaled_norm(bv)
-    mm = np.asarray(m, dtype=float)
+    mm = np.ascontiguousarray(m, dtype=float)
     res = _scaled_norm(mm @ x_hat - bv) / bnorm if bnorm > 0.0 else 0.0
     return err2, errm, res

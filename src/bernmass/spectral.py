@@ -15,9 +15,11 @@ as bernmass.oracle.build_q_by_elevation.
 from __future__ import annotations
 
 import math
+import sys
 
 import numpy as np
 
+from .bernstein import DegreeTooLargeError
 from .kernels import _checked_rhs
 
 __all__ = [
@@ -153,15 +155,30 @@ def _march_block(order: list) -> list:
     return out
 
 
+def _normal_lam_min(d: SpectralDecomp) -> SpectralDecomp:
+    """d, refused once lambda_min is not a normal double (n >= 509), before
+    anything divides by it: from n = 545 it is 0."""
+    if d.lam[-1] < sys.float_info.min:
+        raise DegreeTooLargeError(
+            f"degree n={d.degree} left double range "
+            f"(smallest eigenvalue {d.lam[-1]:.3g} is not a normal double)"
+        )
+    return d
+
+
 def _eig_apply(d: SpectralDecomp, bv: np.ndarray) -> np.ndarray:
-    """solve_spectral's product, bare: bv is a float64 vector of the right length."""
-    return d.q @ ((d.q.T @ bv) / d.lam)
+    """solve_spectral's product, bare: bv is a C-contiguous float64 vector of
+    the right length, and ndarray.dot skips matmul's dispatch for the same bits."""
+    return d.q.dot(d.q.T.dot(bv) / d.lam)
 
 
 def solve_spectral(d: SpectralDecomp, b) -> np.ndarray:
     """Apply the inverse mass matrix: Q diag(1/lam) Q^T b, O(n^2).
 
     b is checked as solve checks it: a complex b, one not of shape
-    (degree+1,), or one with a nan or inf entry raises ValueError.
+    (degree+1,), or one with a nan or inf entry raises ValueError.  From
+    n = 509, where lambda_min is not a normal double, it raises
+    DegreeTooLargeError, as solve does, before dividing.
     """
-    return _eig_apply(d, _checked_rhs(d.degree, b)[0])
+    bv = _checked_rhs(d.degree, b)[0]
+    return _eig_apply(_normal_lam_min(d), bv)

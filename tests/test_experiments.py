@@ -476,6 +476,10 @@ def test_run_random_forms_one_residual_per_cell(monkeypatch):
             products.append(np.ndim(other))
             return self.view(np.ndarray) @ other
 
+        def dot(self, other):
+            products.append(np.ndim(other))
+            return self.view(np.ndarray).dot(other)
+
     monkeypatch.setattr(solvers, "mass_matrix", lambda n: type("Assembled", (), {"matrix": mass_matrix(n).matrix.view(Counting)}))
     # the package's own conversions keep the subclass, so every product with
     # the cached M counts, wherever it is formed

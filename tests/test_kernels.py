@@ -1,4 +1,4 @@
-"""The compiled FFT and LAPACK kernels, and the public numpy functions that stand in for them."""
+"""The compiled FFT, LAPACK and vdot kernels, and the public numpy functions that stand in for them."""
 
 import builtins
 import importlib.util
@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from bernmass import kernels, solvers, structured
-from bernmass.solvers import clear_cache, solve
+from bernmass.solvers import METHODS, clear_cache, solve
 from bernmass.structured import _dft_apply, structured_inverse_sweep
 
 _DEGREES = list(range(30)) + [100, 256, 300, 509]
@@ -31,7 +31,7 @@ def _public_kernels():
 
 
 def _outputs():
-    # the spectra of a sweep and the bare dft apply to 509, and warm dft and cho solves to 29, as bytes
+    # the spectra of a sweep and the bare dft apply to 509, and warm solves and their residuals to 29, as bytes
     clear_cache()
     try:
         out = []
@@ -42,9 +42,10 @@ def _outputs():
             out += [si._h_pair.tobytes(), si._t_pair.tobytes()]
             with np.errstate(over="ignore", invalid="ignore"):
                 out.append(_dft_apply(si, b).tobytes())
-            for method in ("dft", "cho") if n < 30 else ():
+            for method in METHODS if n < 30 else ():
                 solve(method, n, b, max_degree=29)  # builds the entry; the second solve is warm
-                out.append(solve(method, n, b, max_degree=29).solution.tobytes())
+                rep = solve(method, n, b, max_degree=29)
+                out += [rep.solution.tobytes(), rep.residual]
         return out
     finally:
         clear_cache()
@@ -57,6 +58,7 @@ def test_public_fallback_gives_the_same_bytes(monkeypatch):
     monkeypatch.setattr(structured, "_rfft", public.rfft)
     monkeypatch.setattr(structured, "_irfft", public.irfft)
     monkeypatch.setattr(solvers, "_solve1", public.solve1)
+    monkeypatch.setattr(kernels, "vdot", np.vdot)
     calls = []
     rfft = np.fft.rfft
     monkeypatch.setattr(np.fft, "rfft", lambda *args, **kwargs: calls.append(1) or rfft(*args, **kwargs))
@@ -82,3 +84,20 @@ def test_compiled_kernels_bound_on_numpy_2(monkeypatch):
     for m, x in want.items():
         assert solve(m, 20, b).solution.tobytes() == x, m
     structured_inverse_sweep(range(21))
+
+
+def test_undispatched_vdot_bound_on_numpy_2(monkeypatch):
+    # so the norms of every warm solve cannot fall back to np.vdot's dispatch unnoticed
+    if int(np.__version__.split(".")[0]) < 2:
+        return
+    assert kernels.vdot is np.vdot._implementation and kernels.vdot is not np.vdot
+    b = np.linspace(-1.0, 1.0, 21)
+    want = {m: solve(m, 20, b) for m in METHODS}
+
+    def dispatched(*args, **kwargs):
+        raise AssertionError("a warm solve called np.vdot")
+
+    monkeypatch.setattr(np, "vdot", dispatched)
+    for m, rep in want.items():
+        again = solve(m, 20, b)
+        assert again.solution.tobytes() == rep.solution.tobytes() and again.residual == rep.residual, m

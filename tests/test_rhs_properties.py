@@ -1,12 +1,13 @@
 """Every solve method, every alias, the exact reference and the public raw applies take and refuse b alike."""
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bernmass.bernstein import mass_matrix
 from bernmass.experiments import reference_solution
-from bernmass.solvers import METHOD_ALIASES, cholesky_factor, solve, solve_cholesky
+from bernmass.solvers import METHOD_ALIASES, METHODS, cholesky_factor, solve, solve_cholesky
 from bernmass.spectral import build_q, solve_spectral
 from bernmass.structured import solve_dft, structured_inverse
 
@@ -105,3 +106,30 @@ def test_zero_rhs_answered_with_zeros(n, kind):
     for name, route in ROUTES.items():
         x = route(n, b)
         assert x.dtype == np.float64 and x.shape == (n + 1,) and not x.any(), name
+
+
+# views of a vector b whose entries are b's, each laid out apart from it
+LAYOUTS = {
+    "reversed": lambda b: b[::-1].copy()[::-1],
+    "every other": lambda b: np.repeat(b, 2)[::2],
+    "matrix column": lambda b: np.column_stack([b, b, b])[:, 1],
+}
+
+
+@pytest.mark.parametrize("layout", sorted(LAYOUTS))
+def test_strided_rhs_answered_as_its_contiguous_copy(layout):
+    # matmul takes another loop for a negative stride, and np.vdot sums a
+    # strided vector in another order, so b is made contiguous first
+    rng = np.random.default_rng(1701)
+    raw = ("solve_dft", "solve_spectral", "solve_cholesky")
+    for n in range(26):
+        for _ in range(5):
+            b = rng.uniform(-1.0, 1.0, n + 1)
+            view = LAYOUTS[layout](b)
+            assert np.array_equal(view, b) and (n == 0 or not view.flags.c_contiguous)
+            for m in METHODS:
+                got, want = solve(m, n, view), solve(m, n, b)
+                assert got.solution.tobytes() == want.solution.tobytes(), (m, n)
+                assert got.residual == want.residual, (m, n)
+            for name in raw:
+                assert ROUTES[name](n, view).tobytes() == ROUTES[name](n, b).tobytes(), (name, n)

@@ -13,7 +13,7 @@ import pytest
 
 from bernmass.bernstein import DegreeTooLargeError, mass_matrix
 from bernmass.experiments import reference_solution
-from bernmass import solvers
+from bernmass import kernels, solvers
 from bernmass.inverse import inverse_matrix
 from bernmass.oracle import mass_exact, rational_solve
 from bernmass.solvers import (
@@ -303,6 +303,48 @@ def test_cho_entry_bitwise_equal_to_solve_cholesky():
         clear_cache()
 
 
+def _matmul_and_vdot_forms(method, n, b):
+    # a warm solve with @ for the direct and eig applies and the residual, and np.vdot for its norm
+    apply, _, mass = solvers._solver(method, n)
+    if method == "direct":
+        x = inverse_matrix(n) @ b
+    elif method == "eig":
+        spec = solvers._spectral(n)
+        x = spec.q @ ((spec.q.T @ b) / spec.lam)
+    else:
+        x = apply(b)
+    r = mass @ x
+    r -= b
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(kernels, "vdot", np.vdot)
+        return x, _scaled_norm(r) / _scaled_norm(b)
+
+
+@pytest.mark.parametrize(
+    "method, degrees",
+    [(m, range(26)) for m in METHODS] + [("direct", (100, 300, 509)), ("eig", (300, 508))],
+)
+def test_warm_solve_bitwise_equal_to_matmul_and_vdot(method, degrees):
+    # ndarray.dot and the undispatched vdot give the bits of matmul and np.vdot
+    clear_cache()
+    try:
+        for n in degrees:
+            apply, _, _ = solvers._solver(method, n)
+            if n < 26:
+                rhs = _oracle_rhs(n)
+            else:  # of order one, which every apply here takes finite
+                rhs = np.ones(n + 1), np.random.default_rng(n).uniform(-0.5, 0.5, n + 1)
+            for b in rhs:
+                want_x, want_res = _matmul_and_vdot_forms(method, n, b)
+                assert apply(b).tobytes() == want_x.tobytes(), (method, n)
+                for _ in range(2):  # the cold solve, then the warm one
+                    rep = solve(method, n, b, max_degree=600)
+                    assert rep.solution.tobytes() == want_x.tobytes(), (method, n)
+                    assert rep.residual == want_res, (method, n)
+    finally:
+        clear_cache()
+
+
 def test_import_loads_no_scipy():
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
@@ -399,6 +441,17 @@ def test_metrics_values():
     # b.b and r.r overflow, their 2-norms do not
     e2, em, res = metrics([2.0, 1.0], [1.0, 1.0], [1e300, 1e300], 1e300 * np.eye(2))
     assert e2 == pytest.approx(math.sqrt(0.5)) and res == pytest.approx(math.sqrt(0.5))
+
+
+def test_metrics_answer_strided_arguments_as_their_contiguous_copies():
+    rng = np.random.default_rng(1702)
+    for n in range(26):
+        mm = mass_matrix(n).matrix
+        b = rng.uniform(-1.0, 1.0, n + 1)
+        x_hat, x_ref = solve("eig", n, b).solution, reference_solution(n, b)
+        want = metrics(x_hat, x_ref, b, mm)
+        rev = [v[::-1].copy()[::-1] for v in (x_hat, x_ref, b)]
+        assert metrics(*rev, np.asfortranarray(mm)) == want, n
 
 
 def test_metrics_m_norm_overflow_rescaled():

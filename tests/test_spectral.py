@@ -7,8 +7,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from bernmass.bernstein import mass_matrix
+from bernmass.bernstein import DegreeTooLargeError, mass_matrix
 from bernmass.oracle import build_q_by_elevation, mass_exact, rational_solve
+from bernmass.solvers import solve
 from bernmass.spectral import build_q, build_q_sweep, eigenvalues, solve_spectral
 
 
@@ -115,6 +116,26 @@ def test_solve_spectral_matches_rational():
         x = solve_spectral(d, b)
         exact = rational_solve(mass_exact(n), [Fraction(float(v)) for v in b])
         assert np.allclose(x, [float(v) for v in exact], rtol=1e-9, atol=1e-12)
+
+
+@pytest.mark.parametrize("n", [508, 509, 545])
+def test_solve_spectral_refused_where_solve_refuses_eig(n):
+    # from 509 lambda_min is subnormal, and three eigenvalues are 0 at 545:
+    # refused before dividing, with solve's error and no numpy warning
+    d, b = build_q(n), np.ones(n + 1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        if n == 508:
+            x = solve_spectral(d, b)
+            assert np.all(np.isfinite(x))
+            assert x.tobytes() == solve("eig", n, b, max_degree=600).solution.tobytes()
+            return
+        with pytest.raises(DegreeTooLargeError) as got:
+            solve_spectral(d, b)
+        with pytest.raises(DegreeTooLargeError) as want:
+            solve("eig", n, b, max_degree=600)
+    assert str(got.value) == str(want.value)
+    assert str(got.value).startswith(f"degree n={n} left double range (smallest eigenvalue ")
 
 
 def test_apply_mass_spectral_matches_assembly():
