@@ -19,9 +19,9 @@ import numpy as np
 
 from .bernstein import mass_matrix
 from .conditioning import kappa_2, kappa_m_to_2
-from .experiments import ExperimentRecord, render_csv, run_projection, run_random
+from .experiments import FUNCTIONS, ExperimentRecord, render_csv, run_projection, run_random
 from .inverse import inverse_matrix
-from .solvers import UnknownMethodError, canonical_method
+from .solvers import METHODS, UnknownMethodError, canonical_method
 from .spectral import build_q, eigenvalues
 
 __all__ = ["main"]
@@ -35,10 +35,10 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     project = sub.add_parser("project", help="projection experiment for a test function")
-    project.add_argument("--func", choices=sorted(("f1", "f2")), required=True)
+    project.add_argument("--func", choices=sorted(FUNCTIONS), required=True)
     project.add_argument("--max-degree", type=int, default=20)
-    project.add_argument("--methods", default="direct,dft,eig,cho",
-                         help="comma list from {direct,dft,eig,cho}")
+    project.add_argument("--methods", default=",".join(METHODS),
+                         help="comma list from {%s}" % ",".join(METHODS))
     project.add_argument("--out", default=None, help="output file (default stdout)")
 
     random_cmd = sub.add_parser("random", help="random-system experiment")

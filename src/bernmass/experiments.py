@@ -27,16 +27,7 @@ from .inverse import hankel_inverse_exact
 from .kernels import _checked_rhs, _scaled_norm
 from .quadrature import QuadratureRule, composite_gauss_legendre
 from .rng import Xorshift64Star
-from .solvers import (
-    METHODS,
-    _dft_sweep,
-    _errors,
-    _m_norms,
-    _mass,
-    _spectral_sweep,
-    canonical_method,
-    solve,
-)
+from .solvers import COLUMN_TAGS, METHODS, _errors, _m_norms, _mass, _prefill, canonical_method, solve
 
 __all__ = [
     "f1",
@@ -66,9 +57,6 @@ def f2(x):
 
 
 FUNCTIONS = {"f1": f1, "f2": f2}
-
-# CSV column tags per solver, in fixed output order
-COLUMN_TAGS = {"direct": "direct", "dft": "DFT", "eig": "Eig", "cho": "cho"}
 
 _RULE = None
 
@@ -116,24 +104,18 @@ class ExperimentRecord:
     values: dict
 
 
-def _ordered_methods(methods) -> list:
-    requested = {canonical_method(m) for m in methods}
-    return [m for m in METHODS if m in requested]
-
-
 def _run_table(families, methods, n_max: int, rows) -> list:
     """The table loop: one record per degree 0..n_max, columns family x method tag.
 
     rows yields, per degree, (b, measure): each chosen method solves M x = b
     and measure(report) gives its values in family order.  A method whose
-    solve fails reads nan in every family and the run continues.  The eig
-    Qs (for the M-norms) and, with dft among the methods, the dft spectra of
-    every degree are built up front, each by one batched sweep.
+    solve fails reads nan in every family and the run continues.  The Qs
+    of the M-norms and each chosen method's prefill are built up front by
+    solvers._prefill, one batched sweep per kind.
     """
-    chosen = _ordered_methods(methods)
-    _spectral_sweep(n_max)
-    if "dft" in chosen:
-        _dft_sweep(n_max)
+    requested = {canonical_method(m) for m in methods}
+    chosen = [m for m in METHODS if m in requested]
+    _prefill(n_max, chosen)
     records = []
     for n, (b, measure) in enumerate(rows):
         cells = {}

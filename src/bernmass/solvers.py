@@ -2,11 +2,12 @@
 
 Methods: the closed-form inverse applied densely ("direct"), the FFT-based
 structured apply ("dft"), the spectral decomposition ("eig"), and a Cholesky
-factorization ("cho").  The first solve of a method at a degree caches one
-entry: the method's apply, the largest |b|_2 it cannot overflow at, and M
-for the residual.  Every later solve there is one dictionary lookup, the
-apply and the residual.  The tables fill the eig Qs and the dft entries of
-all their degrees up front, through the batched sweeps.
+factorization ("cho"), each one record of _TABLE: its CSV tag, aliases,
+entry and batched prefill.  The first solve of a method at a degree caches
+one entry: the method's apply, the largest |b|_2 it cannot overflow at, and
+M for the residual.  Every later solve there is one dictionary lookup, the
+apply and the residual.  The tables fill the eig Qs and the dft spectra of
+all their degrees up front, through one prefill loop over the batched sweeps.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from __future__ import annotations
 import math
 import sys
 import threading
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,13 +25,7 @@ from .inverse import _hankel_inverse_band, inverse_matrix
 from .kernels import _SQRT_TINY, _checked_rhs, _scaled_norm
 from .kernels import solve1 as _solve1
 from .spectral import SpectralDecomp, _eig_apply, _normal_lam_min, build_q, build_q_sweep, eigenvalues
-from .structured import (
-    _MAX_SPECTRA_DEGREE,
-    _dft_apply,
-    _products_overflowed,
-    structured_inverse,
-    structured_inverse_sweep,
-)
+from .structured import _dft_apply, _products_overflowed, structured_inverse, structured_inverse_sweep
 
 __all__ = [
     "METHODS",
@@ -47,18 +43,6 @@ __all__ = [
     "clear_cache",
 ]
 
-METHODS = ("direct", "dft", "eig", "cho")
-
-METHOD_ALIASES = {
-    "direct": "direct",
-    "exact-inverse": "direct",
-    "dft": "dft",
-    "eig": "eig",
-    "spectral": "eig",
-    "cho": "cho",
-    "cholesky": "cho",
-}
-
 
 class NotPositiveDefiniteError(ValueError):
     """The matrix handed to the Cholesky routine was not numerically SPD."""
@@ -70,15 +54,6 @@ class DegreeRangeError(ValueError):
 
 class UnknownMethodError(ValueError):
     """Method name is not one of the known solvers or their aliases."""
-
-
-def canonical_method(name: str) -> str:
-    try:
-        return METHOD_ALIASES[name]
-    except KeyError:
-        raise UnknownMethodError(
-            f"unknown method {name!r}; expected one of {sorted(METHOD_ALIASES)}"
-        ) from None
 
 
 @dataclass
@@ -155,16 +130,25 @@ def _spectral(n: int) -> SpectralDecomp:
     return _cached("spectral", n, build_q)
 
 
-def _spectral_sweep(n_max: int) -> None:
-    """Cache Q for every uncached degree 0..min(n_max, 582) through one build_q_sweep."""
-    missing = [k for k in range(min(n_max, _MAX_DEGREE) + 1) if ("spectral", k) not in _cache]
-    for spec in build_q_sweep(missing):
-        _cached("spectral", spec.degree, lambda _, built=spec: built)
+def _overflowed(name: str, n: int) -> DegreeTooLargeError:
+    if name == "dft":
+        return _products_overflowed(n)
+    return DegreeTooLargeError(f"{name} solve at degree n={n} left double range (its apply overflowed)")
 
 
-def _dft_cap(si) -> float:
-    """The |b|_2 up to which _dft_apply(si, b) cannot overflow, in closed form."""
-    n, s = si.degree, si.degree + 1
+def _direct(n: int) -> tuple:
+    inv = inverse_matrix(n)
+    amax = float(np.max(np.abs(inv)))
+    if amax == math.inf:
+        # from n = 512: inf*b_j, or inf*0 = nan, reaches x for every b
+        raise _overflowed("direct", n)
+    # every partial sum of (inv @ b)_i is at most sqrt(n+1) max|inv| |b|_2, so
+    # a b whose 2-norm is within the cap (halved for rounding) cannot overflow
+    return inv.dot, sys.float_info.max / amax / (2.0 * math.sqrt(n + 1))
+
+
+def _dft(n: int) -> tuple:
+    si, s = _cached("structured", n, structured_inverse), n + 1
     # A circulant spectrum is at most its column's l1 norm: the squared
     # binomials of H and of T each sum to below k = C(2n+2, n+1) = 2 kappa_2(n),
     # and Ht and Tt weight them by at most n+1.  So, with B = |b/D|_1 <= sqrt(s) |b|_2,
@@ -174,60 +158,71 @@ def _dft_cap(si) -> float:
     # terms grows that by plan at most, so no intermediate passes
     # plan s^3.5 k^2 |b|_2, kept below half the largest double
     k = math.comb(2 * n + 2, n + 1)
-    return _HALF_MAX / k / k / (si.plan_size * s**3.5)
+    return (lambda bv: _dft_apply(si, bv)), _HALF_MAX / k / k / (si.plan_size * s**3.5)
 
 
-def _dft_entry(si) -> tuple:
-    """_solver's dft entry: an apply that finds solve_dft's bare kernel,
-    _dft_apply, when called, _dft_cap, and M."""
-    return (lambda bv: _dft_apply(si, bv)), _dft_cap(si), _mass(si.degree)
+def _eig(n: int) -> tuple:
+    spec = _normal_lam_min(_spectral(n))
+    # |Q^T b| <= |b|_2 and Q's rows are unit vectors, so no partial sum
+    # passes |b|_2 / lambda_min, kept below half the largest double
+    return (lambda bv: _eig_apply(spec, bv)), _HALF_MAX * float(spec.lam[-1])
 
 
-def _dft_sweep(n_max: int) -> None:
-    """Cache the dft entry of every uncached degree 0..min(n_max, 509), by one structured_inverse_sweep."""
-    missing = [k for k in range(min(n_max, _MAX_SPECTRA_DEGREE) + 1) if ("dft", k) not in _cache]
-    for si in structured_inverse_sweep(missing):
-        _cached("dft", si.degree, lambda _, built=si: _dft_entry(built))
+def _cho(n: int) -> tuple:
+    lower = cholesky_factor(_mass(n)).lower
+    upper = lower.T
+    # |L^-1 b|_2 <= |b|_2 / sqrt(lambda_min) and |x|_2 <= |b|_2 / lambda_min:
+    # eig's cap, with lambda_min in closed form (the tests sweep n <= 29 under it).
+    # The apply is solve_cholesky's two numpy.linalg.solve kernels, bare: L from
+    # a Cholesky that succeeded is nonsingular, so only _apply_unwarned needs np.errstate
+    return (lambda bv: _solve1(upper, _solve1(lower, bv))), _HALF_MAX * float(eigenvalues(n)[-1])
 
 
-def _overflowed(name: str, n: int) -> DegreeTooLargeError:
-    if name == "dft":
-        return _products_overflowed(n)
-    return DegreeTooLargeError(f"{name} solve at degree n={n} left double range (its apply overflowed)")
+# One record per method.  entry(n) gives (apply, cap): x = apply(b) cannot
+# overflow while |b|_2 <= cap.  prefill is None or (cache kind,
+# sweep(degrees) -> the values built, last buildable degree).  Each entry and
+# sweep looks up its builder, and each apply its kernel, as a module global
+# when called, so a patched builder is the one that runs.
+_Method = namedtuple("_Method", "tag aliases entry prefill")
+
+_TABLE = {
+    "direct": _Method("direct", ("exact-inverse",), _direct, None),
+    # 509: the last degree whose circulant spectra are finite doubles
+    "dft": _Method("DFT", (), _dft, ("structured", lambda ks: structured_inverse_sweep(ks), 509)),
+    "eig": _Method("Eig", ("spectral",), _eig, ("spectral", lambda ks: build_q_sweep(ks), _MAX_DEGREE)),
+    "cho": _Method("cho", ("cholesky",), _cho, None),
+}
+
+METHODS = tuple(_TABLE)
+
+METHOD_ALIASES = {alias: name for name, m in _TABLE.items() for alias in (name, *m.aliases)}
+
+# CSV column tags per solver, in fixed output order
+COLUMN_TAGS = {name: m.tag for name, m in _TABLE.items()}
+
+
+def canonical_method(name: str) -> str:
+    try:
+        return METHOD_ALIASES[name]
+    except KeyError:
+        raise UnknownMethodError(
+            f"unknown method {name!r}; expected one of {sorted(METHOD_ALIASES)}"
+        ) from None
+
+
+def _prefill(n_max: int, methods) -> None:
+    """Cache what a table over degrees 0..n_max builds up front: eig's Qs, which
+    its M-norms read, and the prefill of each canonical method in methods.  Each
+    kind is one sweep of its uncached degrees up to its last buildable one."""
+    for kind, sweep, last in filter(None, dict.fromkeys(_TABLE[m].prefill for m in ("eig", *methods))):
+        missing = [k for k in range(min(n_max, last) + 1) if (kind, k) not in _cache]
+        for built in sweep(missing):
+            _cached(kind, built.degree, lambda _, value=built: value)
 
 
 def _solver(name: str, n: int) -> tuple:
-    """(apply, cap, M): x = apply(b) cannot overflow while |b|_2 <= cap, and M
-    gives the residual.  Every method's apply is capped (dft's by _dft_entry),
-    and each finds its function when called, patched or not."""
-    if name == "dft":
-        return _dft_entry(structured_inverse(n))
-    if name == "direct":
-        inv = inverse_matrix(n)
-        amax = float(np.max(np.abs(inv)))
-        if amax == math.inf:
-            # from n = 512: inf*b_j, or inf*0 = nan, reaches x for every b
-            raise _overflowed(name, n)
-        # every partial sum of (inv @ b)_i is at most sqrt(n+1) max|inv| |b|_2, so
-        # a b whose 2-norm is within the cap (halved for rounding) cannot overflow
-        apply, cap = inv.dot, sys.float_info.max / amax / (2.0 * math.sqrt(n + 1))
-    elif name == "eig":
-        spec = _normal_lam_min(_spectral(n))
-        # |Q^T b| <= |b|_2 and Q's rows are unit vectors, so no partial sum
-        # passes |b|_2 / lambda_min, kept below half the largest double
-        apply, cap = (lambda bv: _eig_apply(spec, bv)), _HALF_MAX * float(spec.lam[-1])
-    else:
-        lower = cholesky_factor(_mass(n)).lower
-        upper = lower.T
-        # |L^-1 b|_2 <= |b|_2 / sqrt(lambda_min) and |x|_2 <= |b|_2 / lambda_min:
-        # eig's cap, with lambda_min in closed form (the tests sweep n <= 29 under it).
-        # The apply is solve_cholesky's two numpy.linalg.solve kernels, bare: L from
-        # a Cholesky that succeeded is nonsingular, so only _apply_unwarned needs np.errstate
-        cap = _HALF_MAX * float(eigenvalues(n)[-1])
-
-        def apply(bv):
-            return _solve1(upper, _solve1(lower, bv))
-    return apply, cap, _mass(n)
+    """(apply, cap, M): the method's entry, and M for the residual."""
+    return (*_TABLE[name].entry(n), _mass(n))
 
 
 def _apply_unwarned(name: str, n: int, apply, bv: np.ndarray) -> np.ndarray:
@@ -252,9 +247,10 @@ def solve(method: str, n: int, b, max_degree: int = 25) -> SolveReport:
     as 0).  A solution whose
     residual is not finite raises DegreeTooLargeError; so does an
     overflowing direct apply (from n = 510 or so for b of order one), dft
-    apply (from n = 257 for b of order one), eig or cho apply (b near the
-    top of double range), and eig, before dividing, once the smallest
-    eigenvalue is not a normal double (from n = 509).  Each method's apply
+    apply (from n = 255 for b = 1, 257 or 258 for b = M x with x uniform in
+    [-1/2, 1/2)), eig or cho apply (b near the top of double range), and
+    eig, before dividing, once the smallest eigenvalue is not a normal
+    double (from n = 509).  Each method's apply
     runs bare while |b|_2 is within the cap below which it cannot overflow,
     and past it under np.errstate with a finiteness check.  b = 0 gives
     x = 0.

@@ -8,7 +8,7 @@ an O(n log n) solve.  One builder, structured_inverse_sweep, makes the
 circulant spectra of a whole sweep of degrees: the degrees that share a
 plan size are transformed together, as rows of one 2-D rfft, and
 structured_inverse(n) is the sweep of [n]; the tables prefill their dft
-solves through it; from n = 510 it raises DegreeTooLargeError.  The dense
+spectra through it; from n = 510 it raises DegreeTooLargeError.  The dense
 split factors, the Bezout matrix, the Hankel inversion formula behind them
 and a Hankel product through toeplitz_matvec are validation routes and
 live in bernmass.oracle.
@@ -99,10 +99,6 @@ class StructuredInverse:
 
     def __repr__(self):
         return f"StructuredInverse(degree={self.degree})"
-
-
-# the last degree whose circulant spectra are finite doubles
-_MAX_SPECTRA_DEGREE = 509
 
 
 def structured_inverse(n: int) -> StructuredInverse:
@@ -218,8 +214,9 @@ def solve_dft(si: StructuredInverse, b) -> np.ndarray:
 
     b is checked as solve checks it: a complex b, one not of shape
     (degree+1,), or one with a nan or inf entry raises ValueError.  Raises
-    DegreeTooLargeError when the products leave double range (from n = 257
-    on for right-hand sides of order one), instead of returning nan.
+    DegreeTooLargeError when the products leave double range (from n = 255
+    for b = 1, and from n = 257 or 258 for b = M x with x uniform in
+    [-1/2, 1/2)), instead of returning nan.
     """
     bv, _ = _checked_rhs(si.degree, b)
     # overflow here is detected afterwards, not warned about per entry

@@ -581,6 +581,7 @@ def test_dft_prefill_entries_and_clear_cache(monkeypatch):
         assert sweeps == [list(range(21))]
         for n in range(21):
             apply, cap, mass = solvers._cache[("dft", n)]
+            assert solvers._cache[("structured", n)].degree == n  # the prefilled spectra
             k = math.comb(2 * n + 2, n + 1)
             assert cap == sys.float_info.max / 2.0 / k / k / (next_pow2(2 * n + 2) * (n + 1) ** 3.5)
             assert mass is solvers._cache[("mass", n)]
@@ -590,10 +591,12 @@ def test_dft_prefill_entries_and_clear_cache(monkeypatch):
         assert not solvers._cache
         run_random(20, 3, ["dft"])  # after clear_cache, the full build again
         assert sweeps[-1] == list(range(21))
-        # past 509 the tables build no dft spectra up front (recorded, not built)
+        # past 509 the tables build no dft spectra up front (recorded, not built;
+        # the Qs of the M-norms, swept first, are recorded too)
         monkeypatch.setattr(solvers, "structured_inverse_sweep", lambda degrees: sweeps.append(degrees) or [])
+        monkeypatch.setattr(solvers, "build_q_sweep", lambda degrees: sweeps.append(degrees) or [])
         clear_cache()
-        solvers._dft_sweep(515)
+        solvers._prefill(515, ["dft"])
         assert sweeps[-1] == list(range(510))
     finally:
         clear_cache()

@@ -234,7 +234,7 @@ def test_dft_cap_boundary():
         warnings.simplefilter("error")
         for si in sweep:
             n = si.degree
-            cap = solvers._dft_cap(si)
+            _, cap = solvers._dft(n)  # the cap of the entry a first solve caches
             for shape in _cap_shapes(n):
                 b = shape * (cap / _scaled_norm(shape))
                 while _scaled_norm(b) > cap:
@@ -586,10 +586,18 @@ def test_solve_bitwise_equal_to_per_method_oracle(method):
          "direct solve at degree n=512 left double range (its apply overflowed)"),
         ("direct", 583, DegreeTooLargeError,  # past assembly's limit, refused all the same
          "direct solve at degree n=583 left double range (its apply overflowed)"),
+        ("direct", 510, DegreeTooLargeError,  # one past its last working degree
+         "direct solve at degree n=510 left double range (its apply overflowed)"),
+        ("dft", 255, DegreeTooLargeError,  # one past its last working degree
+         "structured inverse products overflow double precision at degree n=255"),
         ("dft", 257, DegreeTooLargeError,
          "structured inverse products overflow double precision at degree n=257"),
         ("dft", 510, DegreeTooLargeError,
          "circulant spectra overflow double precision at degree n=510"),
+        ("dft", 516, DegreeTooLargeError,
+         "squared binomial factors overflow double precision at degree n=516"),
+        ("cho", 30, NotPositiveDefiniteError,  # one past its last working degree
+         "Cholesky failed for degree 30: Matrix is not positive definite"),
     ],
 )
 def test_refusals_keep_type_and_message(method, n, error, message):
@@ -599,6 +607,19 @@ def test_refusals_keep_type_and_message(method, n, error, message):
         assert type(info.value) is error and str(info.value) == message
     # the b = 0 shortcut still runs before anything is built
     assert not solve(method, n, np.zeros(n + 1), max_degree=600).solution.any()
+
+
+@pytest.mark.parametrize("method, n", [("direct", 509), ("dft", 254), ("eig", 508), ("cho", 29)])
+def test_last_working_degree_gives_finite_x(method, n):
+    # each method's limit for b = 1: one degree on, test_refusals_keep_type_and_message refuses it
+    clear_cache()
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rep = solve(method, n, np.ones(n + 1), max_degree=600)
+        assert np.all(np.isfinite(rep.solution)) and math.isfinite(rep.residual)
+    finally:
+        clear_cache()
 
 
 def test_warm_solve_builds_nothing(monkeypatch):
