@@ -190,12 +190,15 @@ def basis_values(n: int, x) -> np.ndarray:
 
 
 def _power_tables(xv: np.ndarray, n: int) -> tuple:
-    """x^k and (1-x)^k for k = 0..n, each of shape (len(x), n+1)."""
-    k = np.arange(n + 1)
-    return xv[:, None] ** k, (1.0 - xv)[:, None] ** k
+    """x^k for k = 0..n, and (1-x)^k for k = n..0, each of shape (len(x), n+1).
+
+    The second table runs backwards, so degree m's powers (1-x)^(m-i),
+    i = 0..m, are its last m+1 columns, read forwards.
+    """
+    return xv[:, None] ** np.arange(n + 1), (1.0 - xv)[:, None] ** np.arange(n, -1, -1)
 
 
-def _basis_from_powers(n: int, xp: np.ndarray, yp: np.ndarray) -> np.ndarray:
-    """basis_values(n, x) from power tables of x reaching at least degree n."""
+def _basis_from_powers(n: int, xp: np.ndarray, yr: np.ndarray) -> np.ndarray:
+    """basis_values(n, x) from _power_tables of x reaching at least degree n."""
     c = np.array(binomial_row(n), dtype=float)
-    return c * xp[:, : n + 1] * yp[:, n::-1]
+    return c * xp[:, : n + 1] * yr[:, yr.shape[1] - n - 1 :]

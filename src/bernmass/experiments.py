@@ -6,12 +6,16 @@ an independently computed Legendre-series projection.  A projection table
 is one sweep over the degrees: f is evaluated once, the Legendre reference
 of degree n is that of degree n-1 elevated by one step plus one new series
 term, and one basis matrix per degree gives both the moments b and each
-method's values at the quadrature nodes.  A second harness solves randomly
-generated systems and reports error/residual metrics per method against
-the exact solution of the rounded system, found in integer arithmetic.
+method's values at the quadrature nodes.  The basis is read from power
+tables of x and of 1-x taken once per table, the second stored backwards,
+so each degree's columns are a forward slice.  A second harness solves
+randomly generated systems and reports error/residual metrics per method
+against the exact solution of the rounded system, found in integer
+arithmetic.
 Both harnesses run one table loop, which solves, flags a failing method's
 cells nan and orders the columns.  Records go to CSV with 17-significant-
-digit floats so runs are reproducible byte for byte.
+digit floats so runs are reproducible byte for byte; a record of floats
+alone is formatted in one operation.
 """
 
 from __future__ import annotations
@@ -27,7 +31,7 @@ from .inverse import hankel_inverse_exact
 from .kernels import _checked_rhs, _scaled_norm
 from .quadrature import QuadratureRule, composite_gauss_legendre
 from .rng import Xorshift64Star
-from .solvers import COLUMN_TAGS, METHODS, _errors, _m_norms, _mass, _prefill, canonical_method, solve
+from .solvers import COLUMN_TAGS, METHODS, _errors, _m_norm, _mass, _prefill, canonical_method, solve
 
 __all__ = [
     "f1",
@@ -75,23 +79,30 @@ def _legendre_projections(fv, n_max: int, rule: QuadratureRule) -> list:
     fv holds f at the rule's nodes.  The series coefficients
     c_k = (2k+1) (f, L_k) are integrated once; degree n is degree n-1
     elevated by one step, (i/n) a_{i-1} + ((n-i)/n) a_i, plus c_n times the
-    native coefficients (-1)^(n+i) C(n,i) of L_n.  O(n) vector steps per
+    native coefficients (-1)^(n+i) C(n,i) of L_n, whose integer row steps
+    from degree n-1's by one subtraction per entry.  O(n) vector steps per
     degree, and neither the mass matrix nor Q is touched.
     """
     y = 2.0 * rule.nodes - 1.0
     p_prev, p = np.ones_like(y), y
+    steps = np.arange(n_max + 1.0)
+    signed = [1]
     a = np.zeros(1)
     out = []
     for n in range(n_max + 1):
         lk = p_prev if n == 0 else p
         cn = (2 * n + 1) * float(rule.weights @ (fv * lk))
         if n:
-            i = np.arange(n + 1.0)
-            a = np.append(0.0, i[1:] / n * a) + np.append((n - i[:-1]) / n * a, 0.0)
+            # the elevation, written into a fresh vector: ((n-i)/n) a_i at i < n
+            # and 0 at i = n, then (i/n) a_{i-1} added at i >= 1; r holds i/n.
+            # Entry 0 rounds as the sum 0 + (n/n) a_0 would: a_0 is never -0
+            r = steps[1 : n + 1] / n
+            a, prev = np.zeros(n + 1), a
+            np.multiply(r[::-1], prev, out=a[:-1])
+            a[1:] += r * prev
             p_prev, p = p, ((2 * n + 1) * y * p - n * p_prev) / (n + 1)
-        pascal = np.array(binomial_row(n), dtype=float)
-        pascal[(n + 1) % 2 :: 2] *= -1.0  # the sign (-1)^(n+k)
-        a = a + cn * pascal
+            signed = [u - v for u, v in zip([0, *signed], [*signed, 0])]
+        a += cn * np.array(signed, dtype=float)
         out.append(a)
     return out
 
@@ -116,18 +127,20 @@ def _run_table(families, methods, n_max: int, rows) -> list:
     requested = {canonical_method(m) for m in methods}
     chosen = [m for m in METHODS if m in requested]
     _prefill(n_max, chosen)
+    columns = [f"{COLUMN_TAGS[m]}{fam}" for fam in families for m in chosen]
+    failed = (math.nan,) * len(families)
     records = []
     for n, (b, measure) in enumerate(rows):
-        cells = {}
+        cells = []
         for m in chosen:
             try:
                 report = solve(m, n, b, max_degree=n_max)
             except (ValueError, np.linalg.LinAlgError):
-                cells[m] = (math.nan,) * len(families)
+                cells.append(failed)
             else:
-                cells[m] = measure(report)
-        values = {f"{COLUMN_TAGS[m]}{fam}": cells[m][k] for k, fam in enumerate(families) for m in chosen}
-        records.append(ExperimentRecord(n, values))
+                cells.append(measure(report))
+        # family-major: each family's values in method order
+        records.append(ExperimentRecord(n, dict(zip(columns, [v for fam in zip(*cells) for v in fam]))))
     return records
 
 
@@ -142,24 +155,26 @@ def run_projection(func, n_max: int, methods=METHODS, rule: QuadratureRule | Non
     """
     f = FUNCTIONS[func] if isinstance(func, str) else func
     rule = rule or default_rule()
+    w = rule.weights
     fv = np.asarray(f(rule.nodes), dtype=float)
-    fnorm = _scaled_norm(fv, rule.weights)  # the L2 norm of f under the rule
-    xp, yp = _power_tables(rule.nodes, n_max)
+    fnorm = _scaled_norm(fv, w)  # the L2 norm of f under the rule
+    wf = w * fv  # the moments are wf.dot(basis)
+    xp, yr = _power_tables(rule.nodes, n_max)
 
     def rows():
         for n, ref in enumerate(_legendre_projections(fv, n_max, rule)):
             # one basis matrix per degree, bitwise basis_values(n, nodes): the
-            # moments b and each method's values p = basis @ x_hat
-            basis = _basis_from_powers(n, xp, yp)
+            # moments b and each method's values p = basis.dot(x_hat), one gemv each
+            basis = _basis_from_powers(n, xp, yr)
             ref_norm = _scaled_norm(ref)
 
             def measure(report):
                 x_hat = report.solution
                 d = x_hat - ref
-                fp = _scaled_norm(fv - basis @ x_hat, rule.weights) / fnorm
-                return fp, float(_m_norms(n, d)[0]) / fnorm, _scaled_norm(d) / ref_norm, report.residual
+                fp = _scaled_norm(fv - basis.dot(x_hat), w) / fnorm
+                return fp, _m_norm(n, d) / fnorm, _scaled_norm(d) / ref_norm, report.residual
 
-            yield (rule.weights * fv) @ basis, measure
+            yield wf.dot(basis), measure
 
     return _run_table(("fp", "Pifp", "err", "res"), methods, n_max, rows())
 
@@ -231,15 +246,24 @@ def _format_value(v) -> str:
 
 
 def render_csv(records) -> str:
-    """Records as CSV text: header, one line per degree, newline-terminated."""
+    """Records as CSV text: header, one line per degree, newline-terminated.
+
+    A record of Python floats alone is formatted by one % operation, the
+    same text as _format_value's cell by cell.
+    """
     if not records:
         raise ValueError("no records to render")
     keys = list(records[0].values.keys())
+    floats = ",%.17g" * len(keys)
     lines = [",".join(["n"] + keys)]
     for rec in records:
         if list(rec.values.keys()) != keys:
             raise ValueError("records disagree on their columns")
-        lines.append(",".join([str(rec.degree)] + [_format_value(rec.values[k]) for k in keys]))
+        cells = tuple(rec.values.values())
+        if set(map(type, cells)) <= {float}:
+            lines.append(str(rec.degree) + floats % cells)
+        else:
+            lines.append(",".join([str(rec.degree)] + [_format_value(v) for v in cells]))
     return "\n".join(lines) + "\n"
 
 

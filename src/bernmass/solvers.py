@@ -3,11 +3,12 @@
 Methods: the closed-form inverse applied densely ("direct"), the FFT-based
 structured apply ("dft"), the spectral decomposition ("eig"), and a Cholesky
 factorization ("cho"), each one record of _TABLE: its CSV tag, aliases,
-entry and batched prefill.  The first solve of a method at a degree caches
-one entry: the method's apply, the largest |b|_2 it cannot overflow at, and
-M for the residual.  Every later solve there is one dictionary lookup, the
-apply and the residual.  The tables fill the eig Qs and the dft spectra of
-all their degrees up front, through one prefill loop over the batched sweeps.
+entry, batched prefill and overflow refusal.  The first solve of a method
+at a degree caches one entry: the method's apply, the largest |b|_2 it
+cannot overflow at, and M for the residual.  Every later solve there is
+one dictionary lookup, the apply and the residual.  The tables fill the
+eig Qs and the dft spectra of all their degrees up front, through one
+prefill loop over the batched sweeps.
 """
 
 from __future__ import annotations
@@ -130,10 +131,9 @@ def _spectral(n: int) -> SpectralDecomp:
     return _cached("spectral", n, build_q)
 
 
-def _overflowed(name: str, n: int) -> DegreeTooLargeError:
-    if name == "dft":
-        return _products_overflowed(n)
-    return DegreeTooLargeError(f"{name} solve at degree n={n} left double range (its apply overflowed)")
+def _apply_overflowed(name: str):
+    """A method's refusal at degree n once its apply has overflowed."""
+    return lambda n: DegreeTooLargeError(f"{name} solve at degree n={n} left double range (its apply overflowed)")
 
 
 def _direct(n: int) -> tuple:
@@ -141,7 +141,7 @@ def _direct(n: int) -> tuple:
     amax = float(np.max(np.abs(inv)))
     if amax == math.inf:
         # from n = 512: inf*b_j, or inf*0 = nan, reaches x for every b
-        raise _overflowed("direct", n)
+        raise _TABLE["direct"].overflowed(n)
     # every partial sum of (inv @ b)_i is at most sqrt(n+1) max|inv| |b|_2, so
     # a b whose 2-norm is within the cap (halved for rounding) cannot overflow
     return inv.dot, sys.float_info.max / amax / (2.0 * math.sqrt(n + 1))
@@ -180,17 +180,22 @@ def _cho(n: int) -> tuple:
 
 # One record per method.  entry(n) gives (apply, cap): x = apply(b) cannot
 # overflow while |b|_2 <= cap.  prefill is None or (cache kind,
-# sweep(degrees) -> the values built, last buildable degree).  Each entry and
+# sweep(degrees) -> the values built, last buildable degree).  overflowed(n)
+# is the DegreeTooLargeError raised where the apply overflowed.  Each entry and
 # sweep looks up its builder, and each apply its kernel, as a module global
 # when called, so a patched builder is the one that runs.
-_Method = namedtuple("_Method", "tag aliases entry prefill")
+_Method = namedtuple("_Method", "tag aliases entry prefill overflowed")
 
 _TABLE = {
-    "direct": _Method("direct", ("exact-inverse",), _direct, None),
+    "direct": _Method("direct", ("exact-inverse",), _direct, None, _apply_overflowed("direct")),
     # 509: the last degree whose circulant spectra are finite doubles
-    "dft": _Method("DFT", (), _dft, ("structured", lambda ks: structured_inverse_sweep(ks), 509)),
-    "eig": _Method("Eig", ("spectral",), _eig, ("spectral", lambda ks: build_q_sweep(ks), _MAX_DEGREE)),
-    "cho": _Method("cho", ("cholesky",), _cho, None),
+    "dft": _Method(
+        "DFT", (), _dft, ("structured", lambda ks: structured_inverse_sweep(ks), 509), _products_overflowed
+    ),
+    "eig": _Method(
+        "Eig", ("spectral",), _eig, ("spectral", lambda ks: build_q_sweep(ks), _MAX_DEGREE), _apply_overflowed("eig")
+    ),
+    "cho": _Method("cho", ("cholesky",), _cho, None, _apply_overflowed("cho")),
 }
 
 METHODS = tuple(_TABLE)
@@ -231,7 +236,7 @@ def _apply_unwarned(name: str, n: int, apply, bv: np.ndarray) -> np.ndarray:
     with np.errstate(over="ignore", invalid="ignore"):
         x = apply(bv)
     if not np.all(np.isfinite(x)):
-        raise _overflowed(name, n)
+        raise _TABLE[name].overflowed(n)
     return x
 
 
@@ -275,31 +280,42 @@ def solve(method: str, n: int, b, max_degree: int = 25) -> SolveReport:
     return SolveReport(name, n, x, residual)
 
 
-def _m_norms(n: int, *vectors) -> np.ndarray:
-    """The M-norms ||Lambda^(1/2) Q^T v|| of degree-n vectors, through the cached Q.
+def _m_norm(n: int, v: np.ndarray) -> float:
+    """The M-norm ||Lambda^(1/2) Q^T v|| of a degree-n vector, through the cached Q.
 
     Unlike sqrt(v^T M v), this never cancels: that quadratic form turns
     negative once the float M stops being numerically positive definite
-    (n >= 30).  A column whose squares overflow or leave the normal range
-    is retaken by _scaled_norm, rescaled by its max|.|.
+    (n >= 30).  Squares that overflow or leave the normal range are
+    retaken by _scaled_norm, rescaled by max|.|.
     """
     spec = _spectral(n)
-    coords = np.sqrt(spec.lam)[:, None] * (spec.q.T @ np.column_stack(vectors))
+    coords = np.sqrt(spec.lam) * spec.q.T.dot(v)
+    with np.errstate(over="ignore"):
+        nrm = math.sqrt(np.add.reduce(coords * coords))
+    if not _SQRT_TINY <= nrm < math.inf:
+        nrm = _scaled_norm(coords)
+    return nrm
+
+
+def _errors(x_hat: np.ndarray, x_ref: np.ndarray) -> tuple:
+    """metrics' relative 2-norm and M-norm errors of x_hat against x_ref.
+
+    Both M-norms come from one two-column product with Q^T, each column's
+    squares summed by norm(axis=0) and retaken as _m_norm retakes them.
+    Not two _m_norm calls: two gemvs and two pairwise sums give other bits.
+    """
+    ref2 = _scaled_norm(x_ref)
+    if ref2 == 0.0:
+        raise ValueError("reference solution has zero norm")
+    d = x_hat - x_ref
+    spec = _spectral(x_ref.size - 1)
+    coords = np.sqrt(spec.lam)[:, None] * (spec.q.T @ np.column_stack((d, x_ref)))
     with np.errstate(over="ignore"):
         norms = np.linalg.norm(coords, axis=0)
     for j, nrm in enumerate(norms.tolist()):
         if not _SQRT_TINY <= nrm < math.inf:
             norms[j] = _scaled_norm(coords[:, j])
-    return norms
-
-
-def _errors(x_hat: np.ndarray, x_ref: np.ndarray) -> tuple:
-    """metrics' relative 2-norm and M-norm errors of x_hat against x_ref."""
-    ref2 = _scaled_norm(x_ref)
-    if ref2 == 0.0:
-        raise ValueError("reference solution has zero norm")
-    d = x_hat - x_ref
-    dm, rm = _m_norms(x_ref.size - 1, d, x_ref)
+    dm, rm = norms
     return _scaled_norm(d) / ref2, float(dm / rm)
 
 
@@ -307,7 +323,7 @@ def metrics(x_hat, x_ref, b, m) -> tuple:
     """Relative 2-norm error, relative M-norm error, relative residual.
 
     The 2-norms are _scaled_norm's, rescaled where v.v overflows; both M-norms
-    come from _m_norms, through the degree's cached spectral decomposition;
+    come from _errors, through the degree's cached spectral decomposition;
     m feeds only the residual.  Strided arguments are copied C-contiguous,
     so their layout does not change the sums, as in solve.
     """
