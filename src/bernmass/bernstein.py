@@ -140,7 +140,8 @@ def mass_matrix(n: int) -> MassMatrix:
     would keep only a few bits.  So the moment recurrence runs from
     h(0) 2^s, s = max(0, 2n - 1000), and 2^-s is folded into the column
     diagonal: entry (i, j) is (d_i h_s(i+j)) (d_j 2^-s), accurate to a few
-    ulps or a few subnormal spacings.  Degrees past _MAX_DEGREE (582) raise
+    ulps or a few subnormal spacings.  Through n = 500, where s = 0, nothing
+    is multiplied by 2^0 = 1.0.  Degrees past _MAX_DEGREE (582) raise
     DegreeTooLargeError.
     """
     if n > _MAX_DEGREE:
@@ -150,14 +151,15 @@ def mass_matrix(n: int) -> MassMatrix:
     s = max(0, 2 * n - 1000)
     h = hankel_moments(n, s)
     d = binomial_diag(n)
-    unscale = math.ldexp(1.0, -s)
-    # the Hankel matrix as a read-only strided view of h: entry (i, j) is h[i + j]
-    hankel = np.ndarray((n + 1, n + 1), buffer=h, strides=(8, 8))
-    hankel.flags.writeable = False
+    # the Hankel matrix is a strided view of h, entry (i, j) being h[i + j], read only here;
     # group as (d_i * h) * d_j: d_i alone can be huge while d_i*h is tame
-    m = d[:, None] * hankel
-    m *= d * unscale
-    return MassMatrix(n, m, h * unscale, d)
+    m = d[:, None] * np.ndarray((n + 1, n + 1), buffer=h, strides=(8, 8))
+    if s:
+        unscale = math.ldexp(1.0, -s)
+        m *= d * unscale
+        return MassMatrix(n, m, h * unscale, d)
+    m *= d
+    return MassMatrix(n, m, h, d)
 
 
 def evaluate(p: BernsteinPoly, x):

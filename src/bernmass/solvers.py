@@ -24,6 +24,8 @@ import numpy as np
 from .bernstein import _MAX_DEGREE, DegreeTooLargeError, mass_matrix
 from .inverse import _hankel_inverse_band, inverse_matrix
 from .kernels import _SQRT_TINY, _checked_rhs, _scaled_norm
+from .kernels import cholesky as _cholesky
+from .kernels import errstate as _errstate
 from .kernels import solve1 as _solve1
 from .spectral import SpectralDecomp, _eig_apply, _normal_lam_min, build_q, build_q_sweep, eigenvalues
 from .structured import _dft_apply, _products_overflowed, structured_inverse, structured_inverse_sweep
@@ -66,14 +68,27 @@ class CholeskyFactor:
 
 
 def cholesky_factor(mass) -> CholeskyFactor:
-    """Factor a mass matrix, translating LinAlgError into a domain error."""
+    """Factor a mass matrix, translating LinAlgError into a domain error.
+
+    A 2-D square matrix runs numpy.linalg.cholesky's LAPACK kernel bare
+    (kernels.cholesky), for the same L bit for bit; any other shape goes
+    through numpy.linalg.cholesky, with its messages.  A factor whose
+    diagonal is not finite (from a nan or inf entry, which LAPACK does not
+    flag) raises NotPositiveDefiniteError too.
+    """
     a = np.asarray(mass, dtype=float)
     try:
-        lower = np.linalg.cholesky(a)
+        lower = _cholesky(a)
     except np.linalg.LinAlgError as exc:
         raise NotPositiveDefiniteError(
             f"Cholesky failed for degree {a.shape[0] - 1}: {exc}"
         ) from exc
+    # LAPACK passes a nan or inf through unflagged.  The diagonal's rescaled 2-norm (not a
+    # plain sum, which a finite SPD matrix can overflow) is finite exactly when every entry is
+    if not math.isfinite(_scaled_norm(lower.diagonal(0, -2, -1))):
+        raise NotPositiveDefiniteError(
+            f"Cholesky failed for degree {a.shape[0] - 1}: the factor's diagonal is not finite"
+        )
     return CholeskyFactor(a.shape[0] - 1, lower)
 
 
@@ -83,7 +98,8 @@ def solve_cholesky(factor: CholeskyFactor, b) -> np.ndarray:
     numpy.linalg.solve does not know L is triangular: it runs a pivoted LU
     of L and then of L^T on every call, so each solve is O(n^3).  b is
     checked as solve checks it: a complex b, one not of shape (degree+1,),
-    or one with a nan or inf entry raises ValueError.
+    or one with a nan or inf entry raises ValueError.  Unlike solve, it
+    does not rescale a tiny b, so its intermediates can go subnormal.
     """
     bv, _ = _checked_rhs(factor.degree, b)
     y = np.linalg.solve(factor.lower, bv)
@@ -174,7 +190,7 @@ def _cho(n: int) -> tuple:
     # |L^-1 b|_2 <= |b|_2 / sqrt(lambda_min) and |x|_2 <= |b|_2 / lambda_min:
     # eig's cap, with lambda_min in closed form (the tests sweep n <= 29 under it).
     # The apply is solve_cholesky's two numpy.linalg.solve kernels, bare: L from
-    # a Cholesky that succeeded is nonsingular, so only _apply_unwarned needs np.errstate
+    # a Cholesky that succeeded is nonsingular, so only _apply_guarded needs errstate
     return (lambda bv: _solve1(upper, _solve1(lower, bv))), _HALF_MAX * float(eigenvalues(n)[-1])
 
 
@@ -230,14 +246,23 @@ def _solver(name: str, n: int) -> tuple:
     return (*_TABLE[name].entry(n), _mass(n))
 
 
-def _apply_unwarned(name: str, n: int, apply, bv: np.ndarray) -> np.ndarray:
-    """x = apply(bv) for a b past the cap below which the apply cannot overflow:
-    an x left non-finite raises DegreeTooLargeError, with no numpy warning."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        x = apply(bv)
-    if not np.all(np.isfinite(x)):
-        raise _TABLE[name].overflowed(n)
-    return x
+def _apply_guarded(name: str, n: int, apply, cap: float, bv: np.ndarray, bnorm: float) -> np.ndarray:
+    """x = apply(bv) for a b past the cap below which the apply cannot overflow,
+    or one with 0 < |b|_2 < 2^-511.
+
+    Past the cap, an x left non-finite raises DegreeTooLargeError, with no
+    numpy warning.  A tiny b is applied as 2^k b, with 2^k |b|_2 in [1/2, 1)
+    or, where the cap is below 1, below the cap, and x is scaled back by
+    2^-k, so the apply's intermediates do not go subnormal.
+    """
+    if bnorm > cap:
+        with _errstate(over="ignore", invalid="ignore"):
+            x = apply(bv)
+        if not np.all(np.isfinite(x)):
+            raise _TABLE[name].overflowed(n)
+        return x
+    k = min(0, math.frexp(cap)[1] - 1) - math.frexp(bnorm)[1]
+    return np.ldexp(apply(np.ldexp(bv, k)), -k) if k > 0 else apply(bv)
 
 
 def solve(method: str, n: int, b, max_degree: int = 25) -> SolveReport:
@@ -257,8 +282,12 @@ def solve(method: str, n: int, b, max_degree: int = 25) -> SolveReport:
     eig, before dividing, once the smallest eigenvalue is not a normal
     double (from n = 509).  Each method's apply
     runs bare while |b|_2 is within the cap below which it cannot overflow,
-    and past it under np.errstate with a finiteness check.  b = 0 gives
-    x = 0.
+    and past it under errstate with a finiteness check.  b = 0 gives
+    x = 0.  A b with 0 < |b|_2 < 2^-511, whose intermediates could go
+    subnormal, is applied as 2^k b with 2^k |b|_2 in [1/2, 1) (below the
+    cap, where that is under 1), and x is that apply's times 2^-k: both
+    scalings are exact, so a b whose unscaled apply stays normal gets the
+    same bits.  The residual is that of the x returned, against b.
     """
     name = canonical_method(method)
     if not 0 <= n <= max_degree:
@@ -269,7 +298,7 @@ def solve(method: str, n: int, b, max_degree: int = 25) -> SolveReport:
         x, residual = np.zeros(n + 1), 0.0
     else:
         apply, cap, mass = _cache.get((name, n)) or _cached(name, n, lambda k: _solver(name, k))
-        x = apply(bv) if bnorm <= cap else _apply_unwarned(name, n, apply, bv)
+        x = apply(bv) if _SQRT_TINY <= bnorm <= cap else _apply_guarded(name, n, apply, cap, bv, bnorm)
         r = mass.dot(x)
         r -= bv
         residual = _scaled_norm(r) / bnorm
@@ -290,7 +319,7 @@ def _m_norm(n: int, v: np.ndarray) -> float:
     """
     spec = _spectral(n)
     coords = np.sqrt(spec.lam) * spec.q.T.dot(v)
-    with np.errstate(over="ignore"):
+    with _errstate(over="ignore"):
         nrm = math.sqrt(np.add.reduce(coords * coords))
     if not _SQRT_TINY <= nrm < math.inf:
         nrm = _scaled_norm(coords)
@@ -310,7 +339,7 @@ def _errors(x_hat: np.ndarray, x_ref: np.ndarray) -> tuple:
     d = x_hat - x_ref
     spec = _spectral(x_ref.size - 1)
     coords = np.sqrt(spec.lam)[:, None] * (spec.q.T @ np.column_stack((d, x_ref)))
-    with np.errstate(over="ignore"):
+    with _errstate(over="ignore"):
         norms = np.linalg.norm(coords, axis=0)
     for j, nrm in enumerate(norms.tolist()):
         if not _SQRT_TINY <= nrm < math.inf:

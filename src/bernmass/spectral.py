@@ -178,7 +178,8 @@ def solve_spectral(d: SpectralDecomp, b) -> np.ndarray:
     b is checked as solve checks it: a complex b, one not of shape
     (degree+1,), or one with a nan or inf entry raises ValueError.  From
     n = 509, where lambda_min is not a normal double, it raises
-    DegreeTooLargeError, as solve does, before dividing.
+    DegreeTooLargeError, as solve does, before dividing.  Unlike solve, it
+    does not rescale a tiny b, so its intermediates can go subnormal.
     """
     bv = _checked_rhs(d.degree, b)[0]
     return _eig_apply(_normal_lam_min(d), bv)

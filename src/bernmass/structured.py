@@ -20,6 +20,7 @@ import numpy as np
 
 from .bernstein import DegreeTooLargeError, _squared_binomial_row, binomial_diag
 from .kernels import _checked_rhs
+from .kernels import errstate as _errstate
 from .kernels import irfft as _irfft
 from .kernels import rfft as _rfft
 from .spectral import _SWEEP_BLOCK
@@ -123,7 +124,7 @@ def _split_factors(n: int) -> tuple:
         ) from None
     t_col = row[:-1]
     h = np.concatenate((row[1:], np.zeros(n)))
-    with np.errstate(over="ignore"):
+    with _errstate(over="ignore"):
         return t_col, np.arange(n + 1) * t_col, h, np.arange(1, 2 * n + 2) * h, binomial_diag(n)
 
 
@@ -147,7 +148,7 @@ def _spectra(chunk: list, factors: dict, plan: int) -> np.ndarray:
         block[r + 2, : n + 1] = tt_col
         block[r + 3, : n + 1] = t_col
     # overflow here is detected afterwards, not warned about per entry
-    with np.errstate(over="ignore", invalid="ignore"):
+    with _errstate(over="ignore", invalid="ignore"):
         return _rfft(block, plan, out=spectra)
 
 
@@ -216,11 +217,12 @@ def solve_dft(si: StructuredInverse, b) -> np.ndarray:
     (degree+1,), or one with a nan or inf entry raises ValueError.  Raises
     DegreeTooLargeError when the products leave double range (from n = 255
     for b = 1, and from n = 257 or 258 for b = M x with x uniform in
-    [-1/2, 1/2)), instead of returning nan.
+    [-1/2, 1/2)), instead of returning nan.  Unlike solve, it does not
+    rescale a tiny b, so its intermediates can go subnormal.
     """
     bv, _ = _checked_rhs(si.degree, b)
     # overflow here is detected afterwards, not warned about per entry
-    with np.errstate(over="ignore", invalid="ignore"):
+    with _errstate(over="ignore", invalid="ignore"):
         x = _dft_apply(si, bv)
     if not np.all(np.isfinite(x)):
         raise _products_overflowed(si.degree)

@@ -202,6 +202,29 @@ def test_mass_matrix_bitwise_equal_to_gathered_assembly(n):
     assert mm.matrix.flags.writeable and mm.matrix.flags.c_contiguous
 
 
+def _two_multiply_assembly(n):
+    # mass_matrix as it was before it skipped the x 2^0 = 1.0 rescale through n = 500
+    s = max(0, 2 * n - 1000)
+    h = hankel_moments(n, s)
+    d = binomial_diag(n)
+    unscale = math.ldexp(1.0, -s)
+    hankel = np.ndarray((n + 1, n + 1), buffer=h, strides=(8, 8))
+    hankel.flags.writeable = False
+    m = d[:, None] * hankel
+    m *= d * unscale
+    return m, h * unscale, d
+
+
+def test_mass_matrix_bitwise_equal_to_two_multiply_assembly():
+    for n in range(583):
+        mm = mass_matrix(n)
+        m, h, d = _two_multiply_assembly(n)
+        assert mm.matrix.tobytes() == m.tobytes(), n
+        assert mm.hankel_factor.tobytes() == h.tobytes(), n
+        assert mm.binom_diag.tobytes() == d.tobytes(), n
+        assert mm.matrix.flags.writeable and mm.matrix.flags.owndata, n
+
+
 @pytest.mark.parametrize("n", [0, 1, 2, 7, 20, 40, 300])
 def test_basis_bitwise_equal_to_closed_form_per_degree(n):
     # the closed form with its powers taken for this degree alone; basis_values

@@ -1,4 +1,5 @@
-"""The compiled FFT, LAPACK and vdot kernels, and the public numpy functions that stand in for them."""
+"""The compiled FFT, LAPACK and vdot kernels, the error-state context, and the public numpy
+functions that stand in for them."""
 
 import builtins
 import importlib.util
@@ -7,7 +8,8 @@ import numpy as np
 import pytest
 
 from bernmass import kernels, solvers, structured
-from bernmass.solvers import METHODS, clear_cache, solve
+from bernmass.bernstein import mass_matrix
+from bernmass.solvers import METHODS, NotPositiveDefiniteError, cholesky_factor, clear_cache, solve
 from bernmass.structured import _dft_apply, structured_inverse_sweep
 
 _DEGREES = list(range(30)) + [100, 256, 300, 509]
@@ -46,6 +48,8 @@ def _outputs():
                 solve(method, n, b, max_degree=29)  # builds the entry; the second solve is warm
                 rep = solve(method, n, b, max_degree=29)
                 out += [rep.solution.tobytes(), rep.residual]
+        for n in range(41):  # the Cholesky factors, and the refusals from n = 30
+            out.append(_factor_or_refusal(mass_matrix(n).matrix))
         return out
     finally:
         clear_cache()
@@ -53,17 +57,23 @@ def _outputs():
 
 def test_public_fallback_gives_the_same_bytes(monkeypatch):
     want = _outputs()
+    calls = []
+    for module, name in ((np.fft, "rfft"), (np.linalg, "cholesky"), (np, "errstate")):
+        counted = lambda *a, real=getattr(module, name), name=name, **kw: calls.append(name) or real(*a, **kw)
+        monkeypatch.setattr(module, name, counted)
     public = _public_kernels()
     assert not public.COMPILED and public.solve1 is np.linalg.solve
+    assert public.errstate is np.errstate and public.cholesky is np.linalg.cholesky
     monkeypatch.setattr(structured, "_rfft", public.rfft)
     monkeypatch.setattr(structured, "_irfft", public.irfft)
     monkeypatch.setattr(solvers, "_solve1", public.solve1)
+    monkeypatch.setattr(solvers, "_cholesky", public.cholesky)
+    monkeypatch.setattr(kernels, "errstate", public.errstate)
+    for module in (solvers, structured):
+        monkeypatch.setattr(module, "_errstate", public.errstate)
     monkeypatch.setattr(kernels, "vdot", np.vdot)
-    calls = []
-    rfft = np.fft.rfft
-    monkeypatch.setattr(np.fft, "rfft", lambda *args, **kwargs: calls.append(1) or rfft(*args, **kwargs))
     assert _outputs() == want
-    assert calls  # the fallback went through numpy's public functions
+    assert {"rfft", "cholesky", "errstate"} <= set(calls)  # the fallback went through numpy's public functions
 
 
 def test_compiled_kernels_bound_on_numpy_2(monkeypatch):
@@ -84,6 +94,139 @@ def test_compiled_kernels_bound_on_numpy_2(monkeypatch):
     for m, x in want.items():
         assert solve(m, 20, b).solution.tobytes() == x, m
     structured_inverse_sweep(range(21))
+
+
+def test_bare_cholesky_and_errstate_bound_on_numpy_2(monkeypatch):
+    # so the cold cho builds and every error-state entry cannot fall back to numpy's wrappers unnoticed
+    if int(np.__version__.split(".")[0]) < 2:
+        return
+    assert kernels.cholesky is not np.linalg.cholesky and solvers._cholesky is kernels.cholesky
+    assert kernels.errstate is not np.errstate
+    assert solvers._errstate is kernels.errstate and structured._errstate is kernels.errstate
+    b = np.linspace(-1.0, 1.0, 21)
+    clear_cache()
+    want = solve("cho", 20, b).solution.tobytes()
+    clear_cache()
+
+    def public(*args, **kwargs):
+        raise AssertionError("a cold cho solve called a public numpy wrapper")
+
+    monkeypatch.setattr(np.linalg, "cholesky", public)
+    monkeypatch.setattr(np, "errstate", public)
+    try:
+        assert solve("cho", 20, b).solution.tobytes() == want
+        with pytest.raises(NotPositiveDefiniteError, match="Matrix is not positive definite"):
+            cholesky_factor(mass_matrix(30).matrix)
+    finally:
+        clear_cache()
+
+
+def _factor_or_refusal(a):
+    """cholesky_factor(a)'s L as bytes, or its refusal's type and message."""
+    try:
+        factor = cholesky_factor(a)
+    except Exception as exc:  # compared by type and message
+        return type(exc), str(exc)
+    return factor.degree, factor.lower.shape, factor.lower.tobytes()
+
+
+def _public_factor_or_refusal(a):
+    """What cholesky_factor gave through numpy.linalg.cholesky alone, before it checked the diagonal."""
+    try:
+        lower = np.linalg.cholesky(np.asarray(a, dtype=float))
+    except np.linalg.LinAlgError as exc:
+        return NotPositiveDefiniteError, f"Cholesky failed for degree {np.shape(a)[0] - 1}: {exc}"
+    return np.shape(a)[0] - 1, lower.shape, lower.tobytes()
+
+
+def test_cholesky_factor_bitwise_equal_to_numpy_cholesky():
+    refused = []
+    for n in range(41):
+        a = mass_matrix(n).matrix
+        got = _factor_or_refusal(a)
+        assert got == _public_factor_or_refusal(a), n
+        if got[0] is NotPositiveDefiniteError:
+            refused.append(n)
+    # the assembled M stops being numerically positive definite at n = 30
+    assert refused == list(range(30, 41))
+
+
+@pytest.mark.parametrize(
+    "a",
+    [
+        np.ones(3),  # 1-D
+        np.ones((2, 3)),  # not square
+        np.ones((2, 2, 2)),  # stacked, singular
+        np.stack([np.eye(3), 4.0 * np.eye(3)]),  # stacked, positive definite
+        np.empty((0, 0)),
+        [[4.0, 2.0], [2.0, 3.0]],  # a nested list
+        np.asfortranarray(np.arange(9.0).reshape(3, 3).T @ np.arange(9.0).reshape(3, 3) + np.eye(3)),
+        np.eye(4, dtype=np.float32),
+    ],
+    ids=["1-D", "non-square", "3-D singular", "3-D", "0x0", "list", "F-order", "float32"],
+)
+def test_cholesky_factor_keeps_public_types_and_messages(a):
+    assert _factor_or_refusal(a) == _public_factor_or_refusal(a)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("where", ["all", "last diagonal", "off diagonal"])
+def test_cholesky_factor_refuses_a_non_finite_factor(bad, where):
+    a = np.eye(3) if where != "all" else np.full((3, 3), bad)
+    if where == "last diagonal":
+        a[2, 2] = bad
+    elif where == "off diagonal":
+        a[2, 0] = a[0, 2] = bad
+    with pytest.raises(NotPositiveDefiniteError, match=r"^Cholesky failed for degree 2: "):
+        cholesky_factor(a)
+
+
+def test_cholesky_factor_takes_a_finite_spd_matrix_near_the_top_of_double_range():
+    # each diagonal entry of L is finite, though their squares sum past double range
+    a = np.diag([1.7e308, 1.7e308, 1.7e308])
+    lower = cholesky_factor(a).lower
+    assert lower.tobytes() == np.linalg.cholesky(a).tobytes()
+
+
+_STATES = [
+    {"over": "ignore"},
+    {"over": "ignore", "invalid": "ignore"},
+    {"all": "raise"},
+    {"divide": "warn", "under": "print"},
+    {"call": print, "invalid": "call"},
+]
+
+
+@pytest.mark.parametrize("kw", _STATES)
+def test_errstate_sets_the_state_numpy_errstate_sets(kw):
+    before = np.geterr(), np.geterrcall()
+    with np.errstate(**kw):
+        want = np.geterr(), np.geterrcall()
+    with kernels.errstate(**kw):
+        assert (np.geterr(), np.geterrcall()) == want
+    assert (np.geterr(), np.geterrcall()) == before
+
+
+def test_errstate_restores_the_state_after_an_exception():
+    before = np.geterr()
+    with pytest.raises(FloatingPointError):
+        with kernels.errstate(divide="raise"):
+            np.divide(np.ones(1), np.zeros(1))
+    assert np.geterr() == before
+
+
+def test_errstate_nests_and_keeps_the_enclosing_categories():
+    before = np.geterr()
+    with np.errstate(divide="raise"):
+        with kernels.errstate(over="ignore"):
+            assert np.geterr() == dict(before, divide="raise", over="ignore")
+            with kernels.errstate(over="raise", invalid="ignore"):
+                assert np.geterr() == dict(before, divide="raise", over="raise", invalid="ignore")
+                with pytest.raises(FloatingPointError):
+                    np.divide(np.ones(1), np.zeros(1))
+            assert np.geterr() == dict(before, divide="raise", over="ignore")
+        assert np.geterr() == dict(before, divide="raise")
+    assert np.geterr() == before
 
 
 def test_undispatched_vdot_bound_on_numpy_2(monkeypatch):
