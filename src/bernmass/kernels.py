@@ -9,12 +9,10 @@ cannot be imported (numpy < 2, or a numpy that moves them), the public
 functions stand in, and COMPILED is False.  vdot is numpy.vdot's own C
 function, which numpy.vdot reaches through its __array_function__
 dispatch, or numpy.vdot itself where numpy keeps no _implementation.
-errstate(**kw) sets the floating-point error state numpy.errstate(**kw)
-sets, through numpy's error-state context variable, and cholesky runs
-numpy.linalg.cholesky's LAPACK kernel without that function's Python
-wrappers; each falls back to the public function alone.  _checked_rhs is the right-hand-side check of solve
-and of the public applies, and _scaled_norm the rescaled 2-norm it and the
-metrics take.
+cholesky runs numpy.linalg.cholesky's LAPACK kernel without that
+function's Python wrappers, and falls back to that function alone.
+_checked_rhs is the right-hand-side check of solve and of the public
+applies, and _scaled_norm the rescaled 2-norm it and the metrics take.
 """
 
 from __future__ import annotations
@@ -24,7 +22,7 @@ import sys
 
 import numpy as np
 
-__all__ = ["COMPILED", "rfft", "irfft", "solve1", "vdot", "errstate", "cholesky"]
+__all__ = ["COMPILED", "rfft", "irfft", "solve1", "vdot", "cholesky"]
 
 try:
     from numpy.fft._pocketfft_umath import irfft as _irfft_ufunc
@@ -65,33 +63,19 @@ try:
     from numpy.linalg._linalg import _raise_linalgerror_nonposdef
     from numpy.linalg._umath_linalg import cholesky_lo as _cholesky_lo
 except ImportError:
-    errstate, cholesky = np.errstate, np.linalg.cholesky
+    cholesky = np.linalg.cholesky
 else:
 
-    class errstate:
-        """numpy.errstate(**kw) as a context manager: the state it sets, the
-        categories not named kept from the enclosing one, reset on exit."""
-
-        __slots__ = ("_kw", "_token")
-
-        def __init__(self, **kw):
-            self._kw = kw
-
-        def __enter__(self):
-            self._token = _extobj_contextvar.set(_make_extobj(**self._kw))
-
-        def __exit__(self, *exc_info):
-            _extobj_contextvar.reset(self._token)
-
     def cholesky(a: np.ndarray) -> np.ndarray:
-        """numpy.linalg.cholesky(a) for a float64 array a, bit for bit.
+        """numpy.linalg.cholesky(a) for an array a, bit for bit.
 
-        A 2-D square a runs the cholesky_lo kernel bare, under the error
-        state numpy.linalg.cholesky sets (set here as errstate sets it), so
-        a failure raises its LinAlgError("Matrix is not positive definite");
-        any other shape goes through numpy.linalg.cholesky, for its messages.
+        A 2-D square float64 a runs the cholesky_lo kernel bare, under the
+        error state numpy.linalg.cholesky sets, so a failure raises its
+        LinAlgError("Matrix is not positive definite"); any other shape or
+        dtype goes through numpy.linalg.cholesky, for its messages and its
+        double-precision loop (a float32 a is factored in float64 and cast).
         """
-        if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        if a.dtype is not _FLOAT64 or a.ndim != 2 or a.shape[0] != a.shape[1]:
             return np.linalg.cholesky(a)
         state = _make_extobj(
             call=_raise_linalgerror_nonposdef, invalid="call", over="ignore", divide="ignore", under="ignore"
@@ -119,12 +103,12 @@ def _scaled_norm(v: np.ndarray, weights=None) -> float:
     Where the sum overflows (|v| past about 1e154) or leaves the normal
     range (below about 1e-154; it reads 0 from about 1e-162), v is scaled by
     max|v| and the sum retaken, once: v / max|v| has max 1.  vdot
-    overflows to inf unwarned, so only the weighted sum enters errstate.
+    overflows to inf unwarned, so only the weighted sum enters np.errstate.
     """
     if weights is None:
         nrm = math.sqrt(vdot(v, v))
     else:
-        with errstate(over="ignore"):
+        with np.errstate(over="ignore"):
             nrm = math.sqrt(float(weights @ (v * v)))
     if not _SQRT_TINY <= nrm < math.inf and v.size:
         big = float(np.max(np.abs(v)))

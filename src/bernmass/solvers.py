@@ -25,7 +25,6 @@ from .bernstein import _MAX_DEGREE, DegreeTooLargeError, mass_matrix
 from .inverse import _hankel_inverse_band, inverse_matrix
 from .kernels import _SQRT_TINY, _checked_rhs, _scaled_norm
 from .kernels import cholesky as _cholesky
-from .kernels import errstate as _errstate
 from .kernels import solve1 as _solve1
 from .spectral import SpectralDecomp, _eig_apply, _normal_lam_min, build_q, build_q_sweep, eigenvalues
 from .structured import _dft_apply, _products_overflowed, structured_inverse, structured_inverse_sweep
@@ -83,8 +82,9 @@ def cholesky_factor(mass) -> CholeskyFactor:
         raise NotPositiveDefiniteError(
             f"Cholesky failed for degree {a.shape[0] - 1}: {exc}"
         ) from exc
-    # LAPACK passes a nan or inf through unflagged.  The diagonal's rescaled 2-norm (not a
-    # plain sum, which a finite SPD matrix can overflow) is finite exactly when every entry is
+    # LAPACK passes a nan or inf through unflagged.  The diagonal's 2-norm is finite exactly when
+    # every entry is: L_ii <= sqrt(a_ii) is finite, and where the squares overflow (L_ii past
+    # about 1e153) _scaled_norm rescales.  Its vdot costs less than a sum's reduction here
     if not math.isfinite(_scaled_norm(lower.diagonal(0, -2, -1))):
         raise NotPositiveDefiniteError(
             f"Cholesky failed for degree {a.shape[0] - 1}: the factor's diagonal is not finite"
@@ -190,7 +190,7 @@ def _cho(n: int) -> tuple:
     # |L^-1 b|_2 <= |b|_2 / sqrt(lambda_min) and |x|_2 <= |b|_2 / lambda_min:
     # eig's cap, with lambda_min in closed form (the tests sweep n <= 29 under it).
     # The apply is solve_cholesky's two numpy.linalg.solve kernels, bare: L from
-    # a Cholesky that succeeded is nonsingular, so only _apply_guarded needs errstate
+    # a Cholesky that succeeded is nonsingular, so only _apply_guarded needs np.errstate
     return (lambda bv: _solve1(upper, _solve1(lower, bv))), _HALF_MAX * float(eigenvalues(n)[-1])
 
 
@@ -256,7 +256,7 @@ def _apply_guarded(name: str, n: int, apply, cap: float, bv: np.ndarray, bnorm: 
     2^-k, so the apply's intermediates do not go subnormal.
     """
     if bnorm > cap:
-        with _errstate(over="ignore", invalid="ignore"):
+        with np.errstate(over="ignore", invalid="ignore"):
             x = apply(bv)
         if not np.all(np.isfinite(x)):
             raise _TABLE[name].overflowed(n)
@@ -282,7 +282,7 @@ def solve(method: str, n: int, b, max_degree: int = 25) -> SolveReport:
     eig, before dividing, once the smallest eigenvalue is not a normal
     double (from n = 509).  Each method's apply
     runs bare while |b|_2 is within the cap below which it cannot overflow,
-    and past it under errstate with a finiteness check.  b = 0 gives
+    and past it under np.errstate with a finiteness check.  b = 0 gives
     x = 0.  A b with 0 < |b|_2 < 2^-511, whose intermediates could go
     subnormal, is applied as 2^k b with 2^k |b|_2 in [1/2, 1) (below the
     cap, where that is under 1), and x is that apply's times 2^-k: both
@@ -319,7 +319,7 @@ def _m_norm(n: int, v: np.ndarray) -> float:
     """
     spec = _spectral(n)
     coords = np.sqrt(spec.lam) * spec.q.T.dot(v)
-    with _errstate(over="ignore"):
+    with np.errstate(over="ignore"):
         nrm = math.sqrt(np.add.reduce(coords * coords))
     if not _SQRT_TINY <= nrm < math.inf:
         nrm = _scaled_norm(coords)
@@ -339,7 +339,7 @@ def _errors(x_hat: np.ndarray, x_ref: np.ndarray) -> tuple:
     d = x_hat - x_ref
     spec = _spectral(x_ref.size - 1)
     coords = np.sqrt(spec.lam)[:, None] * (spec.q.T @ np.column_stack((d, x_ref)))
-    with _errstate(over="ignore"):
+    with np.errstate(over="ignore"):
         norms = np.linalg.norm(coords, axis=0)
     for j, nrm in enumerate(norms.tolist()):
         if not _SQRT_TINY <= nrm < math.inf:

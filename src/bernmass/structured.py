@@ -20,7 +20,6 @@ import numpy as np
 
 from .bernstein import DegreeTooLargeError, _squared_binomial_row, binomial_diag
 from .kernels import _checked_rhs
-from .kernels import errstate as _errstate
 from .kernels import irfft as _irfft
 from .kernels import rfft as _rfft
 from .spectral import _SWEEP_BLOCK
@@ -124,7 +123,7 @@ def _split_factors(n: int) -> tuple:
         ) from None
     t_col = row[:-1]
     h = np.concatenate((row[1:], np.zeros(n)))
-    with _errstate(over="ignore"):
+    with np.errstate(over="ignore"):
         return t_col, np.arange(n + 1) * t_col, h, np.arange(1, 2 * n + 2) * h, binomial_diag(n)
 
 
@@ -148,7 +147,7 @@ def _spectra(chunk: list, factors: dict, plan: int) -> np.ndarray:
         block[r + 2, : n + 1] = tt_col
         block[r + 3, : n + 1] = t_col
     # overflow here is detected afterwards, not warned about per entry
-    with _errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
         return _rfft(block, plan, out=spectra)
 
 
@@ -222,7 +221,7 @@ def solve_dft(si: StructuredInverse, b) -> np.ndarray:
     """
     bv, _ = _checked_rhs(si.degree, b)
     # overflow here is detected afterwards, not warned about per entry
-    with _errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
         x = _dft_apply(si, bv)
     if not np.all(np.isfinite(x)):
         raise _products_overflowed(si.degree)

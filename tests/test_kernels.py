@@ -1,5 +1,4 @@
-"""The compiled FFT, LAPACK and vdot kernels, the error-state context, and the public numpy
-functions that stand in for them."""
+"""The compiled FFT, LAPACK and vdot kernels, and the public numpy functions that stand in for them."""
 
 import builtins
 import importlib.util
@@ -58,22 +57,19 @@ def _outputs():
 def test_public_fallback_gives_the_same_bytes(monkeypatch):
     want = _outputs()
     calls = []
-    for module, name in ((np.fft, "rfft"), (np.linalg, "cholesky"), (np, "errstate")):
+    for module, name in ((np.fft, "rfft"), (np.linalg, "cholesky")):
         counted = lambda *a, real=getattr(module, name), name=name, **kw: calls.append(name) or real(*a, **kw)
         monkeypatch.setattr(module, name, counted)
     public = _public_kernels()
     assert not public.COMPILED and public.solve1 is np.linalg.solve
-    assert public.errstate is np.errstate and public.cholesky is np.linalg.cholesky
+    assert public.cholesky is np.linalg.cholesky
     monkeypatch.setattr(structured, "_rfft", public.rfft)
     monkeypatch.setattr(structured, "_irfft", public.irfft)
     monkeypatch.setattr(solvers, "_solve1", public.solve1)
     monkeypatch.setattr(solvers, "_cholesky", public.cholesky)
-    monkeypatch.setattr(kernels, "errstate", public.errstate)
-    for module in (solvers, structured):
-        monkeypatch.setattr(module, "_errstate", public.errstate)
     monkeypatch.setattr(kernels, "vdot", np.vdot)
     assert _outputs() == want
-    assert {"rfft", "cholesky", "errstate"} <= set(calls)  # the fallback went through numpy's public functions
+    assert {"rfft", "cholesky"} <= set(calls)  # the fallback went through numpy's public functions
 
 
 def test_compiled_kernels_bound_on_numpy_2(monkeypatch):
@@ -96,13 +92,11 @@ def test_compiled_kernels_bound_on_numpy_2(monkeypatch):
     structured_inverse_sweep(range(21))
 
 
-def test_bare_cholesky_and_errstate_bound_on_numpy_2(monkeypatch):
-    # so the cold cho builds and every error-state entry cannot fall back to numpy's wrappers unnoticed
+def test_bare_cholesky_bound_on_numpy_2(monkeypatch):
+    # so the cold cho builds cannot fall back to numpy's wrapper unnoticed
     if int(np.__version__.split(".")[0]) < 2:
         return
     assert kernels.cholesky is not np.linalg.cholesky and solvers._cholesky is kernels.cholesky
-    assert kernels.errstate is not np.errstate
-    assert solvers._errstate is kernels.errstate and structured._errstate is kernels.errstate
     b = np.linspace(-1.0, 1.0, 21)
     clear_cache()
     want = solve("cho", 20, b).solution.tobytes()
@@ -112,7 +106,6 @@ def test_bare_cholesky_and_errstate_bound_on_numpy_2(monkeypatch):
         raise AssertionError("a cold cho solve called a public numpy wrapper")
 
     monkeypatch.setattr(np.linalg, "cholesky", public)
-    monkeypatch.setattr(np, "errstate", public)
     try:
         assert solve("cho", 20, b).solution.tobytes() == want
         with pytest.raises(NotPositiveDefiniteError, match="Matrix is not positive definite"):
@@ -188,45 +181,23 @@ def test_cholesky_factor_takes_a_finite_spd_matrix_near_the_top_of_double_range(
     assert lower.tobytes() == np.linalg.cholesky(a).tobytes()
 
 
-_STATES = [
-    {"over": "ignore"},
-    {"over": "ignore", "invalid": "ignore"},
-    {"all": "raise"},
-    {"divide": "warn", "under": "print"},
-    {"call": print, "invalid": "call"},
-]
-
-
-@pytest.mark.parametrize("kw", _STATES)
-def test_errstate_sets_the_state_numpy_errstate_sets(kw):
-    before = np.geterr(), np.geterrcall()
-    with np.errstate(**kw):
-        want = np.geterr(), np.geterrcall()
-    with kernels.errstate(**kw):
-        assert (np.geterr(), np.geterrcall()) == want
-    assert (np.geterr(), np.geterrcall()) == before
-
-
-def test_errstate_restores_the_state_after_an_exception():
-    before = np.geterr()
-    with pytest.raises(FloatingPointError):
-        with kernels.errstate(divide="raise"):
-            np.divide(np.ones(1), np.zeros(1))
-    assert np.geterr() == before
-
-
-def test_errstate_nests_and_keeps_the_enclosing_categories():
-    before = np.geterr()
-    with np.errstate(divide="raise"):
-        with kernels.errstate(over="ignore"):
-            assert np.geterr() == dict(before, divide="raise", over="ignore")
-            with kernels.errstate(over="raise", invalid="ignore"):
-                assert np.geterr() == dict(before, divide="raise", over="raise", invalid="ignore")
-                with pytest.raises(FloatingPointError):
-                    np.divide(np.ones(1), np.zeros(1))
-            assert np.geterr() == dict(before, divide="raise", over="ignore")
-        assert np.geterr() == dict(before, divide="raise")
-    assert np.geterr() == before
+@pytest.mark.parametrize(
+    "dtype", [np.float32, np.int64, np.complex128, np.dtype(">f8")], ids=["float32", "int64", "complex128", "big-endian"]
+)
+def test_bare_cholesky_bitwise_equal_to_numpy_for_other_dtypes(dtype):
+    # numpy.linalg.cholesky factors a float32 or int a in float64 and casts; the bare kernel
+    # would run a float32 a through LAPACK's single-precision loop, for other bits
+    r = np.random.default_rng(5).integers(-3, 4, (12, 12))
+    for a in (r @ r.T + 12 * np.eye(12, dtype=int), mass_matrix(12).matrix, -np.eye(3, dtype=int)):
+        a = a.astype(dtype)
+        try:
+            want = np.linalg.cholesky(a)
+        except np.linalg.LinAlgError as exc:
+            with pytest.raises(np.linalg.LinAlgError, match=f"^{exc}$"):
+                kernels.cholesky(a)
+            continue
+        got = kernels.cholesky(a)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
 def test_undispatched_vdot_bound_on_numpy_2(monkeypatch):
