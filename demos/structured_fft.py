@@ -17,8 +17,8 @@ from bernmass import (
     inverse_matrix,
     solve_dft,
     structured_inverse,
-    toeplitz_matvec,
 )
+from bernmass.oracle import toeplitz_matvec
 
 
 def bench(f, reps=5):

@@ -43,9 +43,11 @@ from .solvers import (
     metrics,
     solve,
     solve_cholesky,
+    solve_dft,
+    solve_spectral,
 )
-from .spectral import SpectralDecomp, build_q, eigenvalues, solve_spectral
-from .structured import StructuredInverse, solve_dft, structured_inverse, toeplitz_matvec
+from .spectral import SpectralDecomp, build_q, eigenvalues
+from .structured import StructuredInverse, structured_inverse
 
 __version__ = "0.1.0"
 
@@ -63,16 +65,15 @@ __all__ = [
     # structured
     "StructuredInverse",
     "structured_inverse",
-    "solve_dft",
-    "toeplitz_matvec",
     # spectral
     "SpectralDecomp",
     "eigenvalues",
     "build_q",
-    "solve_spectral",
     # solvers
     "METHODS",
     "solve",
+    "solve_dft",
+    "solve_spectral",
     "SolveReport",
     "DegreeRangeError",
     "NotPositiveDefiniteError",

@@ -10,8 +10,8 @@ the production paths against:
 - the two published entry formulas of the inverse and its integer last
   column;
 - the Hankel inversion through a Bezoutian (Heinig & Rost), its coefficient
-  vectors, the dense Toeplitz/Hankel split of the inverse, and a Hankel
-  product through the FFT Toeplitz apply;
+  vectors, the dense Toeplitz/Hankel split of the inverse, the FFT Toeplitz
+  product and a Hankel product through it;
 - Q built by elevating each Legendre vector, in O(n^3);
 - the projection table's moments, function norm and Legendre reference
   for one degree at a time, which run_projection forms for all its
@@ -33,7 +33,7 @@ from .experiments import _legendre_projections, default_rule
 from .kernels import _scaled_norm
 from .quadrature import QuadratureRule
 from .spectral import SpectralDecomp, eigenvalues
-from .structured import toeplitz_matvec
+from .structured import next_pow2
 
 # Row-major rational matrix; plain ints are accepted anywhere a Fraction is.
 RationalMatrix = list[list[Fraction]]
@@ -281,6 +281,29 @@ def hankel_dense(antidiagonals):
         raise ValueError("a Hankel matrix has an odd number of anti-diagonals")
     s = (len(antidiagonals) + 1) // 2
     return [[antidiagonals[i + j] for j in range(s)] for i in range(s)]
+
+
+def toeplitz_matvec(first_col, first_row, x) -> np.ndarray:
+    """Toeplitz product via circulant embedding and FFTs, O(n log n).
+
+    first_col and first_row fix the matrix (their leading entries must
+    agree); the embedding size is the next power of two at least twice the
+    dimension.  The circulant's first column is [first_col | zeros |
+    reverse(first_row[1:])], so entry (i-j) mod plan reproduces the band.
+    """
+    col = np.asarray(first_col, dtype=float)
+    row = np.asarray(first_row, dtype=float)
+    xv = np.asarray(x, dtype=float)
+    if not col.size == row.size == xv.size:
+        raise ValueError("first column, first row, and vector lengths must agree")
+    if col[0] != row[0]:
+        raise ValueError("first column and first row must share their leading entry")
+    s = col.size
+    plan = next_pow2(2 * s)
+    c = np.zeros(plan)
+    c[:s] = col
+    c[plan - s + 1 :] = row[:0:-1]
+    return np.fft.irfft(np.fft.rfft(c) * np.fft.rfft(xv, plan), plan)[:s]
 
 
 def hankel_matvec(antidiagonals, x) -> np.ndarray:

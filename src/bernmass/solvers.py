@@ -3,12 +3,15 @@
 Methods: the closed-form inverse applied densely ("direct"), the FFT-based
 structured apply ("dft"), the spectral decomposition ("eig"), and a Cholesky
 factorization ("cho"), each one record of _TABLE: its CSV tag, aliases,
-entry, batched prefill and overflow refusal.  The first solve of a method
-at a degree caches one entry: the method's apply, the largest |b|_2 it
-cannot overflow at, and M for the residual.  Every later solve there is
-one dictionary lookup, the apply and the residual.  The tables fill the
-eig Qs and the dft spectra of all their degrees up front, through one
-prefill loop over the batched sweeps.
+build, apply, cap, batched prefill and overflow refusal.  One _apply runs
+every method's apply, for solve and for the public raw applies solve_dft,
+solve_spectral and solve_cholesky alike: bare within the cap below which it
+cannot overflow, checked past it, and a tiny b rescaled.  The first solve
+of a method at a degree caches one entry: the apply bound to the method's
+build, its cap, and M for the residual.  Every later solve there is one
+dictionary lookup, the apply and the residual.  The tables fill the eig Qs
+and the dft spectra of all their degrees up front, through one prefill loop
+over the batched sweeps.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from .kernels import _SQRT_TINY, _checked_rhs, _scaled_norm
 from .kernels import cholesky as _cholesky
 from .kernels import solve1 as _solve1
 from .spectral import SpectralDecomp, _eig_apply, _normal_lam_min, build_q, build_q_sweep, eigenvalues
-from .structured import _dft_apply, _products_overflowed, structured_inverse, structured_inverse_sweep
+from .structured import StructuredInverse, _dft_apply, structured_inverse, structured_inverse_sweep
 
 __all__ = [
     "METHODS",
@@ -38,6 +41,8 @@ __all__ = [
     "CholeskyFactor",
     "cholesky_factor",
     "solve_cholesky",
+    "solve_dft",
+    "solve_spectral",
     "SolveReport",
     "solve",
     "metrics",
@@ -69,13 +74,17 @@ class CholeskyFactor:
 def cholesky_factor(mass) -> CholeskyFactor:
     """Factor a mass matrix, translating LinAlgError into a domain error.
 
-    A 2-D square matrix runs numpy.linalg.cholesky's LAPACK kernel bare
-    (kernels.cholesky), for the same L bit for bit; any other shape goes
-    through numpy.linalg.cholesky, with its messages.  A factor whose
-    diagonal is not finite (from a nan or inf entry, which LAPACK does not
-    flag) raises NotPositiveDefiniteError too.
+    mass must be one square matrix of at least 1x1: any other shape (a
+    vector, a non-square or stacked array, a 0x0 or 0-D one) raises
+    ValueError naming it, before LAPACK runs.  The matrix goes through
+    numpy.linalg.cholesky's LAPACK kernel bare (kernels.cholesky), for the
+    same L bit for bit.  A factor whose diagonal is not finite (from a nan
+    or inf entry, which LAPACK does not flag) raises
+    NotPositiveDefiniteError too.
     """
     a = np.asarray(mass, dtype=float)
+    if a.ndim != 2 or a.shape[0] != a.shape[1] or not a.size:
+        raise ValueError(f"Cholesky needs one square matrix of at least 1x1, not an array of shape {a.shape}")
     try:
         lower = _cholesky(a)
     except np.linalg.LinAlgError as exc:
@@ -85,25 +94,11 @@ def cholesky_factor(mass) -> CholeskyFactor:
     # LAPACK passes a nan or inf through unflagged.  The diagonal's 2-norm is finite exactly when
     # every entry is: L_ii <= sqrt(a_ii) is finite, and where the squares overflow (L_ii past
     # about 1e153) _scaled_norm rescales.  Its vdot costs less than a sum's reduction here
-    if not math.isfinite(_scaled_norm(lower.diagonal(0, -2, -1))):
+    if not math.isfinite(_scaled_norm(lower.diagonal())):
         raise NotPositiveDefiniteError(
             f"Cholesky failed for degree {a.shape[0] - 1}: the factor's diagonal is not finite"
         )
     return CholeskyFactor(a.shape[0] - 1, lower)
-
-
-def solve_cholesky(factor: CholeskyFactor, b) -> np.ndarray:
-    """Solve with L, then with L^T, through a cached factor.
-
-    numpy.linalg.solve does not know L is triangular: it runs a pivoted LU
-    of L and then of L^T on every call, so each solve is O(n^3).  b is
-    checked as solve checks it: a complex b, one not of shape (degree+1,),
-    or one with a nan or inf entry raises ValueError.  Unlike solve, it
-    does not rescale a tiny b, so its intermediates can go subnormal.
-    """
-    bv, _ = _checked_rhs(factor.degree, b)
-    y = np.linalg.solve(factor.lower, bv)
-    return np.linalg.solve(factor.lower.T, y)
 
 
 @dataclass
@@ -152,19 +147,17 @@ def _apply_overflowed(name: str):
     return lambda n: DegreeTooLargeError(f"{name} solve at degree n={n} left double range (its apply overflowed)")
 
 
-def _direct(n: int) -> tuple:
-    inv = inverse_matrix(n)
+def _direct_cap(inv: np.ndarray) -> float:
     amax = float(np.max(np.abs(inv)))
     if amax == math.inf:
         # from n = 512: inf*b_j, or inf*0 = nan, reaches x for every b
-        raise _TABLE["direct"].overflowed(n)
+        raise _TABLE["direct"].overflowed(inv.shape[0] - 1)
     # every partial sum of (inv @ b)_i is at most sqrt(n+1) max|inv| |b|_2, so
     # a b whose 2-norm is within the cap (halved for rounding) cannot overflow
-    return inv.dot, sys.float_info.max / amax / (2.0 * math.sqrt(n + 1))
+    return sys.float_info.max / amax / (2.0 * math.sqrt(inv.shape[0]))
 
 
-def _dft(n: int) -> tuple:
-    si, s = _cached("structured", n, structured_inverse), n + 1
+def _dft_cap(si: StructuredInverse) -> float:
     # A circulant spectrum is at most its column's l1 norm: the squared
     # binomials of H and of T each sum to below k = C(2n+2, n+1) = 2 kappa_2(n),
     # and Ht and Tt weight them by at most n+1.  So, with B = |b/D|_1 <= sqrt(s) |b|_2,
@@ -173,45 +166,47 @@ def _dft(n: int) -> tuple:
     # the T spectra raise to s^3 k^2 B.  An unnormalised irfft sum of plan
     # terms grows that by plan at most, so no intermediate passes
     # plan s^3.5 k^2 |b|_2, kept below half the largest double
-    k = math.comb(2 * n + 2, n + 1)
-    return (lambda bv: _dft_apply(si, bv)), _HALF_MAX / k / k / (si.plan_size * s**3.5)
+    s = si.degree + 1
+    k = math.comb(2 * s, s)
+    return _HALF_MAX / k / k / (si.plan_size * s**3.5)
 
 
-def _eig(n: int) -> tuple:
-    spec = _normal_lam_min(_spectral(n))
-    # |Q^T b| <= |b|_2 and Q's rows are unit vectors, so no partial sum
-    # passes |b|_2 / lambda_min, kept below half the largest double
-    return (lambda bv: _eig_apply(spec, bv)), _HALF_MAX * float(spec.lam[-1])
-
-
-def _cho(n: int) -> tuple:
-    lower = cholesky_factor(_mass(n)).lower
-    upper = lower.T
-    # |L^-1 b|_2 <= |b|_2 / sqrt(lambda_min) and |x|_2 <= |b|_2 / lambda_min:
-    # eig's cap, with lambda_min in closed form (the tests sweep n <= 29 under it).
-    # The apply is solve_cholesky's two numpy.linalg.solve kernels, bare: L from
-    # a Cholesky that succeeded is nonsingular, so only _apply_guarded needs np.errstate
-    return (lambda bv: _solve1(upper, _solve1(lower, bv))), _HALF_MAX * float(eigenvalues(n)[-1])
-
-
-# One record per method.  entry(n) gives (apply, cap): x = apply(b) cannot
-# overflow while |b|_2 <= cap.  prefill is None or (cache kind,
-# sweep(degrees) -> the values built, last buildable degree).  overflowed(n)
-# is the DegreeTooLargeError raised where the apply overflowed.  Each entry and
-# sweep looks up its builder, and each apply its kernel, as a module global
-# when called, so a patched builder is the one that runs.
-_Method = namedtuple("_Method", "tag aliases entry prefill overflowed")
+# One record per method.  build(n) gives the method's precomputation obj at
+# degree n, apply(obj, bv) its x, and cap(obj) the largest |b|_2 at which that
+# apply cannot overflow (or raises the method's refusal where every b
+# overflows).  prefill is None or (cache kind, sweep(degrees) -> the values
+# built, last buildable degree).  overflowed(n) is the DegreeTooLargeError
+# raised where the apply overflowed.  Each build and sweep looks up its
+# builder as a module global when called, so a patched builder is the one
+# that runs; so does the dft apply, its kernel.
+_Method = namedtuple("_Method", "tag aliases build apply cap prefill overflowed")
 
 _TABLE = {
-    "direct": _Method("direct", ("exact-inverse",), _direct, None, _apply_overflowed("direct")),
+    "direct": _Method(
+        "direct", ("exact-inverse",), lambda n: inverse_matrix(n), np.ndarray.dot, _direct_cap, None,
+        _apply_overflowed("direct"),
+    ),
     # 509: the last degree whose circulant spectra are finite doubles
     "dft": _Method(
-        "DFT", (), _dft, ("structured", lambda ks: structured_inverse_sweep(ks), 509), _products_overflowed
+        "DFT", (), lambda n: _cached("structured", n, structured_inverse), lambda si, bv: _dft_apply(si, bv),
+        _dft_cap, ("structured", lambda ks: structured_inverse_sweep(ks), 509),
+        lambda n: DegreeTooLargeError(f"structured inverse products overflow double precision at degree n={n}"),
     ),
+    # |Q^T b| <= |b|_2 and Q's rows are unit vectors, so no partial sum passes
+    # |b|_2 / lambda_min, kept below half the largest double
     "eig": _Method(
-        "Eig", ("spectral",), _eig, ("spectral", lambda ks: build_q_sweep(ks), _MAX_DEGREE), _apply_overflowed("eig")
+        "Eig", ("spectral",), _spectral, _eig_apply, lambda d: _HALF_MAX * float(_normal_lam_min(d).lam[-1]),
+        ("spectral", lambda ks: build_q_sweep(ks), _MAX_DEGREE), _apply_overflowed("eig"),
     ),
-    "cho": _Method("cho", ("cholesky",), _cho, None, _apply_overflowed("cho")),
+    # |L^-1 b|_2 <= |b|_2 / sqrt(lambda_min) and |x|_2 <= |b|_2 / lambda_min: eig's
+    # cap, with lambda_min in closed form (the tests sweep n <= 29 under it).  The
+    # apply is numpy.linalg.solve's kernel, bare, twice: L from a Cholesky that
+    # succeeded is nonsingular
+    "cho": _Method(
+        "cho", ("cholesky",), lambda n: cholesky_factor(_mass(n)),
+        lambda f, bv: _solve1(f.lower.T, _solve1(f.lower, bv)),
+        lambda f: _HALF_MAX * float(eigenvalues(f.degree)[-1]), None, _apply_overflowed("cho"),
+    ),
 }
 
 METHODS = tuple(_TABLE)
@@ -241,20 +236,31 @@ def _prefill(n_max: int, methods) -> None:
             _cached(kind, built.degree, lambda _, value=built: value)
 
 
-def _solver(name: str, n: int) -> tuple:
-    """(apply, cap, M): the method's entry, and M for the residual."""
-    return (*_TABLE[name].entry(n), _mass(n))
+def _bound(name: str, obj) -> tuple:
+    """(apply, cap): the method's apply bound to obj, as obj.method binds it
+    (for direct, the ndarray's own dot), and its cap."""
+    m = _TABLE[name]
+    return m.apply.__get__(obj), m.cap(obj)
 
 
-def _apply_guarded(name: str, n: int, apply, cap: float, bv: np.ndarray, bnorm: float) -> np.ndarray:
-    """x = apply(bv) for a b past the cap below which the apply cannot overflow,
-    or one with 0 < |b|_2 < 2^-511.
+def _entry(name: str, n: int) -> tuple:
+    """(apply, cap, M): what the first solve of a method at degree n caches."""
+    return (*_bound(name, _TABLE[name].build(n)), _mass(n))
 
-    Past the cap, an x left non-finite raises DegreeTooLargeError, with no
-    numpy warning.  A tiny b is applied as 2^k b, with 2^k |b|_2 in [1/2, 1)
-    or, where the cap is below 1, below the cap, and x is scaled back by
-    2^-k, so the apply's intermediates do not go subnormal.
+
+def _apply(name: str, n: int, apply, cap: float, bv: np.ndarray, bnorm: float) -> np.ndarray:
+    """x = apply(bv) for a degree-n b of 2-norm bnorm, with the cap below which the apply cannot overflow.
+
+    Bare for bnorm in [2^-511, cap].  Past the cap it runs without numpy
+    warnings, and an x left non-finite raises the method's
+    DegreeTooLargeError.  A tiny b (0 < bnorm < 2^-511) is applied as 2^k b,
+    with 2^k bnorm in [1/2, 1) or, where the cap is below 1, below the cap,
+    and x is scaled back by 2^-k, so the apply's intermediates do not go
+    subnormal: both scalings are exact, so a b whose unscaled apply stays
+    normal gets the same bits.
     """
+    if _SQRT_TINY <= bnorm <= cap:
+        return apply(bv)
     if bnorm > cap:
         with np.errstate(over="ignore", invalid="ignore"):
             x = apply(bv)
@@ -263,6 +269,45 @@ def _apply_guarded(name: str, n: int, apply, cap: float, bv: np.ndarray, bnorm: 
         return x
     k = min(0, math.frexp(cap)[1] - 1) - math.frexp(bnorm)[1]
     return np.ldexp(apply(np.ldexp(bv, k)), -k) if k > 0 else apply(bv)
+
+
+def _solve_raw(name: str, obj, b) -> np.ndarray:
+    """A public raw apply: b checked as solve checks it, then _apply through obj."""
+    bv, bnorm = _checked_rhs(obj.degree, b)
+    return _apply(name, obj.degree, *_bound(name, obj), bv, bnorm)
+
+
+def solve_dft(si: StructuredInverse, b) -> np.ndarray:
+    """Apply the inverse mass matrix through si's FFT split, O(n log n).
+
+    solve's dft apply (structured._dft_apply), through the same _apply: b
+    is checked and a tiny b rescaled as solve does, and products that leave
+    double range (from n = 255 for b = 1, and from n = 257 or 258 for
+    b = M x with x uniform in [-1/2, 1/2)) raise DegreeTooLargeError, with
+    no numpy warning.
+    """
+    return _solve_raw("dft", si, b)
+
+
+def solve_spectral(d: SpectralDecomp, b) -> np.ndarray:
+    """Apply the inverse mass matrix: Q diag(1/lam) Q^T b, O(n^2).
+
+    solve's eig apply, through the same _apply: b is checked and a tiny b
+    rescaled as solve does, and an apply that overflows (b near the top of
+    double range) raises DegreeTooLargeError, as does every b from n = 509,
+    where lambda_min is not a normal double, before dividing.
+    """
+    return _solve_raw("eig", d, b)
+
+
+def solve_cholesky(factor: CholeskyFactor, b) -> np.ndarray:
+    """Solve with L, then with L^T: numpy.linalg.solve's LAPACK kernel twice, bare.
+
+    solve's cho apply, through the same _apply: b is checked and a tiny b
+    rescaled as solve does, and an apply that overflows (b near the top of
+    double range) raises DegreeTooLargeError.
+    """
+    return _solve_raw("cho", factor, b)
 
 
 def solve(method: str, n: int, b, max_degree: int = 25) -> SolveReport:
@@ -280,14 +325,10 @@ def solve(method: str, n: int, b, max_degree: int = 25) -> SolveReport:
     apply (from n = 255 for b = 1, 257 or 258 for b = M x with x uniform in
     [-1/2, 1/2)), eig or cho apply (b near the top of double range), and
     eig, before dividing, once the smallest eigenvalue is not a normal
-    double (from n = 509).  Each method's apply
-    runs bare while |b|_2 is within the cap below which it cannot overflow,
-    and past it under np.errstate with a finiteness check.  b = 0 gives
-    x = 0.  A b with 0 < |b|_2 < 2^-511, whose intermediates could go
-    subnormal, is applied as 2^k b with 2^k |b|_2 in [1/2, 1) (below the
-    cap, where that is under 1), and x is that apply's times 2^-k: both
-    scalings are exact, so a b whose unscaled apply stays normal gets the
-    same bits.  The residual is that of the x returned, against b.
+    double (from n = 509).  b = 0 gives x = 0 and builds nothing; any other
+    b goes through _apply, bare within the method's cap, and a b with
+    0 < |b|_2 < 2^-511 applied as 2^k b.  The residual is that of the x
+    returned, against b.
     """
     name = canonical_method(method)
     if not 0 <= n <= max_degree:
@@ -297,8 +338,8 @@ def solve(method: str, n: int, b, max_degree: int = 25) -> SolveReport:
         # M is nonsingular, so x = 0; nothing is built, no method can form 0/0
         x, residual = np.zeros(n + 1), 0.0
     else:
-        apply, cap, mass = _cache.get((name, n)) or _cached(name, n, lambda k: _solver(name, k))
-        x = apply(bv) if _SQRT_TINY <= bnorm <= cap else _apply_guarded(name, n, apply, cap, bv, bnorm)
+        apply, cap, mass = _cache.get((name, n)) or _cached(name, n, lambda k: _entry(name, k))
+        x = _apply(name, n, apply, cap, bv, bnorm)
         r = mass.dot(x)
         r -= bv
         residual = _scaled_norm(r) / bnorm

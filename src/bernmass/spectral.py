@@ -7,7 +7,8 @@ vectors: as functions of the row index these are the discrete Chebyshev
 2000; Koekoek, Lesky & Swarttouw 2010, sec. 9.5).  build_q assembles Q in
 O(n^2) by marching their difference equation down the rows, and
 build_q_sweep gives a sweep of degrees the same Qs, bit for bit, from
-marches batched across the degrees.  The naive construction that elevates
+marches batched across the degrees.  _eig_apply is the eig method's apply
+through Q.  The naive construction that elevates
 each Legendre vector separately costs O(n^3); it is kept for cross-checking
 as bernmass.oracle.build_q_by_elevation.
 """
@@ -20,14 +21,12 @@ import sys
 import numpy as np
 
 from .bernstein import DegreeTooLargeError
-from .kernels import _checked_rhs
 
 __all__ = [
     "SpectralDecomp",
     "eigenvalues",
     "build_q",
     "build_q_sweep",
-    "solve_spectral",
 ]
 
 
@@ -167,19 +166,8 @@ def _normal_lam_min(d: SpectralDecomp) -> SpectralDecomp:
 
 
 def _eig_apply(d: SpectralDecomp, bv: np.ndarray) -> np.ndarray:
-    """solve_spectral's product, bare: bv is a C-contiguous float64 vector of
-    the right length, and ndarray.dot skips matmul's dispatch for the same bits."""
+    """The eig apply Q diag(1/lam) Q^T b, O(n^2), bare: bv is a C-contiguous
+    float64 vector of the right length, and ndarray.dot skips matmul's
+    dispatch for the same bits.  solvers runs it for solve and for the public
+    solve_spectral, and checks b and guards an overflow."""
     return d.q.dot(d.q.T.dot(bv) / d.lam)
-
-
-def solve_spectral(d: SpectralDecomp, b) -> np.ndarray:
-    """Apply the inverse mass matrix: Q diag(1/lam) Q^T b, O(n^2).
-
-    b is checked as solve checks it: a complex b, one not of shape
-    (degree+1,), or one with a nan or inf entry raises ValueError.  From
-    n = 509, where lambda_min is not a normal double, it raises
-    DegreeTooLargeError, as solve does, before dividing.  Unlike solve, it
-    does not rescale a tiny b, so its intermediates can go subnormal.
-    """
-    bv = _checked_rhs(d.degree, b)[0]
-    return _eig_apply(_normal_lam_min(d), bv)

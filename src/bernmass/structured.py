@@ -4,14 +4,15 @@ The binomially descaled mass matrix is Hankel, and its inverse splits into a
 difference of Toeplitz-times-Hankel products whose entries are signed squared
 binomials.  All of those operators are applied through circulant embedding
 and numpy's real FFT, whose compiled kernels bernmass.kernels binds, giving
-an O(n log n) solve.  One builder, structured_inverse_sweep, makes the
+an O(n log n) apply, _dft_apply: solvers runs it for solve and for the
+public solve_dft.  One builder, structured_inverse_sweep, makes the
 circulant spectra of a whole sweep of degrees: the degrees that share a
 plan size are transformed together, as rows of one 2-D rfft, and
 structured_inverse(n) is the sweep of [n]; the tables prefill their dft
 spectra through it; from n = 510 it raises DegreeTooLargeError.  The dense
-split factors, the Bezout matrix, the Hankel inversion formula behind them
-and a Hankel product through toeplitz_matvec are validation routes and
-live in bernmass.oracle.
+split factors, the Bezout matrix, the Hankel inversion formula behind them,
+the FFT Toeplitz product toeplitz_matvec and a Hankel product through it
+are validation routes and live in bernmass.oracle.
 """
 
 from __future__ import annotations
@@ -19,18 +20,15 @@ from __future__ import annotations
 import numpy as np
 
 from .bernstein import DegreeTooLargeError, _squared_binomial_row, binomial_diag
-from .kernels import _checked_rhs
 from .kernels import irfft as _irfft
 from .kernels import rfft as _rfft
 from .spectral import _SWEEP_BLOCK
 
 __all__ = [
     "next_pow2",
-    "toeplitz_matvec",
     "StructuredInverse",
     "structured_inverse",
     "structured_inverse_sweep",
-    "solve_dft",
 ]
 
 
@@ -46,29 +44,6 @@ def next_pow2(m: int) -> int:
     return p
 
 
-def toeplitz_matvec(first_col, first_row, x) -> np.ndarray:
-    """Toeplitz product via circulant embedding and FFTs, O(n log n).
-
-    first_col and first_row fix the matrix (their leading entries must
-    agree); the embedding size is the next power of two at least twice the
-    dimension.  The circulant's first column is [first_col | zeros |
-    reverse(first_row[1:])], so entry (i-j) mod plan reproduces the band.
-    """
-    col = np.asarray(first_col, dtype=float)
-    row = np.asarray(first_row, dtype=float)
-    xv = np.asarray(x, dtype=float)
-    if not col.size == row.size == xv.size:
-        raise ValueError("first column, first row, and vector lengths must agree")
-    if col[0] != row[0]:
-        raise ValueError("first column and first row must share their leading entry")
-    s = col.size
-    plan = next_pow2(2 * s)
-    c = np.zeros(plan)
-    c[:s] = col
-    c[plan - s + 1 :] = row[:0:-1]
-    return np.fft.irfft(np.fft.rfft(c) * np.fft.rfft(xv, plan), plan)[:s]
-
-
 # ---------------------------------------------------------------------------
 # the Toeplitz/Hankel split of the inverse
 
@@ -79,7 +54,7 @@ class StructuredInverse:
     Holds the Toeplitz bands and Hankel anti-diagonals of the four factors,
     the binomial diagonal, and the circulant spectra at the shared plan size
     (next power of two >= 2n+2).  The spectra are paired in the order
-    solve_dft applies them, so each pair is one 2-row transform: h_pair rows
+    _dft_apply applies them, so each pair is one 2-row transform: h_pair rows
     (H, Ht) and t_pair rows (Tt, T), each pair C-contiguous; _h_hat,
     _ht_hat, _tt_hat and _t_hat are views of those rows.
     """
@@ -186,13 +161,14 @@ def structured_inverse_sweep(degrees) -> list:
     return [built[n] for n in degrees]
 
 
-def _products_overflowed(n: int) -> DegreeTooLargeError:
-    return DegreeTooLargeError(f"structured inverse products overflow double precision at degree n={n}")
-
-
 def _dft_apply(si: StructuredInverse, bv: np.ndarray) -> np.ndarray:
-    """solve_dft's four transforms and descaling, bare: bv is a float64 vector of
-    the right length, and nothing checks or silences an overflow."""
+    """The dft apply, bare: descale by the binomial diagonal, push through the
+    two Hankel factors (sharing one forward transform of the reversed
+    vector), then the two Toeplitz factors, subtract, and descale again.
+    bv is a float64 vector of the right length; solvers._apply checks b and
+    guards an overflow.  Each spectrum pair is applied as one 2-row
+    transform, which numpy computes row by row exactly as it would two 1-D
+    calls."""
     s = si.degree + 1
     plan = si.plan_size
     rev_hat = _rfft((bv / si.binom_diag)[::-1], plan)
@@ -200,29 +176,3 @@ def _dft_apply(si: StructuredInverse, bv: np.ndarray) -> np.ndarray:
     hy = _irfft(si._h_pair * rev_hat, plan)[:, :s]
     w = _irfft(si._t_pair * _rfft(hy, plan), plan)
     return (w[0, :s] - w[1, :s]) / si.binom_diag
-
-
-def solve_dft(si: StructuredInverse, b) -> np.ndarray:
-    """Apply the inverse mass matrix entirely through FFT matvecs.
-
-    Descale by the binomial diagonal, push through the two Hankel factors
-    (sharing one forward transform of the reversed vector), then the two
-    Toeplitz factors, subtract, and descale again.  O(n log n) total, in
-    four transforms through bernmass.kernels: each spectrum pair is applied
-    as one 2-row transform, which numpy computes row by row exactly as it
-    would two 1-D calls.
-
-    b is checked as solve checks it: a complex b, one not of shape
-    (degree+1,), or one with a nan or inf entry raises ValueError.  Raises
-    DegreeTooLargeError when the products leave double range (from n = 255
-    for b = 1, and from n = 257 or 258 for b = M x with x uniform in
-    [-1/2, 1/2)), instead of returning nan.  Unlike solve, it does not
-    rescale a tiny b, so its intermediates can go subnormal.
-    """
-    bv, _ = _checked_rhs(si.degree, b)
-    # overflow here is detected afterwards, not warned about per entry
-    with np.errstate(over="ignore", invalid="ignore"):
-        x = _dft_apply(si, bv)
-    if not np.all(np.isfinite(x)):
-        raise _products_overflowed(si.degree)
-    return x

@@ -33,9 +33,9 @@ from bernmass.oracle import (
     rational_inverse,
     structured_inverse_exact,
     toeplitz_dense,
+    toeplitz_matvec,
 )
 from bernmass.spectral import build_q, eigenvalues
-from bernmass.structured import toeplitz_matvec
 from bernmass.bernstein import BernsteinPoly, basis_values, evaluate
 from bernmass.solvers import solve
 

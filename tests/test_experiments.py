@@ -555,7 +555,7 @@ def test_tables_unchanged_by_dft_sweep(n_max):
     try:
         swept = _tables(n_max, 11)
         clear_cache()
-        singles = {n: solvers._cached("dft", n, lambda k: solvers._solver("dft", k)) for n in range(n_max + 1)}
+        singles = {n: solvers._cached("dft", n, lambda k: solvers._entry("dft", k)) for n in range(n_max + 1)}
         one_by_one = _tables(n_max, 11)
         # the sweep left the single builds in place
         assert all(solvers._cache[("dft", n)] is entry for n, entry in singles.items())

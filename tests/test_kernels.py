@@ -145,21 +145,29 @@ def test_cholesky_factor_bitwise_equal_to_numpy_cholesky():
 
 
 @pytest.mark.parametrize(
-    "a",
+    "a, refused_shape",
     [
-        np.ones(3),  # 1-D
-        np.ones((2, 3)),  # not square
-        np.ones((2, 2, 2)),  # stacked, singular
-        np.stack([np.eye(3), 4.0 * np.eye(3)]),  # stacked, positive definite
-        np.empty((0, 0)),
-        [[4.0, 2.0], [2.0, 3.0]],  # a nested list
-        np.asfortranarray(np.arange(9.0).reshape(3, 3).T @ np.arange(9.0).reshape(3, 3) + np.eye(3)),
-        np.eye(4, dtype=np.float32),
+        (np.ones(3), (3,)),  # 1-D
+        (np.ones((2, 3)), (2, 3)),  # not square
+        (np.ones((2, 2, 2)), (2, 2, 2)),  # stacked, singular
+        (np.stack([np.eye(3), 4.0 * np.eye(3)]), (2, 3, 3)),  # stacked, positive definite
+        (np.empty((0, 0)), (0, 0)),
+        (np.array(4.0), ()),  # 0-D
+        ([[4.0, 2.0], [2.0, 3.0]], None),  # a nested list
+        (np.asfortranarray(np.arange(9.0).reshape(3, 3).T @ np.arange(9.0).reshape(3, 3) + np.eye(3)), None),
+        (np.eye(4, dtype=np.float32), None),
     ],
-    ids=["1-D", "non-square", "3-D singular", "3-D", "0x0", "list", "F-order", "float32"],
+    ids=["1-D", "non-square", "3-D singular", "3-D", "0x0", "0-D", "list", "F-order", "float32"],
 )
-def test_cholesky_factor_keeps_public_types_and_messages(a):
-    assert _factor_or_refusal(a) == _public_factor_or_refusal(a)
+def test_cholesky_factor_keeps_public_types_and_messages(a, refused_shape, monkeypatch):
+    # one square matrix of at least 1x1 gets numpy's factor or refusal; any other
+    # shape a plain ValueError that names it, before LAPACK runs
+    if refused_shape is None:
+        assert _factor_or_refusal(a) == _public_factor_or_refusal(a)
+        return
+    monkeypatch.setattr(solvers, "_cholesky", lambda a: pytest.fail("LAPACK ran on a refused shape"))
+    want = f"Cholesky needs one square matrix of at least 1x1, not an array of shape {refused_shape}"
+    assert _factor_or_refusal(a) == (ValueError, want)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])

@@ -11,9 +11,9 @@ from hypothesis import strategies as st
 from bernmass.bernstein import DegreeTooLargeError, mass_matrix
 from bernmass.experiments import reference_solution
 from bernmass.kernels import _SQRT_TINY, _scaled_norm
-from bernmass.solvers import METHOD_ALIASES, METHODS, cholesky_factor, solve, solve_cholesky
-from bernmass.spectral import build_q, solve_spectral
-from bernmass.structured import solve_dft, structured_inverse
+from bernmass.solvers import METHOD_ALIASES, METHODS, cholesky_factor, solve, solve_cholesky, solve_dft, solve_spectral
+from bernmass.spectral import build_q
+from bernmass.structured import structured_inverse
 
 # each name of METHOD_ALIASES, through solve, the exact reference and the public raw applies
 ROUTES = {name: (lambda n, b, name=name: solve(name, n, b).solution) for name in sorted(METHOD_ALIASES)}
@@ -139,30 +139,38 @@ def test_strided_rhs_answered_as_its_contiguous_copy(layout):
                 assert ROUTES[name](n, view).tobytes() == ROUTES[name](n, b).tobytes(), (name, n)
 
 
+RAW = ("solve_dft", "solve_spectral", "solve_cholesky")
+
+
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(
     st.integers(0, 29).flatmap(lambda n: st.lists(st.floats(-1.0, 1.0), min_size=n + 1, max_size=n + 1)),
     st.integers(-1070, 1020),
+    st.booleans(),
 )
-@example([0.25, -0.5, 0.125, 1.0, -0.75, 0.5], -1045)  # subnormal intermediates at degree 5
-@example(np.random.default_rng(20).uniform(-0.5, 0.5, 21).tolist(), -1030)
-@example([1.0] * 30, 1020)  # past every method's cap
-def test_rhs_scaled_across_double_range(x, e):
-    # b = M x 2^e: each solve is finite or a typed refusal, never a numpy warning; a b
-    # whose 2-norm is below 2^-511 is answered as 2^k b is, scaled back by 2^-k
+@example([0.25, -0.5, 0.125, 1.0, -0.75, 0.5], -1045, True)  # subnormal intermediates at degree 5
+@example(np.random.default_rng(20).uniform(-0.5, 0.5, 21).tolist(), -1030, True)
+@example([1.0] * 30, 1020, True)  # past every method's cap
+@example([1e307] * 21, 0, False)  # b = 1e307 * 1 at degree 20: the eig and cho applies overflow
+def test_rhs_scaled_across_double_range(x, e, times_mass):
+    # b = M x 2^e, or x 2^e: each solve and each public raw apply is finite or a typed
+    # refusal, never a numpy warning; a b whose 2-norm is below 2^-511 is answered as
+    # 2^k b is, scaled back by 2^-k
     n = len(x) - 1
-    b = np.ldexp(mass_matrix(n).matrix @ np.array(x), e)
+    b = np.ldexp(mass_matrix(n).matrix @ np.array(x) if times_mass else np.array(x), e)
     bnorm = _scaled_norm(b)
-    for name in sorted(METHOD_ALIASES):
+    for name in sorted(METHOD_ALIASES) + list(RAW):
+        route = ROUTES[name] if name in RAW else lambda n, b, name=name: solve(name, n, b, max_degree=29).solution
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             try:
-                rep = solve(name, n, b, max_degree=29)
+                got = route(n, b)
             except ValueError as exc:  # DegreeTooLargeError among them
                 assert type(exc) in (DegreeTooLargeError, ValueError), name
                 continue
-        assert np.all(np.isfinite(rep.solution)) and math.isfinite(rep.residual), (name, e)
+        assert np.all(np.isfinite(got)), (name, e)
+        if name not in RAW:
+            assert math.isfinite(solve(name, n, b, max_degree=29).residual), (name, e)
         if 0.0 < bnorm < _SQRT_TINY:
             k = -math.frexp(bnorm)[1]
-            scaled = solve(name, n, np.ldexp(b, k), max_degree=29).solution
-            assert rep.solution.tobytes() == np.ldexp(scaled, -k).tobytes(), (name, e)
+            assert got.tobytes() == np.ldexp(route(n, np.ldexp(b, k)), -k).tobytes(), (name, e)

@@ -28,9 +28,12 @@ from bernmass.solvers import (
     metrics,
     solve,
     solve_cholesky,
+    solve_dft,
+    solve_spectral,
 )
-from bernmass.spectral import build_q, eigenvalues, solve_spectral
-from bernmass.structured import solve_dft, structured_inverse, structured_inverse_sweep
+from bernmass.spectral import build_q, eigenvalues
+from bernmass.structured import structured_inverse, structured_inverse_sweep
+from test_structured import _seven_call_apply, _solve_dft_seven_calls
 
 
 def exact_solution(n, b):
@@ -239,27 +242,28 @@ def _cap_shapes(n):
 
 
 def test_dft_cap_boundary():
-    # at the cap the bare kernel cannot overflow; just past it, solve runs the
-    # checked path and gives solve_dft's x or its refusal
+    # at the cap the seven-call FFT apply cannot overflow, and solve_dft runs bare and
+    # gives its x; just past it, solve runs the checked path and gives that apply's x
+    # or its refusal
     sweep = structured_inverse_sweep(range(510))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for si in sweep:
             n = si.degree
-            _, cap = solvers._dft(n)  # the cap of the entry a first solve caches
+            cap = solvers._TABLE["dft"].cap(si)  # the cap of the entry a first solve caches
             for shape in _cap_shapes(n):
                 b = shape * (cap / _scaled_norm(shape))
                 while _scaled_norm(b) > cap:
                     b = np.nextafter(b, 0.0)
                 assert b.any(), n  # a subnormal cap (3.7e-316 at n = 509) still reaches b
-                x = solvers._dft_apply(si, b)
+                x = _seven_call_apply(si, b)
                 assert np.all(np.isfinite(x)), n
                 assert x.tobytes() == solve_dft(si, b).tobytes(), n
                 past = b
                 while _scaled_norm(past) <= cap:
                     past = np.where(past != 0.0, np.nextafter(past, np.copysign(np.inf, past)), 0.0)
                 try:
-                    want = solve_dft(si, past)
+                    want = _solve_dft_seven_calls(si, past)
                 except DegreeTooLargeError as exc:
                     with pytest.raises(DegreeTooLargeError) as info:
                         solve("dft", n, past, max_degree=509)
@@ -286,7 +290,7 @@ def test_cho_overflow_refused_unwarned_below_cap_unchanged():
         for n in range(30):
             rng = np.random.default_rng(n)
             shapes = (np.ones(n + 1), (-1.0) ** np.arange(n + 1), rng.uniform(-1.0, 1.0, n + 1))
-            factor = cholesky_factor(mass_matrix(n).matrix)
+            lower = cholesky_factor(mass_matrix(n).matrix).lower
             cap = sys.float_info.max / 2.0 * eigenvalues(n)[-1]
             for e in range(150, 309, 4):
                 for shape in shapes:
@@ -298,18 +302,24 @@ def test_cho_overflow_refused_unwarned_below_cap_unchanged():
                         continue
                     assert np.all(np.isfinite(x)), (n, e)
                     if _scaled_norm(b) <= cap:
-                        assert x.tobytes() == solve_cholesky(factor, b).tobytes(), (n, e)
+                        assert x.tobytes() == _two_linalg_solves(lower, b).tobytes(), (n, e)
+
+
+def _two_linalg_solves(lower, b):
+    return np.linalg.solve(lower.T, np.linalg.solve(lower, b))
 
 
 def test_cho_entry_bitwise_equal_to_solve_cholesky():
-    # the cached entry's bare LAPACK calls against numpy.linalg.solve's, at every degree that factors
+    # the cached entry's and solve_cholesky's bare LAPACK calls against numpy.linalg.solve's,
+    # at every degree that factors
     try:
         for n in range(30):
             factor = cholesky_factor(mass_matrix(n).matrix)
-            apply, _, _ = solvers._solver("cho", n)
+            apply, _, _ = solvers._entry("cho", n)
             for b in _cap_shapes(n):
-                want = solve_cholesky(factor, b).tobytes()
+                want = _two_linalg_solves(factor.lower, b).tobytes()
                 assert apply(b).tobytes() == want, n
+                assert solve_cholesky(factor, b).tobytes() == want, n
                 assert solve("cho", n, b, max_degree=29).solution.tobytes() == want, n
     finally:
         clear_cache()
@@ -317,7 +327,7 @@ def test_cho_entry_bitwise_equal_to_solve_cholesky():
 
 def _matmul_and_vdot_forms(method, n, b):
     # a warm solve with @ for the direct and eig applies and the residual, and np.vdot for its norm
-    apply, _, mass = solvers._solver(method, n)
+    apply, _, mass = solvers._entry(method, n)
     if method == "direct":
         x = inverse_matrix(n) @ b
     elif method == "eig":
@@ -341,7 +351,7 @@ def test_warm_solve_bitwise_equal_to_matmul_and_vdot(method, degrees):
     clear_cache()
     try:
         for n in degrees:
-            apply, _, _ = solvers._solver(method, n)
+            apply, _, _ = solvers._entry(method, n)
             if n < 26:
                 rhs = _oracle_rhs(n)
             else:  # of order one, which every apply here takes finite
@@ -559,11 +569,12 @@ def _oracle(method, n, b):
     if method == "direct":
         x = inverse_matrix(n) @ bv
     elif method == "dft":
-        x = solve_dft(structured_inverse(n), bv)
+        x = _seven_call_apply(structured_inverse(n), bv)
     elif method == "eig":
-        x = solve_spectral(build_q(n), bv)
+        d = build_q(n)
+        x = d.q @ ((d.q.T @ bv) / d.lam)
     else:
-        x = solve_cholesky(cholesky_factor(mm), bv)
+        x = _two_linalg_solves(cholesky_factor(mm).lower, bv)
     return x, _scaled_norm(mm @ x - bv) / _scaled_norm(bv)
 
 

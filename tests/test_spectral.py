@@ -9,8 +9,8 @@ import pytest
 
 from bernmass.bernstein import DegreeTooLargeError, mass_matrix
 from bernmass.oracle import build_q_by_elevation, mass_exact, rational_solve
-from bernmass.solvers import solve
-from bernmass.spectral import build_q, build_q_sweep, eigenvalues, solve_spectral
+from bernmass.solvers import solve, solve_spectral
+from bernmass.spectral import build_q, build_q_sweep, eigenvalues
 
 
 def eigenvalue_exact(n, i):

@@ -28,14 +28,14 @@ from bernmass.oracle import (
     rational_inverse,
     structured_inverse_exact,
     toeplitz_dense,
+    toeplitz_matvec,
 )
+from bernmass.solvers import solve_dft
 from bernmass.structured import (
     _dft_apply,
     next_pow2,
-    solve_dft,
     structured_inverse,
     structured_inverse_sweep,
-    toeplitz_matvec,
 )
 
 
