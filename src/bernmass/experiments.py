@@ -8,7 +8,10 @@ of degree n is that of degree n-1 elevated by one step plus one new series
 term, and one basis matrix per degree gives both the moments b and each
 method's values at the quadrature nodes.  The basis is read from power
 tables of x and of 1-x taken once per table, the second stored backwards,
-so each degree's columns are a forward slice.  A second harness solves
+so each degree's columns are a forward slice.  Every norm of a cell is
+kernels._scaled_norm's 2-norm: the rule's L2 norm as that of sqrt(w) v,
+with sqrt(w) taken once per table, and an M-norm as that of
+Lambda^(1/2) Q^T v.  A second harness solves
 randomly generated systems and reports error/residual metrics per method
 against the exact solution of the rounded system, found in integer
 arithmetic.
@@ -156,8 +159,9 @@ def run_projection(func, n_max: int, methods=METHODS, rule: QuadratureRule | Non
     f = FUNCTIONS[func] if isinstance(func, str) else func
     rule = rule or default_rule()
     w = rule.weights
+    sw = np.sqrt(w)  # the L2 norm of g under the rule is the 2-norm of sw * g
     fv = np.asarray(f(rule.nodes), dtype=float)
-    fnorm = _scaled_norm(fv, w)  # the L2 norm of f under the rule
+    fnorm = _scaled_norm(sw * fv)
     wf = w * fv  # the moments are wf.dot(basis)
     xp, yr = _power_tables(rule.nodes, n_max)
 
@@ -171,7 +175,7 @@ def run_projection(func, n_max: int, methods=METHODS, rule: QuadratureRule | Non
             def measure(report):
                 x_hat = report.solution
                 d = x_hat - ref
-                fp = _scaled_norm(fv - basis.dot(x_hat), w) / fnorm
+                fp = _scaled_norm(sw * (fv - basis.dot(x_hat))) / fnorm
                 return fp, _m_norm(n, d) / fnorm, _scaled_norm(d) / ref_norm, report.residual
 
             yield wf.dot(basis), measure

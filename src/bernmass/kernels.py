@@ -9,10 +9,12 @@ cannot be imported (numpy < 2, or a numpy that moves them), the public
 functions stand in, and COMPILED is False.  vdot is numpy.vdot's own C
 function, which numpy.vdot reaches through its __array_function__
 dispatch, or numpy.vdot itself where numpy keeps no _implementation.
-cholesky runs numpy.linalg.cholesky's LAPACK kernel without that
-function's Python wrappers, and falls back to that function alone.
-_checked_rhs is the right-hand-side check of solve and of the public
-applies, and _scaled_norm the rescaled 2-norm it and the metrics take.
+cholesky runs numpy.linalg.cholesky's LAPACK kernel on a square float64
+matrix without that function's Python wrappers, and is that function
+where the kernel cannot be imported.  _checked_rhs is the right-hand-side
+check of solve and of the public applies, and _scaled_norm the one
+rescaled 2-norm that it, the residuals and every metric take: a weighted
+L2 norm as the norm of sqrt(w) v, an M-norm as that of Lambda^(1/2) Q^T v.
 """
 
 from __future__ import annotations
@@ -67,16 +69,14 @@ except ImportError:
 else:
 
     def cholesky(a: np.ndarray) -> np.ndarray:
-        """numpy.linalg.cholesky(a) for an array a, bit for bit.
+        """numpy.linalg.cholesky(a) for a 2-D square float64 array a, bit for bit.
 
-        A 2-D square float64 a runs the cholesky_lo kernel bare, under the
-        error state numpy.linalg.cholesky sets, so a failure raises its
-        LinAlgError("Matrix is not positive definite"); any other shape or
-        dtype goes through numpy.linalg.cholesky, for its messages and its
-        double-precision loop (a float32 a is factored in float64 and cast).
+        The cholesky_lo kernel runs bare, under the error state
+        numpy.linalg.cholesky sets, so a failure raises its
+        LinAlgError("Matrix is not positive definite").  a must be that one
+        square native float64 matrix, as cholesky_factor makes it: any other
+        shape or dtype is not checked, and would run another loop.
         """
-        if a.dtype is not _FLOAT64 or a.ndim != 2 or a.shape[0] != a.shape[1]:
-            return np.linalg.cholesky(a)
         state = _make_extobj(
             call=_raise_linalgerror_nonposdef, invalid="call", over="ignore", divide="ignore", under="ignore"
         )
@@ -97,23 +97,21 @@ _FLOAT64 = np.dtype(float)
 _SQRT_TINY = math.sqrt(sys.float_info.min)
 
 
-def _scaled_norm(v: np.ndarray, weights=None) -> float:
-    """sqrt(v.v), bit for bit as numpy.linalg.norm forms it, or sqrt(sum w v^2).
+def _scaled_norm(v: np.ndarray) -> float:
+    """sqrt(v.v), bit for bit as numpy.linalg.norm forms it.
 
-    Where the sum overflows (|v| past about 1e154) or leaves the normal
-    range (below about 1e-154; it reads 0 from about 1e-162), v is scaled by
-    max|v| and the sum retaken, once: v / max|v| has max 1.  vdot
-    overflows to inf unwarned, so only the weighted sum enters np.errstate.
+    Where v.v overflows (|v| past about 1e154) or leaves the normal range
+    (below about 1e-154; it reads 0 from about 1e-162), v is scaled by
+    max|v| and the sum retaken, once: v / max|v| has max 1.  vdot overflows
+    to inf unwarned, so no call enters np.errstate.  A sum of m nonnegative
+    squares is within about m eps of exact in any order, so a weighted or
+    M-norm taken through it differs from another order's sum by a few ulps.
     """
-    if weights is None:
-        nrm = math.sqrt(vdot(v, v))
-    else:
-        with np.errstate(over="ignore"):
-            nrm = math.sqrt(float(weights @ (v * v)))
+    nrm = math.sqrt(vdot(v, v))
     if not _SQRT_TINY <= nrm < math.inf and v.size:
         big = float(np.max(np.abs(v)))
         if 0.0 < big < math.inf and big != 1.0:
-            nrm = big * _scaled_norm(v / big, weights)
+            nrm = big * _scaled_norm(v / big)
     return nrm
 
 

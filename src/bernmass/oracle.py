@@ -454,7 +454,7 @@ def moments(f, n: int, rule: QuadratureRule | None = None) -> np.ndarray:
 def function_norm(f, rule: QuadratureRule | None = None) -> float:
     """L2 norm of f over [0,1] under the moment rule."""
     rule = rule or default_rule()
-    return _scaled_norm(np.asarray(f(rule.nodes), dtype=float), rule.weights)
+    return _scaled_norm(np.sqrt(rule.weights) * np.asarray(f(rule.nodes), dtype=float))
 
 
 def legendre_reference(f, n: int, rule: QuadratureRule | None = None) -> BernsteinPoly:

@@ -355,47 +355,38 @@ def _m_norm(n: int, v: np.ndarray) -> float:
 
     Unlike sqrt(v^T M v), this never cancels: that quadratic form turns
     negative once the float M stops being numerically positive definite
-    (n >= 30).  Squares that overflow or leave the normal range are
-    retaken by _scaled_norm, rescaled by max|.|.
+    (n >= 30).  The coordinates' 2-norm is _scaled_norm's.
     """
     spec = _spectral(n)
-    coords = np.sqrt(spec.lam) * spec.q.T.dot(v)
-    with np.errstate(over="ignore"):
-        nrm = math.sqrt(np.add.reduce(coords * coords))
-    if not _SQRT_TINY <= nrm < math.inf:
-        nrm = _scaled_norm(coords)
-    return nrm
+    return _scaled_norm(np.sqrt(spec.lam) * spec.q.T.dot(v))
 
 
 def _errors(x_hat: np.ndarray, x_ref: np.ndarray) -> tuple:
     """metrics' relative 2-norm and M-norm errors of x_hat against x_ref.
 
-    Both M-norms come from one two-column product with Q^T, each column's
-    squares summed by norm(axis=0) and retaken as _m_norm retakes them.
-    Not two _m_norm calls: two gemvs and two pairwise sums give other bits.
+    Both M-norms' coordinates come from one two-column product with Q^T,
+    and each column's 2-norm is _scaled_norm's.  Not two _m_norm gemvs: the
+    error's M-norm is far below its 2-norm, so the rounding of Q^T d shows.
+    An x_ref whose M-norm is 0 (x_ref = 0, or one so tiny that its
+    coordinates underflow) raises ValueError.
     """
-    ref2 = _scaled_norm(x_ref)
-    if ref2 == 0.0:
-        raise ValueError("reference solution has zero norm")
     d = x_hat - x_ref
     spec = _spectral(x_ref.size - 1)
-    coords = np.sqrt(spec.lam)[:, None] * (spec.q.T @ np.column_stack((d, x_ref)))
-    with np.errstate(over="ignore"):
-        norms = np.linalg.norm(coords, axis=0)
-    for j, nrm in enumerate(norms.tolist()):
-        if not _SQRT_TINY <= nrm < math.inf:
-            norms[j] = _scaled_norm(coords[:, j])
-    dm, rm = norms
-    return _scaled_norm(d) / ref2, float(dm / rm)
+    dm, rm = map(_scaled_norm, np.sqrt(spec.lam) * (spec.q.T @ np.column_stack((d, x_ref))).T)
+    if rm == 0.0:
+        raise ValueError("reference solution has zero norm")
+    return _scaled_norm(d) / _scaled_norm(x_ref), dm / rm
 
 
 def metrics(x_hat, x_ref, b, m) -> tuple:
     """Relative 2-norm error, relative M-norm error, relative residual.
 
-    The 2-norms are _scaled_norm's, rescaled where v.v overflows; both M-norms
-    come from _errors, through the degree's cached spectral decomposition;
-    m feeds only the residual.  Strided arguments are copied C-contiguous,
-    so their layout does not change the sums, as in solve.
+    Every norm is _scaled_norm's, rescaled where v.v leaves the normal
+    range: the 2-norms of the vectors, and both M-norms of _errors as the
+    2-norms of their coordinates in the degree's cached spectral
+    decomposition; m feeds only the residual.  Strided arguments are
+    copied C-contiguous, so their layout does not change the sums, as in
+    solve.
     """
     x_hat = np.ascontiguousarray(x_hat, dtype=float)
     err2, errm = _errors(x_hat, np.ascontiguousarray(x_ref, dtype=float))

@@ -55,8 +55,7 @@ class StructuredInverse:
     the binomial diagonal, and the circulant spectra at the shared plan size
     (next power of two >= 2n+2).  The spectra are paired in the order
     _dft_apply applies them, so each pair is one 2-row transform: h_pair rows
-    (H, Ht) and t_pair rows (Tt, T), each pair C-contiguous; _h_hat,
-    _ht_hat, _tt_hat and _t_hat are views of those rows.
+    (H, Ht) and t_pair rows (Tt, T), each pair C-contiguous.
     """
 
     def __init__(self, degree, t_col, tt_col, h, ht, binom_diag, h_pair, t_pair):
@@ -69,8 +68,6 @@ class StructuredInverse:
         self.plan_size = 2 * (h_pair.shape[1] - 1)
         self._h_pair = h_pair
         self._t_pair = t_pair
-        self._h_hat, self._ht_hat = h_pair
-        self._tt_hat, self._t_hat = t_pair
 
     def __repr__(self):
         return f"StructuredInverse(degree={self.degree})"

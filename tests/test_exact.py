@@ -56,6 +56,21 @@ def test_mass_total_sum_is_one():
         assert sum(sum(row) for row in m) == 1
 
 
+@pytest.mark.parametrize("n", range(17))
+def test_mass_has_closed_form_ldlt(n):
+    # M = L D L^T, L unit lower triangular: Gram-Schmidt on B_0..B_n, whose k-th
+    # function is (1-t)^(n-k) times a Jacobi polynomial of weight (1-t)^(2n-2k+1)
+    ks = range(n + 1)
+    lower = [
+        [Fraction(binom(n - k, i - k) * binom(i, k), binom(2 * n - 2 * k, i - k)) if i >= k else 0 for k in ks]
+        for i in ks
+    ]
+    diag = [Fraction(binom(n, k) ** 2, (2 * n + 1 - 2 * k) * binom(2 * n + 1 - k, k) ** 2) for k in ks]
+    assert all(lower[i][i] == 1 for i in ks)
+    ldlt = [[sum(lower[i][k] * diag[k] * lower[j][k] for k in ks) for j in ks] for i in ks]
+    assert ldlt == mass_exact(n)
+
+
 def test_elevation_reproduces_lower_degree_mass():
     # elevating the basis must preserve all inner products
     for m_deg in range(4):

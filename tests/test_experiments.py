@@ -301,8 +301,9 @@ def test_function_norm_positive():
 def test_function_norm_rescales_where_squares_leave_double_range():
     rule = default_rule()
     fv = f2(rule.nodes)
-    # bitwise the plain sum where w.f^2 is normal
-    assert function_norm(f2) == math.sqrt(rule.weights @ (fv * fv))
+    # within (m+2) eps of the plain sum where w.f^2 is normal, for the rule's m nodes
+    want = math.sqrt(rule.weights @ (fv * fv))
+    assert abs(function_norm(f2) - want) <= (fv.size + 2) * np.finfo(float).eps * want
     for scale in (1e-170, 1e170):
         assert function_norm(lambda x: scale * f2(x)) == pytest.approx(scale * function_norm(f2), rel=1e-15)
 

@@ -144,6 +144,10 @@ def test_cholesky_factor_bitwise_equal_to_numpy_cholesky():
     assert refused == list(range(30, 41))
 
 
+_R = np.random.default_rng(5).integers(-3, 4, (12, 12))
+_INT_SPD = _R @ _R.T + 12 * np.eye(12, dtype=np.int64)
+
+
 @pytest.mark.parametrize(
     "a, refused_shape",
     [
@@ -156,12 +160,21 @@ def test_cholesky_factor_bitwise_equal_to_numpy_cholesky():
         ([[4.0, 2.0], [2.0, 3.0]], None),  # a nested list
         (np.asfortranarray(np.arange(9.0).reshape(3, 3).T @ np.arange(9.0).reshape(3, 3) + np.eye(3)), None),
         (np.eye(4, dtype=np.float32), None),
+        (mass_matrix(12).matrix.astype(np.float32), None),
+        (_INT_SPD, None),
+        (-np.eye(3, dtype=np.int64), None),
+        (mass_matrix(12).matrix.astype(">f8"), None),
+        (mass_matrix(30).matrix.astype(">f8"), None),
     ],
-    ids=["1-D", "non-square", "3-D singular", "3-D", "0x0", "0-D", "list", "F-order", "float32"],
+    ids=[
+        "1-D", "non-square", "3-D singular", "3-D", "0x0", "0-D", "list", "F-order", "float32", "float32 M",
+        "int64", "int64 not positive definite", "big-endian", "big-endian not positive definite",
+    ],
 )
 def test_cholesky_factor_keeps_public_types_and_messages(a, refused_shape, monkeypatch):
-    # one square matrix of at least 1x1 gets numpy's factor or refusal; any other
-    # shape a plain ValueError that names it, before LAPACK runs
+    # one square matrix of at least 1x1, of any real dtype, gets numpy's factor of it
+    # as float64, or its refusal; any other shape a plain ValueError that names it,
+    # before LAPACK runs
     if refused_shape is None:
         assert _factor_or_refusal(a) == _public_factor_or_refusal(a)
         return
@@ -187,25 +200,6 @@ def test_cholesky_factor_takes_a_finite_spd_matrix_near_the_top_of_double_range(
     a = np.diag([1.7e308, 1.7e308, 1.7e308])
     lower = cholesky_factor(a).lower
     assert lower.tobytes() == np.linalg.cholesky(a).tobytes()
-
-
-@pytest.mark.parametrize(
-    "dtype", [np.float32, np.int64, np.complex128, np.dtype(">f8")], ids=["float32", "int64", "complex128", "big-endian"]
-)
-def test_bare_cholesky_bitwise_equal_to_numpy_for_other_dtypes(dtype):
-    # numpy.linalg.cholesky factors a float32 or int a in float64 and casts; the bare kernel
-    # would run a float32 a through LAPACK's single-precision loop, for other bits
-    r = np.random.default_rng(5).integers(-3, 4, (12, 12))
-    for a in (r @ r.T + 12 * np.eye(12, dtype=int), mass_matrix(12).matrix, -np.eye(3, dtype=int)):
-        a = a.astype(dtype)
-        try:
-            want = np.linalg.cholesky(a)
-        except np.linalg.LinAlgError as exc:
-            with pytest.raises(np.linalg.LinAlgError, match=f"^{exc}$"):
-                kernels.cholesky(a)
-            continue
-        got = kernels.cholesky(a)
-        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
 def test_undispatched_vdot_bound_on_numpy_2(monkeypatch):

@@ -176,20 +176,25 @@ def test_norm_unchanged_where_squares_are_normal():
 
 
 def test_weighted_norm_unchanged_where_sums_are_normal():
-    # sqrt(w.v^2) bit for bit where the sum is normal; rescaled where v^2 leaves range
+    # the weighted norm is the 2-norm of sqrt(w) v: within (m+2) eps of sqrt(w.v^2),
+    # for m entries, where that sum is normal (each side within (m+5) eps / 4 of the
+    # exact norm); rescaled where v^2 leaves range
     rng = np.random.default_rng(6)
     w = rng.uniform(0.01, 1.0, 9)
+    sw = np.sqrt(w)
+    bound = (9 + 2) * np.finfo(float).eps
     for e in range(-150, 151, 10):
         v = rng.standard_normal(9) * 10.0**e
-        assert _scaled_norm(v, w) == math.sqrt(w @ (v * v)), e
+        want = math.sqrt(w @ (v * v))
+        assert abs(_scaled_norm(sw * v) - want) <= bound * want, e
     v = rng.standard_normal(9)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for scale in (1e-200, 1e200):
-            assert _scaled_norm(scale * v, w) == pytest.approx(scale * _scaled_norm(v, w), rel=1e-15)
-    assert _scaled_norm(np.zeros(3), w[:3]) == 0.0
+            assert _scaled_norm(sw * (scale * v)) == pytest.approx(scale * _scaled_norm(sw * v), rel=1e-15)
+    assert _scaled_norm(sw[:3] * np.zeros(3)) == 0.0
     # all of v under a zero weight: the sum stays 0 after the one rescale
-    assert _scaled_norm(np.array([1e-200, 0.0]), np.array([0.0, 1.0])) == 0.0
+    assert _scaled_norm(np.sqrt([0.0, 1.0]) * np.array([1e-200, 0.0])) == 0.0
 
 
 @pytest.mark.parametrize("scale", [1e-310, 1e-315])
@@ -218,8 +223,10 @@ def test_warm_solve_enters_no_errstate(monkeypatch, method):
     monkeypatch.setattr(np, "errstate", counting)
     solve(method, 20, b)
     assert entered == []
-    _scaled_norm(b, np.ones(21))  # the weighted norm does, so the count sees solvers' calls
-    assert entered == [{"over": "ignore"}]
+    # a b past the cap does, so the count sees solvers' calls
+    with pytest.raises(DegreeTooLargeError):
+        solve(method, 20, [1e308, 1e308] + [0.0] * 19)
+    assert entered == [{"over": "ignore", "invalid": "ignore"}]
 
 
 @pytest.mark.parametrize("method", METHODS)
@@ -460,6 +467,9 @@ def test_metrics_values():
     assert res == pytest.approx(1.0)
     with pytest.raises(ValueError):
         metrics([1.0], [0.0], [1.0], np.eye(1))
+    # a nonzero x_ref whose M-norm coordinates underflow to 0 is refused, not divided by
+    with pytest.raises(ValueError, match="^reference solution has zero norm$"):
+        metrics(np.full(21, 1e-323), np.full(21, 5e-324), np.ones(21), mass_matrix(20).matrix)
     # b.b and r.r overflow, their 2-norms do not
     e2, em, res = metrics([2.0, 1.0], [1.0, 1.0], [1e300, 1e300], 1e300 * np.eye(2))
     assert e2 == pytest.approx(math.sqrt(0.5)) and res == pytest.approx(math.sqrt(0.5))

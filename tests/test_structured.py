@@ -336,15 +336,19 @@ def test_structured_inverse_bitwise_equal_to_comb_lists(n):
             "h": h,
             "ht": ht,
             "binom_diag": binomial_diag(n),
-            "_t_hat": _spectrum_1d(t_col, t_row, plan),
-            "_tt_hat": _spectrum_1d(tt_col, np.zeros(s), plan),
-            "_h_hat": _spectrum_1d(h[s - 1 :], h[s - 1 :: -1], plan),
-            "_ht_hat": _spectrum_1d(ht[s - 1 :], ht[s - 1 :: -1], plan),
+        }
+        spectra = {
+            ("_h_pair", 0): _spectrum_1d(h[s - 1 :], h[s - 1 :: -1], plan),
+            ("_h_pair", 1): _spectrum_1d(ht[s - 1 :], ht[s - 1 :: -1], plan),
+            ("_t_pair", 0): _spectrum_1d(tt_col, np.zeros(s), plan),
+            ("_t_pair", 1): _spectrum_1d(t_col, t_row, plan),
         }
     got = structured_inverse(n)
     assert got.plan_size == plan
     for field, value in want.items():
         assert getattr(got, field).tobytes() == value.tobytes(), field
+    for (field, row), value in spectra.items():
+        assert getattr(got, field)[row].tobytes() == value.tobytes(), (field, row)
 
 
 # ---------------------------------------------------------------------------
@@ -369,9 +373,10 @@ def _seven_call_apply(si, bv):
         return np.fft.irfft(spectrum * np.fft.rfft(x, plan), plan)[:s]
 
     rev_hat = np.fft.rfft((bv / si.binom_diag)[::-1], plan)
-    hy = np.fft.irfft(si._h_hat * rev_hat, plan)[:s]
-    hty = np.fft.irfft(si._ht_hat * rev_hat, plan)[:s]
-    return (apply(si._tt_hat, hy) - apply(si._t_hat, hty)) / si.binom_diag
+    (h_hat, ht_hat), (tt_hat, t_hat) = si._h_pair, si._t_pair
+    hy = np.fft.irfft(h_hat * rev_hat, plan)[:s]
+    hty = np.fft.irfft(ht_hat * rev_hat, plan)[:s]
+    return (apply(tt_hat, hy) - apply(t_hat, hty)) / si.binom_diag
 
 
 def _solve_dft_seven_calls(si, b):
@@ -417,13 +422,13 @@ def test_spectra_bitwise_equal_to_one_rfft_each(n, swept):
     t_row[0] = si.t_col[0]
     with np.errstate(over="ignore", invalid="ignore"):
         want = {
-            "_h_hat": _spectrum_1d(si.h[s - 1 :], si.h[s - 1 :: -1], plan),
-            "_ht_hat": _spectrum_1d(si.ht[s - 1 :], si.ht[s - 1 :: -1], plan),
-            "_tt_hat": _spectrum_1d(si.tt_col, np.zeros(s), plan),
-            "_t_hat": _spectrum_1d(si.t_col, t_row, plan),
+            ("_h_pair", 0): _spectrum_1d(si.h[s - 1 :], si.h[s - 1 :: -1], plan),
+            ("_h_pair", 1): _spectrum_1d(si.ht[s - 1 :], si.ht[s - 1 :: -1], plan),
+            ("_t_pair", 0): _spectrum_1d(si.tt_col, np.zeros(s), plan),
+            ("_t_pair", 1): _spectrum_1d(si.t_col, t_row, plan),
         }
-    for field, spectrum in want.items():
-        assert getattr(si, field).tobytes() == spectrum.tobytes(), field
+    for (field, row), spectrum in want.items():
+        assert getattr(si, field)[row].tobytes() == spectrum.tobytes(), (field, row)
 
 
 def test_solve_dft_bitwise_equal_to_seven_call_apply():

@@ -1,14 +1,17 @@
-"""The projection tables' per-degree layers, each bit for bit the expression it replaced.
+"""The tables' per-degree layers against the expressions they replaced.
 
 Each _old_* function below is the earlier code of one layer, copied:
 - the M-norm of one vector, through a one-column matrix product and
-  norm(axis=0) (the random table's two errors keep their two-column one);
+  norm(axis=0), and the random table's two M-norms, through one
+  two-column product and norm(axis=0);
 - the basis, read from a forward (1-x) power table by a negative stride;
 - the Legendre reference, elevated by np.append, with a float Pascal row
   from binomial_row;
 - the table loop, which formed the column names per cell;
 - the CSV, formatted cell by cell.
-With all of them put back, the tables keep their bytes.
+The M-norms now sum their squares through _scaled_norm, in another order,
+and are held to the a-priori rounding bound of a sum of nonnegative terms;
+with the other four layers put back, the tables keep their bytes.
 """
 
 import math
@@ -23,13 +26,14 @@ from bernmass.experiments import (
     _format_value,
     _legendre_projections,
     default_rule,
+    reference_solution,
     render_csv,
     run_projection,
     run_random,
 )
 from bernmass.kernels import _SQRT_TINY, _scaled_norm
 from bernmass.quadrature import composite_gauss_legendre
-from bernmass.solvers import _m_norm, clear_cache
+from bernmass.solvers import _errors, _m_norm, clear_cache, solve
 
 
 def _old_m_norm(n, v):
@@ -41,6 +45,19 @@ def _old_m_norm(n, v):
         if not _SQRT_TINY <= nrm < math.inf:
             norms[j] = _scaled_norm(coords[:, j])
     return float(norms[0])
+
+
+def _old_errors_m_norm(x_hat, x_ref):
+    d = x_hat - x_ref
+    spec = solvers._spectral(x_ref.size - 1)
+    coords = np.sqrt(spec.lam)[:, None] * (spec.q.T @ np.column_stack((d, x_ref)))
+    with np.errstate(over="ignore"):
+        norms = np.linalg.norm(coords, axis=0)
+    for j, nrm in enumerate(norms.tolist()):
+        if not _SQRT_TINY <= nrm < math.inf:
+            norms[j] = _scaled_norm(coords[:, j])
+    dm, rm = norms
+    return float(dm / rm)
 
 
 def _old_power_tables(xv, n):
@@ -99,18 +116,50 @@ def _old_render_csv(records):
     return "\n".join(lines) + "\n"
 
 
+_SCALES = (1e-200, 1e-160, 1e-100, 1.0, 1e100, 1e160, 1e200)
+
+
 @pytest.mark.parametrize("n", [*range(61), 100, 255, 256, 300, 508, 509, 582])
 def test_m_norm_of_one_vector_is_bitwise(n):
-    # scales from 1e-200 to 1e200: the squares underflow below about 1e-154 and
-    # overflow above about 1e154, so both rescaled retakes run; RuntimeWarnings
-    # are errors here, so neither warns
+    # the 2-norm of the coordinates sqrt(lam) Q^T v bit for bit, as numpy.linalg.norm
+    # forms it where their squares' sum is normal, and within 2(n+1) eps of the old
+    # sum everywhere: the same n+1 squares summed in two orders, each within
+    # (n+2) eps / 2 of the exact norm.  Scales from 1e-200 to 1e200: the squares
+    # underflow below about 1e-154 and overflow above about 1e154, so both rescaled
+    # retakes run; RuntimeWarnings are errors here, so neither warns
     rng = np.random.default_rng(n)
+    bound = 2 * (n + 1) * np.finfo(float).eps
     try:
-        for scale in (1e-200, 1e-160, 1e-100, 1.0, 1e100, 1e160, 1e200):
+        spec = solvers._spectral(n)
+        for scale in _SCALES:
             for v in (rng.uniform(-1.0, 1.0, n + 1) * scale, np.full(n + 1, scale)):
                 got = _m_norm(n, v)
                 assert type(got) is float
-                assert got == _old_m_norm(n, v), (n, scale)
+                if 1e-100 <= scale <= 1e100:
+                    assert got == np.linalg.norm(np.sqrt(spec.lam) * spec.q.T.dot(v)), (n, scale)
+                want = _old_m_norm(n, v)
+                assert abs(got - want) <= bound * want, (n, scale)
+    finally:
+        clear_cache()
+
+
+@pytest.mark.parametrize("n", range(61))
+def test_errors_m_norm_within_rounding_of_the_old_sums(n):
+    # the random table's M-norm error: both norms from one two-column product, each
+    # within 2(n+1) eps of the old sum, so their ratio within 4(n+1) eps plus its
+    # rounding.  An eig error's M-norm is far below its 2-norm, so two gemvs, which
+    # round Q^T d otherwise, move it by far more (EigMerr by 2.8e5 ulps at n <= 40)
+    rng = np.random.default_rng(n + 100)
+    bound = (4 * (n + 1) + 1) * np.finfo(float).eps
+    try:
+        b = solvers._mass(n) @ rng.uniform(-0.5, 0.5, n + 1)
+        x_ref = reference_solution(n, b)
+        x_hat = solve("eig", n, b, max_degree=n).solution
+        for scale in _SCALES:
+            got = _errors(x_hat * scale, x_ref * scale)[1]
+            want = _old_errors_m_norm(x_hat * scale, x_ref * scale)
+            assert type(got) is float
+            assert abs(got - want) <= bound * want, (n, scale)
     finally:
         clear_cache()
 
@@ -164,7 +213,6 @@ def test_tables_unchanged_by_the_old_layers(monkeypatch, n_max):
     try:
         new = _tables(n_max, 11, render_csv)
         clear_cache()
-        monkeypatch.setattr(experiments, "_m_norm", _old_m_norm)
         monkeypatch.setattr(experiments, "_power_tables", _old_power_tables)
         monkeypatch.setattr(experiments, "_basis_from_powers", _old_basis_from_powers)
         monkeypatch.setattr(experiments, "_legendre_projections", _old_legendre_projections)
