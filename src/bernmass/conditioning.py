@@ -72,13 +72,22 @@ def condition_table(n_max: int) -> list:
     return out
 
 
+def _operator(a) -> np.ndarray:
+    """a as a float64 array, refused with a ValueError naming its shape unless it is 2-D."""
+    av = np.asarray(a, dtype=float)
+    if av.ndim != 2:
+        raise ValueError(f"an operator norm needs one 2-D array, not an array of shape {av.shape}")
+    return av
+
+
 def op_norm_m_to_2(a) -> float:
     """Operator norm of A from the M-inner-product space to Euclidean space.
 
     With M = Q Lambda Q^T the cached decomposition of the degree given by
-    A's column count, ||A||_{M->2} = ||A Q Lambda^{-1/2}||_2.
+    A's column count, ||A||_{M->2} = ||A Q Lambda^{-1/2}||_2.  A must be
+    2-D: any other array raises ValueError naming its shape.
     """
-    av = np.asarray(a, dtype=float)
+    av = _operator(a)
     spec = _normal_lam_min(_spectral(av.shape[1] - 1))
     return float(np.linalg.norm((av @ spec.q) / np.sqrt(spec.lam), 2))
 
@@ -87,9 +96,10 @@ def op_norm_2_to_m(a) -> float:
     """Operator norm of A from Euclidean space into the M-inner-product space.
 
     With M = Q Lambda Q^T the cached decomposition of the degree given by
-    A's row count, ||A||_{2->M} = ||Lambda^{1/2} Q^T A||_2.
+    A's row count, ||A||_{2->M} = ||Lambda^{1/2} Q^T A||_2.  A must be 2-D,
+    as for op_norm_m_to_2: pass a vector of n+1 entries as (n+1, 1).
     """
-    av = np.asarray(a, dtype=float)
+    av = _operator(a)
     spec = _normal_lam_min(_spectral(av.shape[0] - 1))
     return float(np.linalg.norm(np.sqrt(spec.lam)[:, None] * (spec.q.T @ av), 2))
 
@@ -110,8 +120,11 @@ def perturbation_study(n: int, samples: int = 1000, seed: int = 12345) -> Pertur
     at most lambda_min^{-1/2}, attained only along the last eigenvector.
     Random directions are sampled and the extremal direction appended as the
     final row, so the returned ratios always contain the sharp case.  Like
-    the mixed norms, it is refused from n = 509.
+    the mixed norms, it is refused from n = 509.  samples below 1 raise
+    ValueError: the 99% quantile needs at least one random direction.
     """
+    if samples < 1:
+        raise ValueError(f"perturbation_study needs at least one sample, not {samples}")
     d = _normal_lam_min(_spectral(n))
     gen = Xorshift64Star(seed)
     draws = gen.uniform(-1.0, 1.0, (samples, n + 1))

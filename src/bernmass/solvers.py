@@ -30,7 +30,7 @@ from .kernels import _SQRT_TINY, _checked_rhs, _scaled_norm
 from .kernels import cholesky as _cholesky
 from .kernels import solve1 as _solve1
 from .spectral import SpectralDecomp, _eig_apply, _normal_lam_min, build_q, build_q_sweep, eigenvalues
-from .structured import StructuredInverse, _dft_apply, structured_inverse, structured_inverse_sweep
+from .structured import _LAST_DEGREE, StructuredInverse, _dft_apply, structured_inverse, structured_inverse_sweep
 
 __all__ = [
     "METHODS",
@@ -74,15 +74,19 @@ class CholeskyFactor:
 def cholesky_factor(mass) -> CholeskyFactor:
     """Factor a mass matrix, translating LinAlgError into a domain error.
 
-    mass must be one square matrix of at least 1x1: any other shape (a
-    vector, a non-square or stacked array, a 0x0 or 0-D one) raises
-    ValueError naming it, before LAPACK runs.  The matrix goes through
+    mass must be one real square matrix of at least 1x1: a complex one
+    raises ValueError naming its dtype, and any other shape (a vector, a
+    non-square or stacked array, a 0x0 or 0-D one) ValueError naming it,
+    both before LAPACK runs.  The matrix goes through
     numpy.linalg.cholesky's LAPACK kernel bare (kernels.cholesky), for the
     same L bit for bit.  A factor whose diagonal is not finite (from a nan
     or inf entry, which LAPACK does not flag) raises
     NotPositiveDefiniteError too.
     """
-    a = np.asarray(mass, dtype=float)
+    a = np.asarray(mass)
+    if a.dtype.kind == "c":
+        raise ValueError(f"Cholesky needs a real matrix, not one of dtype {a.dtype}; M is real")
+    a = a.astype(float, copy=False)
     if a.ndim != 2 or a.shape[0] != a.shape[1] or not a.size:
         raise ValueError(f"Cholesky needs one square matrix of at least 1x1, not an array of shape {a.shape}")
     try:
@@ -186,10 +190,9 @@ _TABLE = {
         "direct", ("exact-inverse",), lambda n: inverse_matrix(n), np.ndarray.dot, _direct_cap, None,
         _apply_overflowed("direct"),
     ),
-    # 509: the last degree whose circulant spectra are finite doubles
     "dft": _Method(
         "DFT", (), lambda n: _cached("structured", n, structured_inverse), lambda si, bv: _dft_apply(si, bv),
-        _dft_cap, ("structured", lambda ks: structured_inverse_sweep(ks), 509),
+        _dft_cap, ("structured", lambda ks: structured_inverse_sweep(ks), _LAST_DEGREE),
         lambda n: DegreeTooLargeError(f"structured inverse products overflow double precision at degree n={n}"),
     ),
     # |Q^T b| <= |b|_2 and Q's rows are unit vectors, so no partial sum passes

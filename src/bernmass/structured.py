@@ -9,10 +9,12 @@ public solve_dft.  One builder, structured_inverse_sweep, makes the
 circulant spectra of a whole sweep of degrees: the degrees that share a
 plan size are transformed together, as rows of one 2-D rfft, and
 structured_inverse(n) is the sweep of [n]; the tables prefill their dft
-spectra through it; from n = 510 it raises DegreeTooLargeError.  The dense
-split factors, the Bezout matrix, the Hankel inversion formula behind them,
-the FFT Toeplitz product toeplitz_matvec and a Hankel product through it
-are validation routes and live in bernmass.oracle.
+spectra through it.  Past _LAST_DEGREE = 509 it raises DegreeTooLargeError
+before building anything: the spectra leave double range from n = 510, the
+squared binomials from 516.  The dense split factors, the Bezout matrix,
+the Hankel inversion formula behind them, the FFT Toeplitz product
+toeplitz_matvec and a Hankel product through it are validation routes and
+live in bernmass.oracle.
 """
 
 from __future__ import annotations
@@ -76,27 +78,26 @@ class StructuredInverse:
 def structured_inverse(n: int) -> StructuredInverse:
     """Build the compressed inverse factors for degree n: structured_inverse_sweep([n])[0].
 
-    Raises DegreeTooLargeError when the squared binomial factors (or their
-    circulant spectra) are not representable in doubles, which is from
-    n = 510 on; the overflow is reported by that error alone, not by numpy
-    warnings.
+    Raises DegreeTooLargeError past _LAST_DEGREE = 509, before building
+    anything: from n = 510 the circulant spectra would leave double range,
+    and from n = 516 the squared binomial factors would.
     """
     return structured_inverse_sweep([n])[0]
+
+
+# The last degree built: each FFT intermediate is at most its row's l1 norm, and
+# Ht's, sum_k k C(n+1, k)^2, is 0.398 of the largest double at n = 509 and past it
+# at 510 (as is the Nyquist bin).  C(n+1, k)^2 stops being a double at n = 516
+_LAST_DEGREE = 509
 
 
 def _split_factors(n: int) -> tuple:
     """(t_col, tt_col, h, ht, binom_diag) of degree n: the Toeplitz bands, the
     Hankel anti-diagonals and the binomial diagonal."""
-    try:
-        row = np.array(_squared_binomial_row(n), dtype=float)
-    except OverflowError:
-        raise DegreeTooLargeError(
-            f"squared binomial factors overflow double precision at degree n={n}"
-        ) from None
+    row = np.array(_squared_binomial_row(n), dtype=float)
     t_col = row[:-1]
     h = np.concatenate((row[1:], np.zeros(n)))
-    with np.errstate(over="ignore"):
-        return t_col, np.arange(n + 1) * t_col, h, np.arange(1, 2 * n + 2) * h, binomial_diag(n)
+    return t_col, np.arange(n + 1) * t_col, h, np.arange(1, 2 * n + 2) * h, binomial_diag(n)
 
 
 def _spectra(chunk: list, factors: dict, plan: int) -> np.ndarray:
@@ -118,9 +119,7 @@ def _spectra(chunk: list, factors: dict, plan: int) -> np.ndarray:
         block[r + 1, plan - n :] = ht[:n]
         block[r + 2, : n + 1] = tt_col
         block[r + 3, : n + 1] = t_col
-    # overflow here is detected afterwards, not warned about per entry
-    with np.errstate(over="ignore", invalid="ignore"):
-        return _rfft(block, plan, out=spectra)
+    return _rfft(block, plan, out=spectra)
 
 
 def structured_inverse_sweep(degrees) -> list:
@@ -130,31 +129,29 @@ def structured_inverse_sweep(degrees) -> list:
     each written as rows (H, Ht, Tt, T) of one zero-filled (4k, plan) block
     of at most spectral._SWEEP_BLOCK entries, and each block is one 2-D
     rfft, which numpy computes row by row exactly as it would 1-D calls;
-    each degree's two pairs are views of its block's spectra.  Raises
-    structured_inverse's DegreeTooLargeError for the first degree, in the order
-    given, whose squared binomials overflow; failing that, for the first
-    whose spectra do.
+    each degree's two pairs are views of its block's spectra.  Before any
+    build it raises structured_inverse's DegreeTooLargeError for the first
+    degree, in the order given, past 515 (squared binomials); failing that,
+    for the first past _LAST_DEGREE (spectra).
     """
     degrees = list(degrees)
     if any(n < 0 for n in degrees):
         raise ValueError("degree must be nonnegative")
+    for last, what in ((515, "squared binomial factors"), (_LAST_DEGREE, "circulant spectra")):
+        for n in (n for n in degrees if n > last):
+            raise DegreeTooLargeError(f"{what} overflow double precision at degree n={n}")
     factors = {n: _split_factors(n) for n in degrees}
     groups: dict = {}
     for n in factors:
         groups.setdefault(next_pow2(2 * n + 2), []).append(n)
-    built, overflowed = {}, set()
+    built = {}
     for plan, group in groups.items():
         count = max(1, _SWEEP_BLOCK // (4 * plan))
         for start in range(0, len(group), count):
             chunk = group[start : start + count]
             spectra = _spectra(chunk, factors, plan)
-            finite = np.isfinite(spectra).reshape(len(chunk), -1).all(axis=1)
-            for r, n, ok in zip(range(0, spectra.shape[0], 4), chunk, finite):
+            for r, n in zip(range(0, spectra.shape[0], 4), chunk):
                 built[n] = StructuredInverse(n, *factors[n], spectra[r : r + 2], spectra[r + 2 : r + 4])
-                if not ok:
-                    overflowed.add(n)
-    for n in filter(overflowed.__contains__, factors):
-        raise DegreeTooLargeError(f"circulant spectra overflow double precision at degree n={n}")
     return [built[n] for n in degrees]
 
 

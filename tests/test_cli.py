@@ -136,6 +136,9 @@ def test_numerical_failures_exit_three(tmp_path, capsys):
     assert main(["matrix", "--n", "600", "--what", "mass"]) == 3
     err = capsys.readouterr().err
     assert "not representable" in err or "degree" in err
+    # the closed-form inverse holds +-inf from n = 512, and the CLI refuses it by name
+    assert main(["matrix", "--n", "512", "--what", "inverse"]) == 3
+    assert capsys.readouterr() == ("", "bernmass: closed-form inverse entries overflow double precision at n=512\n")
 
 
 def test_project_to_degree_300_exits_clean_without_inf():

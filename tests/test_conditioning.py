@@ -128,6 +128,22 @@ def test_refused_once_smallest_eigenvalue_is_subnormal(n):
             perturbation_study(n, samples=10)
 
 
+@pytest.mark.parametrize("shape", [(3,), (), (3, 3, 1)], ids=["1-D", "0-D", "3-D"])
+def test_operator_norms_refuse_an_array_that_is_not_2d(shape):
+    for call in (op_norm_m_to_2, op_norm_2_to_m):
+        with pytest.raises(ValueError) as info:
+            call(np.ones(shape))
+        assert str(info.value) == f"an operator norm needs one 2-D array, not an array of shape {shape}"
+    # the vector as a (3, 1) operator: the constant 1 has M-norm 1
+    assert op_norm_2_to_m(np.ones((3, 1))) == pytest.approx(1.0, rel=1e-14)
+
+
+@pytest.mark.parametrize("samples", [0, -1])
+def test_perturbation_study_refuses_fewer_than_one_sample(samples):
+    with pytest.raises(ValueError, match=f"^perturbation_study needs at least one sample, not {samples}$"):
+        perturbation_study(6, samples=samples)
+
+
 def test_perturbation_study_hits_bound():
     st = perturbation_study(10, samples=1000, seed=12345)
     lam = eigenvalues(10)

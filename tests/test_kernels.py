@@ -2,6 +2,7 @@
 
 import builtins
 import importlib.util
+import warnings
 
 import numpy as np
 import pytest
@@ -193,6 +194,25 @@ def test_cholesky_factor_refuses_a_non_finite_factor(bad, where):
         a[2, 0] = a[0, 2] = bad
     with pytest.raises(NotPositiveDefiniteError, match=r"^Cholesky failed for degree 2: "):
         cholesky_factor(a)
+
+
+@pytest.mark.parametrize(
+    "a, dtype",
+    [
+        (np.eye(2) * (2 + 3j), "complex128"),
+        (np.eye(2, dtype=np.complex64), "complex64"),  # zero imaginary part, refused all the same
+        ([[4.0, 2j], [-2j, 3.0]], "complex128"),  # a nested list
+        (np.ones(3, dtype=complex), "complex128"),  # complex and not square
+    ],
+    ids=["complex128", "complex64 real-valued", "list", "1-D"],
+)
+def test_cholesky_factor_refuses_a_complex_matrix(a, dtype, monkeypatch):
+    # a ValueError naming the dtype, not a ComplexWarning and the real part's factor
+    monkeypatch.setattr(solvers, "_cholesky", lambda a: pytest.fail("LAPACK ran on a complex matrix"))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        want = f"Cholesky needs a real matrix, not one of dtype {dtype}; M is real"
+        assert _factor_or_refusal(a) == (ValueError, want)
 
 
 def test_cholesky_factor_takes_a_finite_spd_matrix_near_the_top_of_double_range():

@@ -3,6 +3,7 @@ inverse split."""
 
 import functools
 import math
+import sys
 import warnings
 from fractions import Fraction
 
@@ -301,6 +302,46 @@ def test_structured_inverse_overflow_guards():
                 structured_inverse(n)  # spectra overflow
         with pytest.raises(ValueError):
             structured_inverse(600)  # band entries overflow
+
+
+def test_last_degree_is_where_the_split_leaves_double_range():
+    # every FFT intermediate of an embedded row is at most the row's l1 norm; the Tt and Ht
+    # rows weight C(n+1, k)^2 by k, k = 0..n and 1..n+1, as _split_factors does
+    def l1_norms(n):
+        squares = [math.comb(n + 1, k) ** 2 for k in range(n + 2)]
+        return sum(k * c for k, c in enumerate(squares[:-1])), sum(k * c for k, c in enumerate(squares))
+
+    last, top = structured._LAST_DEGREE, sys.float_info.max
+    assert max(l1_norms(last)) <= top < min(l1_norms(last + 1))
+    # the squared binomials are doubles through n = 515, and the sweep refuses them from 516
+    assert math.isfinite(float(math.comb(516, 258) ** 2))
+    with pytest.raises(OverflowError):
+        float(math.comb(517, 258) ** 2)
+    for n, what in ((last + 1, "circulant spectra"), (515, "circulant spectra"), (516, "squared binomial factors")):
+        with pytest.raises(DegreeTooLargeError, match=f"^{what} overflow double precision at degree n={n}$"):
+            structured_inverse_sweep([n])
+
+
+def test_refused_before_anything_is_built(monkeypatch):
+    calls = []
+
+    def counting(fn):
+        def wrapped(*args, **kwargs):
+            calls.append(fn.__name__)
+            return fn(*args, **kwargs)
+        return wrapped
+
+    for name in ("_squared_binomial_row", "_rfft"):
+        monkeypatch.setattr(structured, name, counting(getattr(structured, name)))
+    with pytest.raises(DegreeTooLargeError, match="squared binomial factors .* n=600"):
+        structured_inverse_sweep([600])
+    with pytest.raises(DegreeTooLargeError, match="circulant spectra .* n=510"):
+        structured_inverse_sweep([508, 509, 510])
+    with pytest.raises(DegreeTooLargeError, match="circulant spectra .* n=512"):
+        solvers.solve("dft", 512, np.ones(513), max_degree=600)
+    assert calls == []
+    structured_inverse_sweep([3])  # the counters see a build
+    assert calls == ["_squared_binomial_row", "rfft"]
 
 
 def _comb_split_lists(n):
