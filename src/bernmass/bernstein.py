@@ -130,7 +130,13 @@ def binomial_diag(n: int) -> np.ndarray:
     return np.array(d)
 
 
-_MAX_DEGREE = 582  # the supported assembly range, through which Q and the eigenvalues are checked
+_MAX_DEGREE = 582  # the supported range of assembly and of Q, through which both are checked
+
+
+def _supported(n: int, what: str) -> None:
+    """Refuse a degree n past _MAX_DEGREE with a DegreeTooLargeError naming what would be built."""
+    if n > _MAX_DEGREE:
+        raise DegreeTooLargeError(f"{what} degree n={n} is past the supported limit {_MAX_DEGREE}")
 
 
 def mass_matrix(n: int) -> MassMatrix:
@@ -144,10 +150,7 @@ def mass_matrix(n: int) -> MassMatrix:
     is multiplied by 2^0 = 1.0.  Degrees past _MAX_DEGREE (582) raise
     DegreeTooLargeError.
     """
-    if n > _MAX_DEGREE:
-        raise DegreeTooLargeError(
-            f"mass matrix degree n={n} is past the supported limit {_MAX_DEGREE}"
-        )
+    _supported(n, "mass matrix")
     s = max(0, 2 * n - 1000)
     h = hankel_moments(n, s)
     d = binomial_diag(n)

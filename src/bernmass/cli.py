@@ -15,13 +15,11 @@ from __future__ import annotations
 import argparse
 import sys
 
-import numpy as np
-
-from .bernstein import mass_matrix
+from .bernstein import DegreeTooLargeError, mass_matrix
 from .conditioning import kappa_2, kappa_m_to_2
 from .experiments import FUNCTIONS, ExperimentRecord, render_csv, run_projection, run_random
 from .inverse import inverse_matrix
-from .solvers import METHODS, UnknownMethodError, canonical_method
+from .solvers import METHODS, UnknownMethodError, _Direct, canonical_method
 from .spectral import build_q, eigenvalues
 
 __all__ = ["main"]
@@ -71,11 +69,12 @@ def _matrix_text(n: int, what: str) -> str:
     if what == "mass":
         rows = mass_matrix(n).matrix
     elif what == "inverse":
-        rows = inverse_matrix(n)
-        if not np.all(np.isfinite(rows)):
-            raise ValueError(
+        # refused before the O(n^2) big-integer build: past direct's last degree it holds +-inf
+        if n > _Direct.last_degree:
+            raise DegreeTooLargeError(
                 f"closed-form inverse entries overflow double precision at n={n}"
             )
+        rows = inverse_matrix(n)
     elif what == "q":
         rows = build_q(n).q
     else:
@@ -123,7 +122,7 @@ def main(argv=None) -> int:
     except UnknownMethodError as exc:
         print(f"bernmass: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, np.linalg.LinAlgError, OverflowError) as exc:
+    except (ValueError, OverflowError) as exc:
         print(f"bernmass: {exc}", file=sys.stderr)
         return 3
 

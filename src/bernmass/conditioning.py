@@ -3,12 +3,12 @@
 The 2-norm condition number has the closed form (2n+1)!/((n+1)! n!), i.e.
 the central-adjacent binomial coefficient C(2n+1, n); the mixed M-to-2-norm
 condition number is its square root.  Each mixed operator norm is one
-2-norm through the degree's cached M = Q Lambda Q^T, refused from n = 509,
-where lambda_min is not a normal double.  Past n near 30, that of the float
-M or of its float inverse is the norm of the rounded matrix, not of the
-exact one: lambda_min^{-1/2} amplifies its rounding.  A sampling study
-shows random perturbations almost never realize the worst-case M-norm
-amplification.
+2-norm through the degree's cached M = Q Lambda Q^T, refused as eig is past
+its last degree, where lambda_min is not a normal double, before Q is built.
+Past n near 30, that of the float M or of its float inverse is the norm of
+the rounded matrix, not of the exact one: lambda_min^{-1/2} amplifies its
+rounding.  A sampling study shows random perturbations almost never realize
+the worst-case M-norm amplification.
 """
 
 from __future__ import annotations
@@ -18,8 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .rng import Xorshift64Star
-from .solvers import _spectral
-from .spectral import _normal_lam_min, eigenvalues
+from .solvers import _Eig, _spectral
+from .spectral import SpectralDecomp, eigenvalues
 
 __all__ = [
     "kappa_2",
@@ -72,6 +72,13 @@ def condition_table(n_max: int) -> list:
     return out
 
 
+def _decomp(n: int) -> SpectralDecomp:
+    """The cached M = Q Lambda Q^T of degree n, refused with eig's error past eig's last degree."""
+    if n > _Eig.last_degree:
+        raise _Eig.too_large(n)
+    return _spectral(n)
+
+
 def _operator(a) -> np.ndarray:
     """a as a float64 array, refused with a ValueError naming its shape unless it is 2-D."""
     av = np.asarray(a, dtype=float)
@@ -88,7 +95,7 @@ def op_norm_m_to_2(a) -> float:
     2-D: any other array raises ValueError naming its shape.
     """
     av = _operator(a)
-    spec = _normal_lam_min(_spectral(av.shape[1] - 1))
+    spec = _decomp(av.shape[1] - 1)
     return float(np.linalg.norm((av @ spec.q) / np.sqrt(spec.lam), 2))
 
 
@@ -100,7 +107,7 @@ def op_norm_2_to_m(a) -> float:
     as for op_norm_m_to_2: pass a vector of n+1 entries as (n+1, 1).
     """
     av = _operator(a)
-    spec = _normal_lam_min(_spectral(av.shape[0] - 1))
+    spec = _decomp(av.shape[0] - 1)
     return float(np.linalg.norm(np.sqrt(spec.lam)[:, None] * (spec.q.T @ av), 2))
 
 
@@ -120,12 +127,12 @@ def perturbation_study(n: int, samples: int = 1000, seed: int = 12345) -> Pertur
     at most lambda_min^{-1/2}, attained only along the last eigenvector.
     Random directions are sampled and the extremal direction appended as the
     final row, so the returned ratios always contain the sharp case.  Like
-    the mixed norms, it is refused from n = 509.  samples below 1 raise
-    ValueError: the 99% quantile needs at least one random direction.
+    the mixed norms, it is refused past eig's last degree.  samples below 1
+    raise ValueError: the 99% quantile needs at least one random direction.
     """
     if samples < 1:
         raise ValueError(f"perturbation_study needs at least one sample, not {samples}")
-    d = _normal_lam_min(_spectral(n))
+    d = _decomp(n)
     gen = Xorshift64Star(seed)
     draws = gen.uniform(-1.0, 1.0, (samples, n + 1))
     draws = np.vstack([draws, d.q[:, n]])

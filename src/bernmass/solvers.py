@@ -2,16 +2,18 @@
 
 Methods: the closed-form inverse applied densely ("direct"), the FFT-based
 structured apply ("dft"), the spectral decomposition ("eig"), and a Cholesky
-factorization ("cho"), each one record of _TABLE: its CSV tag, aliases,
-build, apply, cap, batched prefill and overflow refusal.  One _apply runs
-every method's apply, for solve and for the public raw applies solve_dft,
-solve_spectral and solve_cholesky alike: bare within the cap below which it
-cannot overflow, checked past it, and a tiny b rescaled.  The first solve
-of a method at a degree caches one entry: the apply bound to the method's
-build, its cap, and M for the residual.  Every later solve there is one
-dictionary lookup, the apply and the residual.  The tables fill the eig Qs
-and the dft spectra of all their degrees up front, through one prefill loop
-over the batched sweeps.
+factorization ("cho"), each one small class under _Handle with its CSV tag,
+aliases, last degree and refusals, build, apply and cap.  A handle is one
+method at one degree.  Past its method's last degree it is refused before
+anything is built.  One _apply runs every handle's apply, for solve and for
+the public raw applies solve_dft, solve_spectral and solve_cholesky alike:
+bare within the cap below which it cannot overflow, checked past it, and a
+tiny b rescaled.  The first solve of a method at a degree caches its
+handle, with M for the residual; every later solve there is one dictionary
+lookup, the apply and the residual.  A raw apply wraps the caller's object
+in its method's handle.  The tables fill the eig Qs and the dft spectra of
+all their degrees up front, through one prefill loop over the handles'
+cache kinds.
 """
 
 from __future__ import annotations
@@ -19,18 +21,18 @@ from __future__ import annotations
 import math
 import sys
 import threading
-from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
 
-from .bernstein import _MAX_DEGREE, DegreeTooLargeError, mass_matrix
+from .bernstein import DegreeTooLargeError, mass_matrix
 from .inverse import _hankel_inverse_band, inverse_matrix
 from .kernels import _SQRT_TINY, _checked_rhs, _scaled_norm
 from .kernels import cholesky as _cholesky
 from .kernels import solve1 as _solve1
-from .spectral import SpectralDecomp, _eig_apply, _normal_lam_min, build_q, build_q_sweep, eigenvalues
+from .spectral import SpectralDecomp, build_q, build_q_sweep, eigenvalues
 from .structured import _LAST_DEGREE, StructuredInverse, _dft_apply, structured_inverse, structured_inverse_sweep
+from .structured import _too_large as _split_too_large
 
 __all__ = [
     "METHODS",
@@ -146,78 +148,128 @@ def _spectral(n: int) -> SpectralDecomp:
     return _cached("spectral", n, build_q)
 
 
-def _apply_overflowed(name: str):
-    """A method's refusal at degree n once its apply has overflowed."""
-    return lambda n: DegreeTooLargeError(f"{name} solve at degree n={n} left double range (its apply overflowed)")
+class _Handle:
+    """One solve method at one degree: the base of the four method classes.
+
+    Class data: the method's name, its CSV tag and aliases, last_degree (the
+    last degree it builds; None where no structural limit holds and LAPACK
+    decides), too_large(n), its refusal past that degree, overflowed(n), its
+    refusal once the apply has overflowed, and, for a method whose builds
+    the tables sweep up front, their cache kind.  _Handle(n) is what the
+    first solve at degree n caches: refused past last_degree before anything
+    is built, it holds obj, the method's build(n), and M for the residual.
+    _Handle(n, obj) wraps a raw apply's obj, refused the same way, with no M.
+    Either holds the cap below which apply(bv) cannot overflow, computed
+    once here: by default eig's, from lambda_min.  Each build looks up its
+    builder as a module global when called, so a patched builder is the one
+    that runs; so does the dft apply, its kernel.
+    """
+
+    aliases, last_degree, kind = (), None, None
+    overflow = "{name} solve at degree n={n} left double range (its apply overflowed)"
+
+    def __init__(self, n: int, obj=None):
+        if self.last_degree is not None and n > self.last_degree:
+            raise self.too_large(n)
+        self.degree, self.obj = n, self.build(n) if obj is None else obj
+        self.mass = _mass(n) if obj is None else None
+        self.cap = self._cap()
+
+    def _cap(self) -> float:
+        # |Q^T b| <= |b|_2 and Q's rows are unit vectors, so no partial sum of the eig
+        # apply passes |b|_2 / lambda_min, and for cho |L^-1 b|_2 <= |b|_2 / sqrt(lambda_min)
+        # and |x|_2 <= |b|_2 / lambda_min; kept below half the largest double, with
+        # lambda_min = 1/((2n+1) C(2n, n)) in closed form, one correctly rounded division
+        return _HALF_MAX * (1 / ((2 * self.degree + 1) * math.comb(2 * self.degree, self.degree)))
+
+    @classmethod
+    def overflowed(cls, n: int) -> DegreeTooLargeError:
+        return DegreeTooLargeError(cls.overflow.format(name=cls.name, n=n))
+
+    # past the last degree, the overflow refusal unless the method names another cause
+    too_large = overflowed
 
 
-def _direct_cap(inv: np.ndarray) -> float:
-    amax = float(np.max(np.abs(inv)))
-    if amax == math.inf:
-        # from n = 512: inf*b_j, or inf*0 = nan, reaches x for every b
-        raise _TABLE["direct"].overflowed(inv.shape[0] - 1)
-    # every partial sum of (inv @ b)_i is at most sqrt(n+1) max|inv| |b|_2, so
-    # a b whose 2-norm is within the cap (halved for rounding) cannot overflow
-    return sys.float_info.max / amax / (2.0 * math.sqrt(inv.shape[0]))
+class _Direct(_Handle):
+    # from n = 512 the inverse holds inf, and inf*b_j, or inf*0 = nan, reaches x for every b
+    name, tag, aliases, last_degree = "direct", "direct", ("exact-inverse",), 511
+
+    def build(self, n: int) -> np.ndarray:
+        return inverse_matrix(n)
+
+    def apply(self, bv: np.ndarray) -> np.ndarray:
+        return self.obj.dot(bv)
+
+    def _cap(self) -> float:
+        # every partial sum of (inv @ b)_i is at most sqrt(n+1) max|inv| |b|_2, so
+        # a b whose 2-norm is within the cap (halved for rounding) cannot overflow
+        return sys.float_info.max / float(np.max(np.abs(self.obj))) / (2.0 * math.sqrt(self.degree + 1))
 
 
-def _dft_cap(si: StructuredInverse) -> float:
-    # A circulant spectrum is at most its column's l1 norm: the squared
-    # binomials of H and of T each sum to below k = C(2n+2, n+1) = 2 kappa_2(n),
-    # and Ht and Tt weight them by at most n+1.  So, with B = |b/D|_1 <= sqrt(s) |b|_2,
-    # rfft(b/D) is at most B, its products with the H spectra s k B, and so is
-    # each entry of H y and Ht y; their first s entries sum to s^2 k B, which
-    # the T spectra raise to s^3 k^2 B.  An unnormalised irfft sum of plan
-    # terms grows that by plan at most, so no intermediate passes
-    # plan s^3.5 k^2 |b|_2, kept below half the largest double
-    s = si.degree + 1
-    k = math.comb(2 * s, s)
-    return _HALF_MAX / k / k / (si.plan_size * s**3.5)
+class _Dft(_Handle):
+    name, tag, last_degree, kind = "dft", "DFT", _LAST_DEGREE, "structured"
+    overflow = "structured inverse products overflow double precision at degree n={n}"
+    too_large = staticmethod(_split_too_large)
+
+    def build(self, n: int) -> StructuredInverse:
+        return _cached("structured", n, structured_inverse)
+
+    def apply(self, bv: np.ndarray) -> np.ndarray:
+        return _dft_apply(self.obj, bv)
+
+    def _cap(self) -> float:
+        # A circulant spectrum is at most its column's l1 norm: the squared
+        # binomials of H and of T each sum to below k = C(2n+2, n+1) = 2 kappa_2(n),
+        # and Ht and Tt weight them by at most n+1.  So, with B = |b/D|_1 <= sqrt(s) |b|_2,
+        # rfft(b/D) is at most B, its products with the H spectra s k B, and so is
+        # each entry of H y and Ht y; their first s entries sum to s^2 k B, which
+        # the T spectra raise to s^3 k^2 B.  An unnormalised irfft sum of plan
+        # terms grows that by plan at most, so no intermediate passes
+        # plan s^3.5 k^2 |b|_2, kept below half the largest double
+        s = self.degree + 1
+        k = math.comb(2 * s, s)
+        return _HALF_MAX / k / k / (self.obj.plan_size * s**3.5)
 
 
-# One record per method.  build(n) gives the method's precomputation obj at
-# degree n, apply(obj, bv) its x, and cap(obj) the largest |b|_2 at which that
-# apply cannot overflow (or raises the method's refusal where every b
-# overflows).  prefill is None or (cache kind, sweep(degrees) -> the values
-# built, last buildable degree).  overflowed(n) is the DegreeTooLargeError
-# raised where the apply overflowed.  Each build and sweep looks up its
-# builder as a module global when called, so a patched builder is the one
-# that runs; so does the dft apply, its kernel.
-_Method = namedtuple("_Method", "tag aliases build apply cap prefill overflowed")
+class _Eig(_Handle):
+    # from n = 509 lambda_min is not a normal double (from 545 it is 0): refused before
+    # anything divides by it
+    name, tag, aliases, last_degree, kind = "eig", "Eig", ("spectral",), 508, "spectral"
 
-_TABLE = {
-    "direct": _Method(
-        "direct", ("exact-inverse",), lambda n: inverse_matrix(n), np.ndarray.dot, _direct_cap, None,
-        _apply_overflowed("direct"),
-    ),
-    "dft": _Method(
-        "DFT", (), lambda n: _cached("structured", n, structured_inverse), lambda si, bv: _dft_apply(si, bv),
-        _dft_cap, ("structured", lambda ks: structured_inverse_sweep(ks), _LAST_DEGREE),
-        lambda n: DegreeTooLargeError(f"structured inverse products overflow double precision at degree n={n}"),
-    ),
-    # |Q^T b| <= |b|_2 and Q's rows are unit vectors, so no partial sum passes
-    # |b|_2 / lambda_min, kept below half the largest double
-    "eig": _Method(
-        "Eig", ("spectral",), _spectral, _eig_apply, lambda d: _HALF_MAX * float(_normal_lam_min(d).lam[-1]),
-        ("spectral", lambda ks: build_q_sweep(ks), _MAX_DEGREE), _apply_overflowed("eig"),
-    ),
-    # |L^-1 b|_2 <= |b|_2 / sqrt(lambda_min) and |x|_2 <= |b|_2 / lambda_min: eig's
-    # cap, with lambda_min in closed form (the tests sweep n <= 29 under it).  The
-    # apply is numpy.linalg.solve's kernel, bare, twice: L from a Cholesky that
-    # succeeded is nonsingular
-    "cho": _Method(
-        "cho", ("cholesky",), lambda n: cholesky_factor(_mass(n)),
-        lambda f, bv: _solve1(f.lower.T, _solve1(f.lower, bv)),
-        lambda f: _HALF_MAX * float(eigenvalues(f.degree)[-1]), None, _apply_overflowed("cho"),
-    ),
-}
+    def build(self, n: int) -> SpectralDecomp:
+        return _spectral(n)
 
-METHODS = tuple(_TABLE)
+    @classmethod
+    def too_large(cls, n: int) -> DegreeTooLargeError:
+        return DegreeTooLargeError(
+            f"degree n={n} left double range "
+            f"(smallest eigenvalue {eigenvalues(n)[-1]:.3g} is not a normal double)"
+        )
 
-METHOD_ALIASES = {alias: name for name, m in _TABLE.items() for alias in (name, *m.aliases)}
+    def apply(self, bv: np.ndarray) -> np.ndarray:
+        # Q diag(1/lam) Q^T b, O(n^2); ndarray.dot skips matmul's dispatch for the same bits
+        return self.obj.q.dot(self.obj.q.T.dot(bv) / self.obj.lam)
+
+
+class _Cho(_Handle):
+    name, tag, aliases = "cho", "cho", ("cholesky",)
+
+    def build(self, n: int) -> CholeskyFactor:
+        return cholesky_factor(_mass(n))
+
+    def apply(self, bv: np.ndarray) -> np.ndarray:
+        # numpy.linalg.solve's kernel, bare, twice: L from a Cholesky that succeeded is nonsingular
+        return _solve1(self.obj.lower.T, _solve1(self.obj.lower, bv))
+
+
+_HANDLES = {h.name: h for h in (_Direct, _Dft, _Eig, _Cho)}
+
+METHODS = tuple(_HANDLES)
+
+METHOD_ALIASES = {alias: name for name, h in _HANDLES.items() for alias in (name, *h.aliases)}
 
 # CSV column tags per solver, in fixed output order
-COLUMN_TAGS = {name: m.tag for name, m in _TABLE.items()}
+COLUMN_TAGS = {name: h.tag for name, h in _HANDLES.items()}
 
 
 def canonical_method(name: str) -> str:
@@ -231,28 +283,18 @@ def canonical_method(name: str) -> str:
 
 def _prefill(n_max: int, methods) -> None:
     """Cache what a table over degrees 0..n_max builds up front: eig's Qs, which
-    its M-norms read, and the prefill of each canonical method in methods.  Each
-    kind is one sweep of its uncached degrees up to its last buildable one."""
-    for kind, sweep, last in filter(None, dict.fromkeys(_TABLE[m].prefill for m in ("eig", *methods))):
-        missing = [k for k in range(min(n_max, last) + 1) if (kind, k) not in _cache]
-        for built in sweep(missing):
-            _cached(kind, built.degree, lambda _, value=built: value)
+    its M-norms read, and the precomputations of each canonical method in
+    methods whose handle has a cache kind.  Each kind is one batched sweep of
+    its uncached degrees up to the handle's last_degree."""
+    sweeps = {"spectral": build_q_sweep, "structured": structured_inverse_sweep}
+    for h in dict.fromkeys(_HANDLES[m] for m in ("eig", *methods) if _HANDLES[m].kind):
+        missing = [k for k in range(min(n_max, h.last_degree) + 1) if (h.kind, k) not in _cache]
+        for built in sweeps[h.kind](missing):
+            _cached(h.kind, built.degree, lambda _, value=built: value)
 
 
-def _bound(name: str, obj) -> tuple:
-    """(apply, cap): the method's apply bound to obj, as obj.method binds it
-    (for direct, the ndarray's own dot), and its cap."""
-    m = _TABLE[name]
-    return m.apply.__get__(obj), m.cap(obj)
-
-
-def _entry(name: str, n: int) -> tuple:
-    """(apply, cap, M): what the first solve of a method at degree n caches."""
-    return (*_bound(name, _TABLE[name].build(n)), _mass(n))
-
-
-def _apply(name: str, n: int, apply, cap: float, bv: np.ndarray, bnorm: float) -> np.ndarray:
-    """x = apply(bv) for a degree-n b of 2-norm bnorm, with the cap below which the apply cannot overflow.
+def _apply(h: _Handle, bv: np.ndarray, bnorm: float) -> np.ndarray:
+    """x = h.apply(bv) for a b of 2-norm bnorm, with h.cap, below which the apply cannot overflow.
 
     Bare for bnorm in [2^-511, cap].  Past the cap it runs without numpy
     warnings, and an x left non-finite raises the method's
@@ -262,22 +304,22 @@ def _apply(name: str, n: int, apply, cap: float, bv: np.ndarray, bnorm: float) -
     subnormal: both scalings are exact, so a b whose unscaled apply stays
     normal gets the same bits.
     """
-    if _SQRT_TINY <= bnorm <= cap:
-        return apply(bv)
-    if bnorm > cap:
+    if _SQRT_TINY <= bnorm <= h.cap:
+        return h.apply(bv)
+    if bnorm > h.cap:
         with np.errstate(over="ignore", invalid="ignore"):
-            x = apply(bv)
+            x = h.apply(bv)
         if not np.all(np.isfinite(x)):
-            raise _TABLE[name].overflowed(n)
+            raise h.overflowed(h.degree)
         return x
-    k = min(0, math.frexp(cap)[1] - 1) - math.frexp(bnorm)[1]
-    return np.ldexp(apply(np.ldexp(bv, k)), -k) if k > 0 else apply(bv)
+    k = min(0, math.frexp(h.cap)[1] - 1) - math.frexp(bnorm)[1]
+    return np.ldexp(h.apply(np.ldexp(bv, k)), -k) if k > 0 else h.apply(bv)
 
 
-def _solve_raw(name: str, obj, b) -> np.ndarray:
-    """A public raw apply: b checked as solve checks it, then _apply through obj."""
+def _solve_raw(method: type, obj, b) -> np.ndarray:
+    """A public raw apply: b checked as solve checks it, then _apply through obj's handle."""
     bv, bnorm = _checked_rhs(obj.degree, b)
-    return _apply(name, obj.degree, *_bound(name, obj), bv, bnorm)
+    return _apply(method(obj.degree, obj), bv, bnorm)
 
 
 def solve_dft(si: StructuredInverse, b) -> np.ndarray:
@@ -287,9 +329,10 @@ def solve_dft(si: StructuredInverse, b) -> np.ndarray:
     is checked and a tiny b rescaled as solve does, and products that leave
     double range (from n = 255 for b = 1, and from n = 257 or 258 for
     b = M x with x uniform in [-1/2, 1/2)) raise DegreeTooLargeError, with
-    no numpy warning.
+    no numpy warning.  structured_inverse builds no si past the dft
+    handle's last_degree.
     """
-    return _solve_raw("dft", si, b)
+    return _solve_raw(_Dft, si, b)
 
 
 def solve_spectral(d: SpectralDecomp, b) -> np.ndarray:
@@ -297,10 +340,11 @@ def solve_spectral(d: SpectralDecomp, b) -> np.ndarray:
 
     solve's eig apply, through the same _apply: b is checked and a tiny b
     rescaled as solve does, and an apply that overflows (b near the top of
-    double range) raises DegreeTooLargeError, as does every b from n = 509,
-    where lambda_min is not a normal double, before dividing.
+    double range) raises DegreeTooLargeError, as does every b past the eig
+    handle's last_degree, where lambda_min is not a normal double, before
+    dividing.
     """
-    return _solve_raw("eig", d, b)
+    return _solve_raw(_Eig, d, b)
 
 
 def solve_cholesky(factor: CholeskyFactor, b) -> np.ndarray:
@@ -310,7 +354,7 @@ def solve_cholesky(factor: CholeskyFactor, b) -> np.ndarray:
     rescaled as solve does, and an apply that overflows (b near the top of
     double range) raises DegreeTooLargeError.
     """
-    return _solve_raw("cho", factor, b)
+    return _solve_raw(_Cho, factor, b)
 
 
 def solve(method: str, n: int, b, max_degree: int = 25) -> SolveReport:
@@ -322,16 +366,15 @@ def solve(method: str, n: int, b, max_degree: int = 25) -> SolveReport:
     does a finite one whose 2-norm overflows (not merely b.b: like the
     residual's, from n near 286 for b of order one, it is rescaled by
     max|b|, as it is where b.b underflows, so a tiny nonzero b is not read
-    as 0).  A solution whose
-    residual is not finite raises DegreeTooLargeError; so does an
-    overflowing direct apply (from n = 510 or so for b of order one), dft
-    apply (from n = 255 for b = 1, 257 or 258 for b = M x with x uniform in
-    [-1/2, 1/2)), eig or cho apply (b near the top of double range), and
-    eig, before dividing, once the smallest eigenvalue is not a normal
-    double (from n = 509).  b = 0 gives x = 0 and builds nothing; any other
-    b goes through _apply, bare within the method's cap, and a b with
-    0 < |b|_2 < 2^-511 applied as 2^k b.  The residual is that of the x
-    returned, against b.
+    as 0).  b = 0 gives x = 0 and builds nothing.  Past the method's
+    last_degree (_Direct, _Dft, _Eig) any other b raises
+    DegreeTooLargeError before anything is built; so does an overflowing
+    direct apply (from n = 510 or so for b of order one), dft apply (from
+    n = 255 for b = 1, 257 or 258 for b = M x with x uniform in
+    [-1/2, 1/2)), and eig or cho apply (b near the top of double range), and
+    a solution whose residual is not finite.  Every apply goes through
+    _apply, bare within the method's cap, and a b with 0 < |b|_2 < 2^-511
+    applied as 2^k b.  The residual is that of the x returned, against b.
     """
     name = canonical_method(method)
     if not 0 <= n <= max_degree:
@@ -341,9 +384,9 @@ def solve(method: str, n: int, b, max_degree: int = 25) -> SolveReport:
         # M is nonsingular, so x = 0; nothing is built, no method can form 0/0
         x, residual = np.zeros(n + 1), 0.0
     else:
-        apply, cap, mass = _cache.get((name, n)) or _cached(name, n, lambda k: _entry(name, k))
-        x = _apply(name, n, apply, cap, bv, bnorm)
-        r = mass.dot(x)
+        h = _cache.get((name, n)) or _cached(name, n, _HANDLES[name])
+        x = _apply(h, bv, bnorm)
+        r = h.mass.dot(x)
         r -= bv
         residual = _scaled_norm(r) / bnorm
         if not math.isfinite(residual):

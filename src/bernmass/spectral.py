@@ -7,20 +7,21 @@ vectors: as functions of the row index these are the discrete Chebyshev
 2000; Koekoek, Lesky & Swarttouw 2010, sec. 9.5).  build_q assembles Q in
 O(n^2) by marching their difference equation down the rows, and
 build_q_sweep gives a sweep of degrees the same Qs, bit for bit, from
-marches batched across the degrees.  _eig_apply is the eig method's apply
-through Q.  The naive construction that elevates
-each Legendre vector separately costs O(n^3); it is kept for cross-checking
-as bernmass.oracle.build_q_by_elevation.
+marches batched across the degrees.  Both refuse a degree past
+bernstein._MAX_DEGREE, as mass_matrix does: Q is checked orthogonal through
+it.  The eig method's apply through Q, and its last degree, are solvers'
+eig handle's.  The naive construction that elevates each Legendre vector
+separately costs O(n^3); it is kept for cross-checking as
+bernmass.oracle.build_q_by_elevation.
 """
 
 from __future__ import annotations
 
 import math
-import sys
 
 import numpy as np
 
-from .bernstein import DegreeTooLargeError
+from .bernstein import _supported
 
 __all__ = [
     "SpectralDecomp",
@@ -69,8 +70,11 @@ def build_q(n: int) -> SpectralDecomp:
     from the small corner entries to the middle row, where the wanted
     solution dominates, one vector step per row; persymmetry
     q[n-i, j] = (-1)^j q[i, j] gives the other half, so the last row is
-    s_j > 0.
+    s_j > 0.  Past bernstein._MAX_DEGREE (582) it raises DegreeTooLargeError
+    before building: it is checked only through there, and from n near 1050
+    it is far from orthogonal.
     """
+    _supported(n, "eigenvector matrix")
     lam = eigenvalues(n)
     j = np.arange(n + 1.0)
     k = j[:-1]
@@ -105,7 +109,10 @@ def build_q_sweep(degrees) -> list:
     integers held as per-degree columns, and row 0 is a cumprod along the
     row, which is sequential, so each degree's prefix is its own 1-D
     cumprod.  The padding stays 0.  One degree is faster through build_q.
+    A degree past bernstein._MAX_DEGREE raises build_q's DegreeTooLargeError,
+    for the largest, before anything is built.
     """
+    _supported(max(degrees, default=0), "eigenvector matrix")
     order = sorted(set(degrees), reverse=True)
     built = {}
     start = 0
@@ -152,22 +159,3 @@ def _march_block(order: list) -> list:
         np.multiply(sign[: n + 1], q[n - half - 1 :: -1], out=q[half + 1 :])
         out.append(SpectralDecomp(n, q, eigenvalues(n)))
     return out
-
-
-def _normal_lam_min(d: SpectralDecomp) -> SpectralDecomp:
-    """d, refused once lambda_min is not a normal double (n >= 509), before
-    anything divides by it: from n = 545 it is 0."""
-    if d.lam[-1] < sys.float_info.min:
-        raise DegreeTooLargeError(
-            f"degree n={d.degree} left double range "
-            f"(smallest eigenvalue {d.lam[-1]:.3g} is not a normal double)"
-        )
-    return d
-
-
-def _eig_apply(d: SpectralDecomp, bv: np.ndarray) -> np.ndarray:
-    """The eig apply Q diag(1/lam) Q^T b, O(n^2), bare: bv is a C-contiguous
-    float64 vector of the right length, and ndarray.dot skips matmul's
-    dispatch for the same bits.  solvers runs it for solve and for the public
-    solve_spectral, and checks b and guards an overflow."""
-    return d.q.dot(d.q.T.dot(bv) / d.lam)

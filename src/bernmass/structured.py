@@ -9,12 +9,12 @@ public solve_dft.  One builder, structured_inverse_sweep, makes the
 circulant spectra of a whole sweep of degrees: the degrees that share a
 plan size are transformed together, as rows of one 2-D rfft, and
 structured_inverse(n) is the sweep of [n]; the tables prefill their dft
-spectra through it.  Past _LAST_DEGREE = 509 it raises DegreeTooLargeError
-before building anything: the spectra leave double range from n = 510, the
-squared binomials from 516.  The dense split factors, the Bezout matrix,
-the Hankel inversion formula behind them, the FFT Toeplitz product
-toeplitz_matvec and a Hankel product through it are validation routes and
-live in bernmass.oracle.
+spectra through it.  Past _LAST_DEGREE, the last_degree of solvers' dft
+handle, it raises DegreeTooLargeError before building anything: the spectra
+leave double range one degree on, the squared binomials from 516.  The
+dense split factors, the Bezout matrix, the Hankel inversion formula behind
+them, the FFT Toeplitz product toeplitz_matvec and a Hankel product through
+it are validation routes and live in bernmass.oracle.
 """
 
 from __future__ import annotations
@@ -78,9 +78,9 @@ class StructuredInverse:
 def structured_inverse(n: int) -> StructuredInverse:
     """Build the compressed inverse factors for degree n: structured_inverse_sweep([n])[0].
 
-    Raises DegreeTooLargeError past _LAST_DEGREE = 509, before building
-    anything: from n = 510 the circulant spectra would leave double range,
-    and from n = 516 the squared binomial factors would.
+    Raises _too_large(n) past _LAST_DEGREE, before building anything: one
+    degree on the circulant spectra would leave double range, and from
+    n = 516 the squared binomial factors would.
     """
     return structured_inverse_sweep([n])[0]
 
@@ -89,6 +89,12 @@ def structured_inverse(n: int) -> StructuredInverse:
 # Ht's, sum_k k C(n+1, k)^2, is 0.398 of the largest double at n = 509 and past it
 # at 510 (as is the Nyquist bin).  C(n+1, k)^2 stops being a double at n = 516
 _LAST_DEGREE = 509
+
+
+def _too_large(n: int) -> DegreeTooLargeError:
+    """The refusal of a degree n past _LAST_DEGREE, raised before anything is built."""
+    what = "squared binomial factors" if n > 515 else "circulant spectra"
+    return DegreeTooLargeError(f"{what} overflow double precision at degree n={n}")
 
 
 def _split_factors(n: int) -> tuple:
@@ -129,17 +135,16 @@ def structured_inverse_sweep(degrees) -> list:
     each written as rows (H, Ht, Tt, T) of one zero-filled (4k, plan) block
     of at most spectral._SWEEP_BLOCK entries, and each block is one 2-D
     rfft, which numpy computes row by row exactly as it would 1-D calls;
-    each degree's two pairs are views of its block's spectra.  Before any
-    build it raises structured_inverse's DegreeTooLargeError for the first
-    degree, in the order given, past 515 (squared binomials); failing that,
-    for the first past _LAST_DEGREE (spectra).
+    each degree's two pairs are views of its block's spectra.  A degree past
+    _LAST_DEGREE raises structured_inverse's DegreeTooLargeError, for the
+    largest, before anything is built.
     """
     degrees = list(degrees)
     if any(n < 0 for n in degrees):
         raise ValueError("degree must be nonnegative")
-    for last, what in ((515, "squared binomial factors"), (_LAST_DEGREE, "circulant spectra")):
-        for n in (n for n in degrees if n > last):
-            raise DegreeTooLargeError(f"{what} overflow double precision at degree n={n}")
+    top = max(degrees, default=0)
+    if top > _LAST_DEGREE:
+        raise _too_large(top)
     factors = {n: _split_factors(n) for n in degrees}
     groups: dict = {}
     for n in factors:

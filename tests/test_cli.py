@@ -157,3 +157,22 @@ def test_project_to_degree_300_exits_clean_without_inf():
     assert len(rows) == 301
     inf_cells = [(row["n"], col) for row in rows for col, v in row.items() if v in ("inf", "-inf")]
     assert inf_cells == []
+
+
+def test_matrix_q_refused_past_the_assembly_limit(tmp_path, capsys):
+    out = tmp_path / "q.csv"
+    assert main(["matrix", "--n", "582", "--what", "q", "--out", str(out)]) == 0
+    assert len(out.read_text().splitlines()) == 583
+    assert main(["matrix", "--n", "583", "--what", "q"]) == 3
+    assert capsys.readouterr() == ("", "bernmass: eigenvector matrix degree n=583 is past the supported limit 582\n")
+
+
+def test_project_past_the_legendre_binomials_exits_three(monkeypatch, capsys):
+    # from n = 1030 some C(n, i) is past double range, and the Legendre reference's float
+    # row of them raises a bare OverflowError: the CLI's catch of it is still reached.
+    # The Qs a table sweeps up front (about 350 MB to degree 508) take no part in it
+    from bernmass import experiments
+
+    monkeypatch.setattr(experiments, "_prefill", lambda n_max, methods: None)
+    assert main(["project", "--func", "f1", "--max-degree", "1030", "--methods", "cho"]) == 3
+    assert capsys.readouterr() == ("", "bernmass: int too large to convert to float\n")

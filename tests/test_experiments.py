@@ -548,7 +548,7 @@ def test_tables_unchanged_by_batched_q(n_max):
 @pytest.mark.parametrize("n_max", [20, 40])
 def test_tables_unchanged_by_dft_sweep(n_max):
     # the tables build every degree's dft spectra in one structured_inverse_sweep;
-    # with each dft entry cached beforehand as a first solve caches it, one
+    # with each dft handle cached beforehand as a first solve caches it, one
     # degree at a time, the bytes are the same
     from bernmass import solvers
 
@@ -556,7 +556,7 @@ def test_tables_unchanged_by_dft_sweep(n_max):
     try:
         swept = _tables(n_max, 11)
         clear_cache()
-        singles = {n: solvers._cached("dft", n, lambda k: solvers._entry("dft", k)) for n in range(n_max + 1)}
+        singles = {n: solvers._cached("dft", n, solvers._Dft) for n in range(n_max + 1)}
         one_by_one = _tables(n_max, 11)
         # the sweep left the single builds in place
         assert all(solvers._cache[("dft", n)] is entry for n, entry in singles.items())
@@ -581,12 +581,13 @@ def test_dft_prefill_entries_and_clear_cache(monkeypatch):
         run_projection("f1", 20, ["dft"])
         assert sweeps == [list(range(21))]
         for n in range(21):
-            apply, cap, mass = solvers._cache[("dft", n)]
-            assert solvers._cache[("structured", n)].degree == n  # the prefilled spectra
+            handle = solvers._cache[("dft", n)]
+            assert handle.obj is solvers._cache[("structured", n)]  # the prefilled spectra
+            assert handle.obj.degree == handle.degree == n
             k = math.comb(2 * n + 2, n + 1)
-            assert cap == sys.float_info.max / 2.0 / k / k / (next_pow2(2 * n + 2) * (n + 1) ** 3.5)
-            assert mass is solvers._cache[("mass", n)]
-        run_projection("f2", 20, ["dft"])  # every entry cached: nothing is built
+            assert handle.cap == sys.float_info.max / 2.0 / k / k / (next_pow2(2 * n + 2) * (n + 1) ** 3.5)
+            assert handle.mass is solvers._cache[("mass", n)]
+        run_projection("f2", 20, ["dft"])  # every handle cached: nothing is built
         assert sweeps == [list(range(21)), []]
         clear_cache()
         assert not solvers._cache

@@ -13,7 +13,7 @@ import pytest
 
 from bernmass.bernstein import DegreeTooLargeError, mass_matrix
 from bernmass.experiments import reference_solution
-from bernmass import kernels, solvers
+from bernmass import kernels, solvers, structured
 from bernmass.inverse import inverse_matrix
 from bernmass.oracle import mass_exact, rational_solve
 from bernmass.solvers import (
@@ -257,7 +257,7 @@ def test_dft_cap_boundary():
         warnings.simplefilter("error")
         for si in sweep:
             n = si.degree
-            cap = solvers._TABLE["dft"].cap(si)  # the cap of the entry a first solve caches
+            cap = solvers._Dft(n, si).cap  # the cap of the handle a first solve caches
             for shape in _cap_shapes(n):
                 b = shape * (cap / _scaled_norm(shape))
                 while _scaled_norm(b) > cap:
@@ -317,15 +317,15 @@ def _two_linalg_solves(lower, b):
 
 
 def test_cho_entry_bitwise_equal_to_solve_cholesky():
-    # the cached entry's and solve_cholesky's bare LAPACK calls against numpy.linalg.solve's,
+    # the cached handle's and solve_cholesky's bare LAPACK calls against numpy.linalg.solve's,
     # at every degree that factors
     try:
         for n in range(30):
             factor = cholesky_factor(mass_matrix(n).matrix)
-            apply, _, _ = solvers._entry("cho", n)
+            handle = solvers._Cho(n)
             for b in _cap_shapes(n):
                 want = _two_linalg_solves(factor.lower, b).tobytes()
-                assert apply(b).tobytes() == want, n
+                assert handle.apply(b).tobytes() == want, n
                 assert solve_cholesky(factor, b).tobytes() == want, n
                 assert solve("cho", n, b, max_degree=29).solution.tobytes() == want, n
     finally:
@@ -334,15 +334,15 @@ def test_cho_entry_bitwise_equal_to_solve_cholesky():
 
 def _matmul_and_vdot_forms(method, n, b):
     # a warm solve with @ for the direct and eig applies and the residual, and np.vdot for its norm
-    apply, _, mass = solvers._entry(method, n)
+    handle = solvers._HANDLES[method](n)
     if method == "direct":
         x = inverse_matrix(n) @ b
     elif method == "eig":
         spec = solvers._spectral(n)
         x = spec.q @ ((spec.q.T @ b) / spec.lam)
     else:
-        x = apply(b)
-    r = mass @ x
+        x = handle.apply(b)
+    r = handle.mass @ x
     r -= b
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(kernels, "vdot", np.vdot)
@@ -358,14 +358,14 @@ def test_warm_solve_bitwise_equal_to_matmul_and_vdot(method, degrees):
     clear_cache()
     try:
         for n in degrees:
-            apply, _, _ = solvers._entry(method, n)
+            handle = solvers._HANDLES[method](n)
             if n < 26:
                 rhs = _oracle_rhs(n)
             else:  # of order one, which every apply here takes finite
                 rhs = np.ones(n + 1), np.random.default_rng(n).uniform(-0.5, 0.5, n + 1)
             for b in rhs:
                 want_x, want_res = _matmul_and_vdot_forms(method, n, b)
-                assert apply(b).tobytes() == want_x.tobytes(), (method, n)
+                assert handle.apply(b).tobytes() == want_x.tobytes(), (method, n)
                 for _ in range(2):  # the cold solve, then the warm one
                     rep = solve(method, n, b, max_degree=600)
                     assert rep.solution.tobytes() == want_x.tobytes(), (method, n)
@@ -720,3 +720,132 @@ def test_threaded_first_solves_match_serial():
     assert not any(t.is_alive() for t in threads)
     assert not errors
     assert all(r == serial for r in results)
+
+
+_BUILDERS = ("mass_matrix", "inverse_matrix", "structured_inverse", "structured_inverse_sweep", "build_q",
+             "build_q_sweep", "cholesky_factor")
+
+
+def _count_builders(monkeypatch, names=_BUILDERS):
+    calls = []
+
+    def counting(name, fn):
+        def wrapped(*args):
+            calls.append(name)
+            return fn(*args)
+        return wrapped
+
+    for name in names:
+        monkeypatch.setattr(solvers, name, counting(name, getattr(solvers, name)))
+    return calls
+
+
+@pytest.mark.parametrize("method", [m for m in METHODS if solvers._HANDLES[m].last_degree is not None])
+def test_last_degree_builds_and_the_next_is_refused_before_building(method, monkeypatch):
+    handle = solvers._HANDLES[method]
+    last = handle.last_degree
+    calls = _count_builders(monkeypatch)
+    clear_cache()
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            built = handle(last)  # what a first solve at the last degree caches
+        assert calls and built.degree == last and 0.0 < built.cap < math.inf
+        assert built.mass is solvers._cache[("mass", last)]
+        clear_cache()
+        del calls[:]
+        for _ in range(2):  # a refusal is not cached
+            with pytest.raises(DegreeTooLargeError) as info:
+                solve(method, last + 1, np.ones(last + 2), max_degree=600)
+            assert str(info.value) == str(handle.too_large(last + 1))
+        assert calls == [] and not solvers._cache
+        # the b = 0 shortcut runs ahead of the refusal
+        assert not solve(method, last + 1, np.zeros(last + 2), max_degree=600).solution.any()
+        assert calls == []
+    finally:
+        clear_cache()
+
+
+def test_last_degrees_are_where_each_build_leaves_double_range():
+    # direct: the closed-form inverse is finite through 511 and holds +-inf from 512
+    assert np.all(np.isfinite(inverse_matrix(solvers._Direct.last_degree)))
+    # dft: the structured split's own last degree
+    assert solvers._Dft.last_degree == structured._LAST_DEGREE
+    # eig: lambda_min is a normal double through 508 and not from 509
+    last = solvers._Eig.last_degree
+    assert eigenvalues(last)[-1] >= sys.float_info.min > eigenvalues(last + 1)[-1]
+    # cho: no structural limit; LAPACK's factorization decides (test_cholesky_breakdown_degree)
+    assert solvers._Cho.last_degree is None
+
+
+def test_raw_applies_call_no_builder_and_no_eigenvalues(monkeypatch):
+    # the raw applies wrap the caller's object in the method's handle, whose cap is O(1)
+    n = 20
+    b = np.linspace(-1.0, 1.0, n + 1)
+    routes = (
+        (solve_dft, structured_inverse(n)),
+        (solve_spectral, build_q(n)),
+        (solve_cholesky, cholesky_factor(mass_matrix(n).matrix)),
+    )
+    want = [apply(obj, b).tobytes() for apply, obj in routes]
+    calls = _count_builders(monkeypatch, (*_BUILDERS, "eigenvalues"))
+    clear_cache()  # so a raw apply that reached for the cached M would build it
+    try:
+        assert [apply(obj, b).tobytes() for apply, obj in routes] == want
+        assert calls == [] and not solvers._cache
+    finally:
+        clear_cache()
+
+
+def test_cho_cap_is_lambda_min_in_closed_form():
+    # within an ulp or two of the recurrence's lambda_min, the bound the apply needs
+    for n in range(30):
+        factor = cholesky_factor(mass_matrix(n).matrix)
+        cap = solvers._Cho(n, factor).cap
+        assert cap == pytest.approx(sys.float_info.max / 2.0 * eigenvalues(n)[-1], rel=4 * sys.float_info.epsilon)
+        assert solvers._Eig(n, build_q(n)).cap == cap
+
+
+def test_table_solves_raise_only_value_errors_on_numpys_public_kernels(monkeypatch):
+    # numpy's public cholesky and solve, which stand in where the bare kernels cannot be
+    # imported, raise LinAlgError; cholesky_factor turns the first into
+    # NotPositiveDefiniteError, and the triangular solves of a factor that succeeded
+    # never raise, so a table catches ValueError alone and flags cho's cells past 29
+    from bernmass.experiments import run_projection, run_random
+
+    monkeypatch.setattr(solvers, "_cholesky", np.linalg.cholesky)
+    monkeypatch.setattr(solvers, "_solve1", np.linalg.solve)
+    clear_cache()
+    try:
+        with pytest.raises(NotPositiveDefiniteError):
+            solve("cho", 30, np.ones(31), max_degree=30)
+        for records in (run_projection("f1", 32, ["cho"]), run_random(32, 5, ["cho"])):
+            cells = [list(rec.values.values()) for rec in records]
+            assert all(math.isfinite(v) for row in cells[:30] for v in row)
+            assert all(math.isnan(v) for row in cells[30:] for v in row)
+    finally:
+        clear_cache()
+
+
+def test_readme_limits_table_cites_the_handles_last_degrees():
+    # the "works through / then raises" table: each row's last degree is its handle's
+    # (assembly's is bernstein._MAX_DEGREE), and no measured b = 1 limit passes it
+    from bernmass.bernstein import _MAX_DEGREE
+
+    readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(readme, encoding="utf-8") as fh:
+        lines = fh.read().splitlines()
+    rows = {}
+    for line in lines:
+        cells = [c.strip() for c in line.strip().strip("|").split("|")]
+        if len(cells) == 4 and cells[1].startswith("n = "):
+            rows[cells[0].strip("`")] = int(cells[1][len("n = "):]), cells[3]
+    assert set(rows) == {*METHODS, "assembly"}
+    for name, (works, last) in rows.items():
+        limit = _MAX_DEGREE if name == "assembly" else solvers._HANDLES[name].last_degree
+        if limit is None:
+            assert last.startswith("—"), name
+        else:
+            assert int(last) == limit and works <= limit, name
+    # for eig and assembly the structural limit is the measured one
+    assert rows["eig"][0] == solvers._Eig.last_degree and rows["assembly"][0] == _MAX_DEGREE

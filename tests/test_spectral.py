@@ -198,3 +198,12 @@ def test_build_q_sweep_bitwise_equal_to_build_q(degrees):
         assert d.q.flags.c_contiguous, n
         assert d.q.tobytes() == want.q.tobytes(), n
         assert d.lam.tobytes() == want.lam.tobytes(), n
+
+
+def test_build_q_refused_past_the_assembly_limit():
+    # Q is checked orthogonal through 582, as M is assembled; from n near 1050 it is far
+    # from orthogonal, so past 582 both builds refuse before building, as mass_matrix does
+    assert build_q(582).q.shape == (583, 583)
+    for build in (build_q, lambda n: build_q_sweep([3, n, 5])):
+        with pytest.raises(DegreeTooLargeError, match="^eigenvector matrix degree n=583 is past the supported limit 582$"):
+            build(583)
