@@ -7,7 +7,10 @@ Subcommands:
   matrix        raw dump of the mass matrix, its inverse, the eigenvector
                 matrix, or the eigenvalues
 
-Exit codes: 0 success, 2 usage error, 3 numerical failure.
+Exit codes: 0 success, 2 usage error, 3 numerical failure.  A degree past
+what the library builds (a table's --max-degree, the mass matrix or Q past
+582, the inverse past 511) exits 3 before any work, with the library's
+DegreeTooLargeError message.
 """
 
 from __future__ import annotations
@@ -15,11 +18,11 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .bernstein import DegreeTooLargeError, mass_matrix
+from .bernstein import mass_matrix
 from .conditioning import kappa_2, kappa_m_to_2
 from .experiments import FUNCTIONS, ExperimentRecord, render_csv, run_projection, run_random
 from .inverse import inverse_matrix
-from .solvers import METHODS, UnknownMethodError, _Direct, canonical_method
+from .solvers import METHODS, UnknownMethodError, canonical_method
 from .spectral import build_q, eigenvalues
 
 __all__ = ["main"]
@@ -69,11 +72,6 @@ def _matrix_text(n: int, what: str) -> str:
     if what == "mass":
         rows = mass_matrix(n).matrix
     elif what == "inverse":
-        # refused before the O(n^2) big-integer build: past direct's last degree it holds +-inf
-        if n > _Direct.last_degree:
-            raise DegreeTooLargeError(
-                f"closed-form inverse entries overflow double precision at n={n}"
-            )
         rows = inverse_matrix(n)
     elif what == "q":
         rows = build_q(n).q
@@ -122,7 +120,7 @@ def main(argv=None) -> int:
     except UnknownMethodError as exc:
         print(f"bernmass: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, OverflowError) as exc:
+    except ValueError as exc:
         print(f"bernmass: {exc}", file=sys.stderr)
         return 3
 

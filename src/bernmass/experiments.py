@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bernstein import DegreeTooLargeError, _basis_from_powers, _power_tables, binomial_row
+from .bernstein import DegreeTooLargeError, _basis_from_powers, _power_tables, _supported, binomial_row
 from .inverse import hankel_inverse_exact
 from .kernels import _checked_rhs, _scaled_norm
 from .quadrature import QuadratureRule, composite_gauss_legendre
@@ -154,8 +154,10 @@ def run_projection(func, n_max: int, methods=METHODS, rule: QuadratureRule | Non
     ("fp"), relative L2 gap to the Legendre reference projection ("Pifp"),
     relative 2-norm coefficient error against that reference ("err"), and
     relative residual ("res").  A solver failure flags its four values as
-    nan and the run continues.
+    nan and the run continues.  An n_max past bernstein._MAX_DEGREE (582),
+    the last degree assembled, raises DegreeTooLargeError before any work.
     """
+    _supported(n_max, "projection table")
     f = FUNCTIONS[func] if isinstance(func, str) else func
     rule = rule or default_rule()
     w = rule.weights
@@ -227,8 +229,11 @@ def run_random(n_max: int, seed: int = 42, methods=METHODS) -> list:
     against a consistent, well-scaled b).  Errors are reported against the
     exact solution of the rounded system, in the 2-norm ("L2err") and the
     M-norm ("Merr"), together with the relative residual ("res").  A solver
-    failure flags its three values as nan and the run continues.
+    failure flags its three values as nan and the run continues.  An n_max
+    past bernstein._MAX_DEGREE (582), the last degree assembled, raises
+    DegreeTooLargeError before any work.
     """
+    _supported(n_max, "random table")
     gen = Xorshift64Star(seed)
 
     def rows():

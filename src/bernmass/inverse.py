@@ -4,7 +4,9 @@ The inverse of the binomially descaled (Hankel) factor is an integer
 Bezoutian (Heinig & Rost) whose recurrence has increments rank-one in the
 row s_m = (-1)^m C(n+1, m)^2 that the dft split is built from.
 `hankel_inverse_exact` builds it in O(n^2) exact integer steps and
-`inverse_matrix` rounds each of its descaled entries once.  The entry
+`inverse_matrix` rounds each of its descaled entries once.  Past
+_LAST_DEGREE (511), the last_degree of solvers' direct handle,
+inverse_matrix raises DegreeTooLargeError before building anything.  The entry
 formulas, the Bezout coefficient vectors and the full Bezout matrix agree
 with this kernel exactly and live in bernmass.oracle.
 """
@@ -12,11 +14,10 @@ with this kernel exactly and live in bernmass.oracle.
 from __future__ import annotations
 
 import functools
-import math
 
 import numpy as np
 
-from .bernstein import _squared_binomial_row, binomial_row
+from .bernstein import DegreeTooLargeError, _squared_binomial_row, binomial_row
 
 __all__ = ["hankel_inverse_exact", "inverse_matrix"]
 
@@ -69,34 +70,36 @@ def hankel_inverse_exact(n: int) -> list:
     return rows + [rows[n - i][::-1] for i in range(len(rows), n + 1)]
 
 
-def _rounded(num: int, den: int) -> float:
-    try:
-        return num / den  # int division rounds once
-    except OverflowError:
-        return math.inf if num > 0 else -math.inf
+# The last degree built: every exact entry of the inverse is below the largest
+# double through n = 511, and from 512 some entry passes it
+_LAST_DEGREE = 511
+
+
+def _too_large(n: int) -> DegreeTooLargeError:
+    """The refusal of a degree n past _LAST_DEGREE, raised before anything is built."""
+    return DegreeTooLargeError(f"closed-form inverse entries overflow double precision at n={n}")
 
 
 def inverse_matrix(n: int) -> np.ndarray:
     """The dense inverse mass matrix, each entry the exact value rounded once.
 
-    The exact entry is hankel_inverse_exact(n)[i][j] / (C(n,i) C(n,j)); an
-    entry beyond double range becomes +-inf.  O(n^2) big-integer work on the
-    band of _hankel_inverse_band; since the binomial diagonal is persymmetric
-    too, the band's rounded entries fill the rest of the matrix by symmetry
-    and persymmetry.
+    The exact entry is hankel_inverse_exact(n)[i][j] / (C(n,i) C(n,j)).
+    Past _LAST_DEGREE (511), where some entry would pass double range, it
+    raises _too_large(n) before building anything.  O(n^2) big-integer
+    work on the band of _hankel_inverse_band; since the binomial diagonal
+    is persymmetric too, the band's rounded entries fill the rest of the
+    matrix by symmetry and persymmetry.
     """
+    if n > _LAST_DEGREE:
+        raise _too_large(n)
     band = _hankel_inverse_band(n)
     binom = binomial_row(n)
     a = np.empty((n + 1, n + 1))
     for i, row in enumerate(band):
         bi, cols = binom[i], binom[i : n - i + 1]
-        try:
-            vals = [e / (bi * bj) for e, bj in zip(row, cols)]
-        except OverflowError:
-            vals = [_rounded(e, bi * bj) for e, bj in zip(row, cols)]
         # row i's band, mirrored, is the frame of the square ring i..n-i
         ring = slice(i, n - i + 1)
-        a[i, ring] = vals
+        a[i, ring] = [e / (bi * bj) for e, bj in zip(row, cols)]  # int division rounds once
         top = a[i, ring]
         a[ring, i] = top
         a[n - i, ring] = top[::-1]

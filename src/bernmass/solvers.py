@@ -9,9 +9,10 @@ anything is built.  One _apply runs every handle's apply, for solve and for
 the public raw applies solve_dft, solve_spectral and solve_cholesky alike:
 bare within the cap below which it cannot overflow, checked past it, and a
 tiny b rescaled.  The first solve of a method at a degree caches its
-handle, with M for the residual; every later solve there is one dictionary
-lookup, the apply and the residual.  A raw apply wraps the caller's object
-in its method's handle.  The tables fill the eig Qs and the dft spectra of
+handle, with M for the residual (cho caches M only once it factors, so a
+degree where LAPACK refuses keeps none); every later solve there is one
+dictionary lookup, the apply and the residual.  A raw apply wraps the
+caller's object in its method's handle.  The tables fill the eig Qs and the dft spectra of
 all their degrees up front, through one prefill loop over the handles'
 cache kinds.
 """
@@ -25,14 +26,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import inverse, structured
 from .bernstein import DegreeTooLargeError, mass_matrix
 from .inverse import _hankel_inverse_band, inverse_matrix
 from .kernels import _SQRT_TINY, _checked_rhs, _scaled_norm
 from .kernels import cholesky as _cholesky
 from .kernels import solve1 as _solve1
 from .spectral import SpectralDecomp, build_q, build_q_sweep, eigenvalues
-from .structured import _LAST_DEGREE, StructuredInverse, _dft_apply, structured_inverse, structured_inverse_sweep
-from .structured import _too_large as _split_too_large
+from .structured import StructuredInverse, _dft_apply, structured_inverse, structured_inverse_sweep
 
 __all__ = [
     "METHODS",
@@ -153,11 +154,13 @@ class _Handle:
 
     Class data: the method's name, its CSV tag and aliases, last_degree (the
     last degree it builds; None where no structural limit holds and LAPACK
-    decides), too_large(n), its refusal past that degree, overflowed(n), its
-    refusal once the apply has overflowed, and, for a method whose builds
-    the tables sweep up front, their cache kind.  _Handle(n) is what the
-    first solve at degree n caches: refused past last_degree before anything
-    is built, it holds obj, the method's build(n), and M for the residual.
+    decides), too_large(n), its refusal past that degree (direct and dft
+    take both from their builders' modules, which refuse the same degrees
+    themselves), overflowed(n), its refusal once the apply has overflowed,
+    and, for a method whose builds the tables sweep up front, their cache
+    kind.  _Handle(n) is what the first solve at degree n caches: refused
+    past last_degree before anything is built, it holds obj, the method's
+    build(n), and M for the residual.
     _Handle(n, obj) wraps a raw apply's obj, refused the same way, with no M.
     Either holds the cap below which apply(bv) cannot overflow, computed
     once here: by default eig's, from lambda_min.  Each build looks up its
@@ -186,13 +189,10 @@ class _Handle:
     def overflowed(cls, n: int) -> DegreeTooLargeError:
         return DegreeTooLargeError(cls.overflow.format(name=cls.name, n=n))
 
-    # past the last degree, the overflow refusal unless the method names another cause
-    too_large = overflowed
-
 
 class _Direct(_Handle):
-    # from n = 512 the inverse holds inf, and inf*b_j, or inf*0 = nan, reaches x for every b
-    name, tag, aliases, last_degree = "direct", "direct", ("exact-inverse",), 511
+    name, tag, aliases, last_degree = "direct", "direct", ("exact-inverse",), inverse._LAST_DEGREE
+    too_large = staticmethod(inverse._too_large)
 
     def build(self, n: int) -> np.ndarray:
         return inverse_matrix(n)
@@ -207,9 +207,9 @@ class _Direct(_Handle):
 
 
 class _Dft(_Handle):
-    name, tag, last_degree, kind = "dft", "DFT", _LAST_DEGREE, "structured"
+    name, tag, last_degree, kind = "dft", "DFT", structured._LAST_DEGREE, "structured"
     overflow = "structured inverse products overflow double precision at degree n={n}"
-    too_large = staticmethod(_split_too_large)
+    too_large = staticmethod(structured._too_large)
 
     def build(self, n: int) -> StructuredInverse:
         return _cached("structured", n, structured_inverse)
@@ -255,7 +255,13 @@ class _Cho(_Handle):
     name, tag, aliases = "cho", "cho", ("cholesky",)
 
     def build(self, n: int) -> CholeskyFactor:
-        return cholesky_factor(_mass(n))
+        # M is cached only once it factors, so a degree LAPACK refuses keeps no M
+        mass = _cache.get(("mass", n))
+        if mass is None:
+            mass = mass_matrix(n).matrix
+        factor = cholesky_factor(mass)
+        _cached("mass", n, lambda _: mass)
+        return factor
 
     def apply(self, bv: np.ndarray) -> np.ndarray:
         # numpy.linalg.solve's kernel, bare, twice: L from a Cholesky that succeeded is nonsingular

@@ -136,7 +136,7 @@ def test_numerical_failures_exit_three(tmp_path, capsys):
     assert main(["matrix", "--n", "600", "--what", "mass"]) == 3
     err = capsys.readouterr().err
     assert "not representable" in err or "degree" in err
-    # the closed-form inverse holds +-inf from n = 512, and the CLI refuses it by name
+    # from n = 512 inverse_matrix refuses its degree by name, before building
     assert main(["matrix", "--n", "512", "--what", "inverse"]) == 3
     assert capsys.readouterr() == ("", "bernmass: closed-form inverse entries overflow double precision at n=512\n")
 
@@ -168,11 +168,20 @@ def test_matrix_q_refused_past_the_assembly_limit(tmp_path, capsys):
 
 
 def test_project_past_the_legendre_binomials_exits_three(monkeypatch, capsys):
-    # from n = 1030 some C(n, i) is past double range, and the Legendre reference's float
-    # row of them raises a bare OverflowError: the CLI's catch of it is still reached.
-    # The Qs a table sweeps up front (about 350 MB to degree 508) take no part in it
-    from bernmass import experiments
+    # from n = 1030 some C(n, i) is past double range, but a table past assembly's
+    # last degree (582) is refused first, by its typed message, before any work
+    from test_experiments import _forbid_table_work
 
-    monkeypatch.setattr(experiments, "_prefill", lambda n_max, methods: None)
-    assert main(["project", "--func", "f1", "--max-degree", "1030", "--methods", "cho"]) == 3
-    assert capsys.readouterr() == ("", "bernmass: int too large to convert to float\n")
+    calls = _forbid_table_work(monkeypatch)
+    assert main(["project", "--func", "f1", "--max-degree", "1030"]) == 3
+    assert capsys.readouterr() == ("", "bernmass: projection table degree n=1030 is past the supported limit 582\n")
+    assert calls == []
+
+
+def test_random_past_the_assembly_limit_exits_three_before_any_work(monkeypatch, capsys):
+    from test_experiments import _forbid_table_work
+
+    calls = _forbid_table_work(monkeypatch)
+    assert main(["random", "--max-degree", "583"]) == 3
+    assert capsys.readouterr() == ("", "bernmass: random table degree n=583 is past the supported limit 582\n")
+    assert calls == []

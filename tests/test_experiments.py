@@ -466,6 +466,61 @@ def test_run_random_assembles_each_mass_matrix_once(monkeypatch):
     assert built == list(range(9))
 
 
+def test_cho_table_keeps_no_mass_matrix_where_cho_refuses(monkeypatch):
+    # cho factors through degree 29: each degree's M is assembled once, and
+    # kept only where it factored
+    from bernmass import solvers
+
+    built = []
+
+    def counting(n):
+        built.append(n)
+        return mass_matrix(n)
+
+    monkeypatch.setattr(solvers, "mass_matrix", counting)
+    solvers.clear_cache()
+    try:
+        recs = run_projection("f1", 40, ["cho"])
+        cached = sorted(n for kind, n in solvers._cache if kind == "mass")
+        handles = sorted(n for kind, n in solvers._cache if kind == "cho")
+    finally:
+        solvers.clear_cache()
+    assert built == list(range(41))
+    assert cached == handles == list(range(30))
+    assert math.isnan(recs[30].values["chofp"]) and not math.isnan(recs[29].values["chofp"])
+
+
+def _forbid_table_work(monkeypatch) -> list:
+    """Make each step of a table's work record its name and fail, so none may run."""
+    from bernmass import solvers
+
+    calls = []
+
+    def forbidden(name):
+        def record(*args, **kwargs):
+            calls.append(name)
+            raise AssertionError(f"{name} ran")
+        return record
+
+    for module, name in ((experiments, "_power_tables"), (experiments, "_legendre_projections"),
+                         (experiments, "_prefill"), (solvers, "mass_matrix"),
+                         (solvers, "build_q_sweep")):
+        monkeypatch.setattr(module, name, forbidden(name))
+    return calls
+
+
+def test_tables_past_the_assembly_limit_refused_before_any_work(monkeypatch):
+    calls = _forbid_table_work(monkeypatch)
+    for run, what in ((lambda n: run_projection("f1", n), "projection table"),
+                      (run_random, "random table")):
+        for n in (583, 1030):
+            with pytest.raises(DegreeTooLargeError) as info:
+                run(n)
+            assert type(info.value) is DegreeTooLargeError
+            assert str(info.value) == f"{what} degree n={n} is past the supported limit 582"
+    assert calls == []
+
+
 def test_run_random_forms_one_residual_per_cell(monkeypatch):
     # M x_hat - b is formed once per cell, by solve; the table takes report.residual
     from bernmass import solvers

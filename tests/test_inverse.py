@@ -2,13 +2,15 @@
 factor, and edges."""
 
 import math
+import sys
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from bernmass import inverse
 from bernmass.inverse import hankel_inverse_exact, inverse_matrix
-from bernmass.bernstein import _squared_binomial_row, mass_matrix
+from bernmass.bernstein import DegreeTooLargeError, _squared_binomial_row, binomial_row, mass_matrix
 from bernmass.oracle import (
     bezout_coeff_u,
     bezout_coeff_v,
@@ -85,11 +87,39 @@ def test_inverse_matrix_rounds_exact_entries_once():
         assert np.array_equal(inverse_matrix(n), np.array(exact))
 
 
-def test_inverse_matrix_overflows_to_signed_inf():
-    a = inverse_matrix(512)  # the first degree with entries past double range
-    idx = np.arange(513)
-    assert np.isinf(a).any() and not np.isnan(a).any()
-    assert np.array_equal(np.sign(a), (-1.0) ** (idx[:, None] + idx[None, :]))
+def test_inverse_matrix_refused_past_its_last_degree_before_building(monkeypatch):
+    calls = []
+    band = inverse._hankel_inverse_band
+
+    def counting(n):
+        calls.append(n)
+        return band(n)
+
+    monkeypatch.setattr(inverse, "_hankel_inverse_band", counting)
+    for n in (512, 583, 10**6):
+        with pytest.raises(DegreeTooLargeError) as info:
+            inverse_matrix(n)
+        assert type(info.value) is DegreeTooLargeError
+        assert str(info.value) == f"closed-form inverse entries overflow double precision at n={n}"
+    assert calls == []
+
+
+def _entries_within_double_range(n: int) -> bool:
+    # exactly: every |h_ij| / (C(n,i) C(n,j)) below the largest double, in integers
+    top = int(sys.float_info.max)
+    binom = binomial_row(n)
+    return all(
+        abs(h) < top * ci * cj
+        for row, ci in zip(hankel_inverse_exact(n), binom)
+        for h, cj in zip(row, binom)
+    )
+
+
+def test_last_degree_is_the_last_whose_exact_entries_are_doubles():
+    last = inverse._LAST_DEGREE
+    assert last == 511
+    assert _entries_within_double_range(last)
+    assert not _entries_within_double_range(last + 1)
 
 
 def test_inverse_matrix_symmetric_and_correct():

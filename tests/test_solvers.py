@@ -13,7 +13,7 @@ import pytest
 
 from bernmass.bernstein import DegreeTooLargeError, mass_matrix
 from bernmass.experiments import reference_solution
-from bernmass import kernels, solvers, structured
+from bernmass import inverse, kernels, solvers, structured
 from bernmass.inverse import inverse_matrix
 from bernmass.oracle import mass_exact, rational_solve
 from bernmass.solvers import (
@@ -537,10 +537,15 @@ def test_eig_refused_once_smallest_eigenvalue_is_subnormal(n):
 
 @pytest.mark.parametrize("n", [511, 512, 582])
 def test_direct_apply_overflow_refused_unwarned(n):
-    # the inverse's entries pass 1e307 at 510 and overflow from 512, so the
-    # apply overflows; pytest's filter makes any RuntimeWarning an error
-    with pytest.raises(DegreeTooLargeError, match="left double range"):
+    # the inverse's entries pass 1e307 at 510, so at 511 the apply overflows; from 512
+    # they pass double range and the inverse is refused before it is built.  pytest's
+    # filter makes any RuntimeWarning an error
+    with pytest.raises(DegreeTooLargeError) as info:
         solve("direct", n, np.ones(n + 1), max_degree=600)
+    if n <= solvers._Direct.last_degree:
+        assert str(info.value) == f"direct solve at degree n={n} left double range (its apply overflowed)"
+    else:
+        assert str(info.value) == f"closed-form inverse entries overflow double precision at n={n}"
 
 
 def test_direct_apply_near_overflow_still_solved():
@@ -615,10 +620,10 @@ def test_solve_bitwise_equal_to_per_method_oracle(method):
          "degree n=509 left double range (smallest eigenvalue 1.4e-308 is not a normal double)"),
         ("eig", 545, DegreeTooLargeError,
          "degree n=545 left double range (smallest eigenvalue 0 is not a normal double)"),
-        ("direct", 512, DegreeTooLargeError,
-         "direct solve at degree n=512 left double range (its apply overflowed)"),
+        ("direct", 512, DegreeTooLargeError,  # past its last degree: the builder's refusal
+         "closed-form inverse entries overflow double precision at n=512"),
         ("direct", 583, DegreeTooLargeError,  # past assembly's limit, refused all the same
-         "direct solve at degree n=583 left double range (its apply overflowed)"),
+         "closed-form inverse entries overflow double precision at n=583"),
         ("direct", 510, DegreeTooLargeError,  # one past its last working degree
          "direct solve at degree n=510 left double range (its apply overflowed)"),
         ("dft", 255, DegreeTooLargeError,  # one past its last working degree
@@ -767,7 +772,9 @@ def test_last_degree_builds_and_the_next_is_refused_before_building(method, monk
 
 
 def test_last_degrees_are_where_each_build_leaves_double_range():
-    # direct: the closed-form inverse is finite through 511 and holds +-inf from 512
+    # direct: the closed-form inverse's own last degree, finite through it
+    # (test_last_degree_is_the_last_whose_exact_entries_are_doubles derives it)
+    assert solvers._Direct.last_degree == inverse._LAST_DEGREE
     assert np.all(np.isfinite(inverse_matrix(solvers._Direct.last_degree)))
     # dft: the structured split's own last degree
     assert solvers._Dft.last_degree == structured._LAST_DEGREE
