@@ -72,9 +72,7 @@ class MassMatrix:
         self.binom_diag = binom_diag
 
     def __array__(self, dtype=None, copy=None):
-        if dtype is not None:
-            return self.matrix.astype(dtype)
-        return self.matrix
+        return np.array(self.matrix, dtype=dtype, copy=copy)
 
     def __repr__(self):
         return f"MassMatrix(degree={self.degree})"

@@ -9,8 +9,8 @@ Subcommands:
 
 Exit codes: 0 success, 2 usage error, 3 numerical failure.  A degree past
 what the library builds (a table's --max-degree, the mass matrix or Q past
-582, the inverse past 511) exits 3 before any work, with the library's
-DegreeTooLargeError message.
+582, the inverse past 511, the conditioning table past 514) exits 3 before
+any work, with the library's DegreeTooLargeError message.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ import argparse
 import sys
 
 from .bernstein import mass_matrix
-from .conditioning import kappa_2, kappa_m_to_2
+from .conditioning import _supported, kappa_2, kappa_m_to_2
 from .experiments import FUNCTIONS, ExperimentRecord, render_csv, run_projection, run_random
 from .inverse import inverse_matrix
 from .solvers import METHODS, UnknownMethodError, canonical_method
@@ -92,6 +92,7 @@ def _dispatch(args) -> int:
         records = run_random(args.max_degree, args.seed)
         _emit(render_csv(records), args.out)
     elif args.command == "conditioning":
+        _supported(args.max_degree)
         records = [
             ExperimentRecord(n, {"kappa2": kappa_2(n), "kappam2": kappa_m_to_2(n)})
             for n in range(args.max_degree + 1)

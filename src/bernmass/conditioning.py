@@ -2,9 +2,12 @@
 
 The 2-norm condition number has the closed form (2n+1)!/((n+1)! n!), i.e.
 the central-adjacent binomial coefficient C(2n+1, n); the mixed M-to-2-norm
-condition number is its square root.  Each mixed operator norm is one
-2-norm through the degree's cached M = Q Lambda Q^T, refused as eig is past
-its last degree, where lambda_min is not a normal double, before Q is built.
+condition number is its square root.  Both, and the condition table, are
+refused with DegreeTooLargeError past _LAST_DEGREE (514), the last degree
+whose C(2n+1, n) is below the largest double, before any work.  Each mixed
+operator norm is one 2-norm through the degree's cached M = Q Lambda Q^T,
+refused as eig is past its last degree, where lambda_min is not a normal
+double, before Q is built.
 Past n near 30, that of the float M or of its float inverse is the norm of
 the rounded matrix, not of the exact one: lambda_min^{-1/2} amplifies its
 rounding.  A sampling study shows random perturbations almost never realize
@@ -17,6 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .bernstein import DegreeTooLargeError
 from .rng import Xorshift64Star
 from .solvers import _Eig, _spectral
 from .spectral import SpectralDecomp, eigenvalues
@@ -33,14 +37,25 @@ __all__ = [
 ]
 
 
+_LAST_DEGREE = 514  # C(1029, 514) is below the largest double, C(1031, 515) is not
+
+
+def _supported(n: int) -> None:
+    """Refuse a degree n past _LAST_DEGREE, where kappa_2 would overflow, before any work."""
+    if n > _LAST_DEGREE:
+        raise DegreeTooLargeError(f"condition number C(2n+1, n) overflows double precision at degree n={n}")
+
+
 def kappa_2(n: int) -> float:
     """2-norm condition number lambda_max/lambda_min = C(2n+1, n), exactly.
 
     Computed as the product of (n+1+i)/i for i = 1..n so intermediate
-    values stay near the final magnitude.
+    values stay near the final magnitude.  Past _LAST_DEGREE (514), where
+    C(2n+1, n) is not a double, it raises DegreeTooLargeError.
     """
     if n < 0:
         raise ValueError("degree must be nonnegative")
+    _supported(n)
     value = 1.0
     for i in range(1, n + 1):
         value *= (n + 1 + i) / i
@@ -48,7 +63,11 @@ def kappa_2(n: int) -> float:
 
 
 def kappa_m_to_2(n: int) -> float:
-    """Condition number of the identity map from the M-norm to the 2-norm."""
+    """Condition number of the identity map from the M-norm to the 2-norm.
+
+    The square root of kappa_2(n), refused as kappa_2 is past _LAST_DEGREE
+    (514).
+    """
     return float(np.sqrt(kappa_2(n)))
 
 
@@ -62,7 +81,12 @@ class ConditionRecord:
 
 
 def condition_table(n_max: int) -> list:
-    """Condition numbers and extreme eigenvalues for all degrees up to n_max."""
+    """Condition numbers and extreme eigenvalues for all degrees up to n_max.
+
+    An n_max past _LAST_DEGREE (514) raises kappa_2's DegreeTooLargeError
+    before any row is computed.
+    """
+    _supported(n_max)
     out = []
     for n in range(n_max + 1):
         lam = eigenvalues(n)

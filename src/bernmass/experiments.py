@@ -147,10 +147,11 @@ def _run_table(families, methods, n_max: int, rows) -> list:
     return records
 
 
-def run_projection(func, n_max: int, methods=METHODS, rule: QuadratureRule | None = None) -> list:
+def run_projection(func, n_max: int, methods=METHODS) -> list:
     """Project a target function at degrees 0..n_max with the chosen solvers.
 
-    Per degree and method the record carries: relative L2 function error
+    The moments and every L2 norm are integrated by default_rule().  Per
+    degree and method the record carries: relative L2 function error
     ("fp"), relative L2 gap to the Legendre reference projection ("Pifp"),
     relative 2-norm coefficient error against that reference ("err"), and
     relative residual ("res").  A solver failure flags its four values as
@@ -159,7 +160,7 @@ def run_projection(func, n_max: int, methods=METHODS, rule: QuadratureRule | Non
     """
     _supported(n_max, "projection table")
     f = FUNCTIONS[func] if isinstance(func, str) else func
-    rule = rule or default_rule()
+    rule = default_rule()
     w = rule.weights
     sw = np.sqrt(w)  # the L2 norm of g under the rule is the 2-norm of sw * g
     fv = np.asarray(f(rule.nodes), dtype=float)

@@ -3,9 +3,12 @@
 Methods: the closed-form inverse applied densely ("direct"), the FFT-based
 structured apply ("dft"), the spectral decomposition ("eig"), and a Cholesky
 factorization ("cho"), each one small class under _Handle with its CSV tag,
-aliases, last degree and refusals, build, apply and cap.  A handle is one
-method at one degree.  Past its method's last degree it is refused before
-anything is built.  One _apply runs every handle's apply, for solve and for
+aliases, last degree and refusals, build and apply.  A handle is one
+method at one degree.  Its cap, the 2-norm of b below which the apply
+cannot overflow, is one bound from M's smallest eigenvalue for direct, eig
+and cho; only dft, whose intermediates grow like kappa_2^2, has its own.
+Past its method's last degree a handle is refused before anything is
+built.  One _apply runs every handle's apply, for solve and for
 the public raw applies solve_dft, solve_spectral and solve_cholesky alike:
 bare within the cap below which it cannot overflow, checked past it, and a
 tiny b rescaled.  The first solve of a method at a degree caches its
@@ -156,16 +159,16 @@ class _Handle:
     last degree it builds; None where no structural limit holds and LAPACK
     decides), too_large(n), its refusal past that degree (direct and dft
     take both from their builders' modules, which refuse the same degrees
-    themselves), overflowed(n), its refusal once the apply has overflowed,
-    and, for a method whose builds the tables sweep up front, their cache
-    kind.  _Handle(n) is what the first solve at degree n caches: refused
-    past last_degree before anything is built, it holds obj, the method's
-    build(n), and M for the residual.
+    themselves), overflow, the text of its refusal once the apply has
+    overflowed, and, for a method whose builds the tables sweep up front,
+    their cache kind.  _Handle(n) is what the first solve at degree n
+    caches: refused past last_degree before anything is built, it holds
+    obj, the method's build(n), and M for the residual.
     _Handle(n, obj) wraps a raw apply's obj, refused the same way, with no M.
     Either holds the cap below which apply(bv) cannot overflow, computed
-    once here: by default eig's, from lambda_min.  Each build looks up its
-    builder as a module global when called, so a patched builder is the one
-    that runs; so does the dft apply, its kernel.
+    once here: one from lambda_min for direct, eig and cho, and dft's own.
+    Each build looks up its builder as a module global when called, so a
+    patched builder is the one that runs; so does the dft apply, its kernel.
     """
 
     aliases, last_degree, kind = (), None, None
@@ -180,14 +183,12 @@ class _Handle:
 
     def _cap(self) -> float:
         # |Q^T b| <= |b|_2 and Q's rows are unit vectors, so no partial sum of the eig
-        # apply passes |b|_2 / lambda_min, and for cho |L^-1 b|_2 <= |b|_2 / sqrt(lambda_min)
-        # and |x|_2 <= |b|_2 / lambda_min; kept below half the largest double, with
-        # lambda_min = 1/((2n+1) C(2n, n)) in closed form, one correctly rounded division
+        # apply passes |b|_2 / lambda_min; nor does one of the direct apply, as
+        # |sum_{j in S} inv_ij b_j| <= |row_i|_2 |b|_2 <= |b|_2 / lambda_min; and for cho
+        # |L^-1 b|_2 <= |b|_2 / sqrt(lambda_min) and |x|_2 <= |b|_2 / lambda_min; kept below
+        # half the largest double, with lambda_min = 1/((2n+1) C(2n, n)) in closed form,
+        # one correctly rounded division
         return _HALF_MAX * (1 / ((2 * self.degree + 1) * math.comb(2 * self.degree, self.degree)))
-
-    @classmethod
-    def overflowed(cls, n: int) -> DegreeTooLargeError:
-        return DegreeTooLargeError(cls.overflow.format(name=cls.name, n=n))
 
 
 class _Direct(_Handle):
@@ -199,11 +200,6 @@ class _Direct(_Handle):
 
     def apply(self, bv: np.ndarray) -> np.ndarray:
         return self.obj.dot(bv)
-
-    def _cap(self) -> float:
-        # every partial sum of (inv @ b)_i is at most sqrt(n+1) max|inv| |b|_2, so
-        # a b whose 2-norm is within the cap (halved for rounding) cannot overflow
-        return sys.float_info.max / float(np.max(np.abs(self.obj))) / (2.0 * math.sqrt(self.degree + 1))
 
 
 class _Dft(_Handle):
@@ -316,7 +312,7 @@ def _apply(h: _Handle, bv: np.ndarray, bnorm: float) -> np.ndarray:
         with np.errstate(over="ignore", invalid="ignore"):
             x = h.apply(bv)
         if not np.all(np.isfinite(x)):
-            raise h.overflowed(h.degree)
+            raise DegreeTooLargeError(h.overflow.format(name=h.name, n=h.degree))
         return x
     k = min(0, math.frexp(h.cap)[1] - 1) - math.frexp(bnorm)[1]
     return np.ldexp(h.apply(np.ldexp(bv, k)), -k) if k > 0 else h.apply(bv)

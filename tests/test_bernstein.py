@@ -43,6 +43,18 @@ def test_mass_matrix_structure():
     assert np.allclose(np.asarray(mm), mm.matrix)
 
 
+def test_mass_matrix_array_protocol_honours_copy():
+    # np.array copies, np.asarray shares where no conversion is needed, as for an ndarray
+    mm = mass_matrix(3)
+    assert not np.shares_memory(np.array(mm), mm.matrix)
+    assert np.shares_memory(np.asarray(mm), mm.matrix)
+    assert np.shares_memory(np.asarray(mm, dtype=float, copy=False), mm.matrix)
+    single = np.asarray(mm, dtype=np.float32)
+    assert single.dtype == np.float32 and np.array_equal(single, mm.matrix.astype(np.float32))
+    with pytest.raises(ValueError):
+        np.asarray(mm, dtype=np.float32, copy=False)
+
+
 def test_hankel_moments_values():
     h = hankel_moments(2)
     expected = [Fraction(math.factorial(4 - s) * math.factorial(s), math.factorial(5)) for s in range(5)]

@@ -8,6 +8,7 @@ import sys
 
 import numpy as np
 
+from bernmass import cli
 from bernmass.cli import main
 from bernmass.conditioning import kappa_2
 
@@ -185,3 +186,21 @@ def test_random_past_the_assembly_limit_exits_three_before_any_work(monkeypatch,
     assert main(["random", "--max-degree", "583"]) == 3
     assert capsys.readouterr() == ("", "bernmass: random table degree n=583 is past the supported limit 582\n")
     assert calls == []
+
+
+def test_conditioning_past_its_last_degree_exits_three_before_any_row(monkeypatch, capsys, tmp_path):
+    rc, text = run_to_file(tmp_path, ["conditioning", "--max-degree", "514"])
+    assert rc == 0 and "inf" not in text and len(text.splitlines()) == 516
+    calls = []
+    monkeypatch.setattr(cli, "kappa_2", calls.append)
+    monkeypatch.setattr(cli, "kappa_m_to_2", calls.append)
+    assert main(["conditioning", "--max-degree", "515"]) == 3
+    assert capsys.readouterr() == (
+        "", "bernmass: condition number C(2n+1, n) overflows double precision at degree n=515\n"
+    )
+    assert calls == []
+
+
+def test_project_with_no_method_exits_two(capsys):
+    assert main(["project", "--func", "f1", "--methods", ","]) == 2
+    assert capsys.readouterr() == ("", "bernmass: --methods needs at least one method\n")

@@ -1,12 +1,15 @@
 """Condition numbers, mixed operator norms, and the perturbation study."""
 
 import math
+import sys
 import warnings
+from fractions import Fraction
 
 import mpmath
 import numpy as np
 import pytest
 
+from bernmass import conditioning
 from bernmass.bernstein import DegreeTooLargeError, mass_matrix
 from bernmass.conditioning import (
     condition_table,
@@ -54,6 +57,35 @@ def test_condition_table_contents():
         assert rec.kappa_m_to_2 == pytest.approx(kappa_m_to_2(rec.degree), rel=1e-14)
         assert rec.lambda_max == pytest.approx(lam[0], rel=1e-14)
         assert rec.lambda_min == pytest.approx(lam[-1], rel=1e-14)
+
+
+def test_last_degree_is_the_last_whose_kappa_2_is_a_double():
+    # C(2n+1, n) grows with n: C(1029, 514) = 1.4298e308 is below the largest double,
+    # C(1031, 515) is not
+    largest = int(sys.float_info.max)
+    last = conditioning._LAST_DEGREE
+    assert math.comb(2 * last + 1, last) < largest < math.comb(2 * last + 3, last + 1)
+    assert last == 514
+
+
+def test_kappa_2_within_n_plus_1_eps_through_its_last_degree():
+    eps = Fraction(sys.float_info.epsilon)
+    for n in range(conditioning._LAST_DEGREE + 1):
+        exact = math.comb(2 * n + 1, n)
+        assert abs(Fraction(kappa_2(n)) - exact) <= (n + 1) * eps * exact, n
+
+
+@pytest.mark.parametrize("f", [kappa_2, kappa_m_to_2, condition_table], ids=lambda f: f.__name__)
+def test_refused_past_the_last_degree_before_any_work(monkeypatch, f):
+    # from 515 the product would round to inf; nothing is computed first
+    calls = []
+    monkeypatch.setattr(conditioning, "eigenvalues", lambda n: calls.append(n))
+    for n in (515, 520, 3000):
+        with pytest.raises(DegreeTooLargeError) as info:
+            f(n)
+        assert type(info.value) is DegreeTooLargeError
+        assert str(info.value) == f"condition number C(2n+1, n) overflows double precision at degree n={n}"
+    assert calls == []
 
 
 def test_mixed_norm_of_mass_is_sqrt_lambda_max():

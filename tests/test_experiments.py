@@ -411,7 +411,7 @@ def test_pifp_and_metrics_match_rational_m_norm():
     # worse; both M-norms go through Q and must match the rational one
     rule = default_rule()
     fnorm = function_norm(f1, rule)
-    recs = run_projection("f1", 40, methods=["eig"], rule=rule)
+    recs = run_projection("f1", 40, methods=["eig"])
     for n in (20, 30, 35, 38, 40):
         b = moments(f1, n, rule)
         x_hat = solve("eig", n, b, max_degree=40).solution

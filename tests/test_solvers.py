@@ -31,7 +31,7 @@ from bernmass.solvers import (
     solve_dft,
     solve_spectral,
 )
-from bernmass.spectral import build_q, eigenvalues
+from bernmass.spectral import build_q, build_q_sweep, eigenvalues
 from bernmass.structured import structured_inverse, structured_inverse_sweep
 from test_structured import _seven_call_apply, _solve_dft_seven_calls
 
@@ -811,6 +811,82 @@ def test_cho_cap_is_lambda_min_in_closed_form():
         cap = solvers._Cho(n, factor).cap
         assert cap == pytest.approx(sys.float_info.max / 2.0 * eigenvalues(n)[-1], rel=4 * sys.float_info.epsilon)
         assert solvers._Eig(n, build_q(n)).cap == cap
+
+
+def test_direct_eig_and_cho_share_one_cap():
+    # one lambda_min bound: |M^-1|_2 = 1/lambda_min bounds every partial sum of each apply
+    for n in range(30):
+        factor = cholesky_factor(mass_matrix(n).matrix)
+        caps = solvers._Direct(n, inverse_matrix(n)).cap, solvers._Cho(n, factor).cap, solvers._Eig(n, build_q(n)).cap
+        assert caps[0] == caps[1] == caps[2], n
+
+
+def _at_cap(shape, cap):
+    # shape scaled to a 2-norm of cap, stepped down an ulp at a time until within it
+    b = shape * (cap / _scaled_norm(shape))
+    while _scaled_norm(b) > cap:
+        b = np.nextafter(b, 0.0)
+    return b
+
+
+def _adversarial_rhs(method):
+    # (handle, right-hand sides) per degree: for direct the sign patterns of rows 0 and
+    # n//2 and of the row of largest l1 norm; for the others Q's last column, the
+    # direction M^-1 amplifies most, and for cho and dft the inverse's sign pattern too
+    if method == "direct":
+        for n in range(inverse._LAST_DEGREE + 1):
+            inv = inverse_matrix(n)
+            l1 = np.ldexp(np.abs(inv), -10).sum(axis=1)  # scaled so no row sum overflows
+            yield solvers._Direct(n, inv), [np.sign(inv[i]) for i in (0, n // 2, int(np.argmax(l1)))]
+    elif method == "cho":
+        for n in range(30):
+            factor = cholesky_factor(mass_matrix(n).matrix)
+            yield solvers._Cho(n, factor), [build_q(n).q[:, n], (-1.0) ** np.arange(n + 1)]
+    else:
+        last = solvers._HANDLES[method].last_degree
+        degrees = sorted({*range(0, last + 1, 23), last - 1, last})
+        for d in build_q_sweep(degrees):
+            n, shapes = d.degree, [d.q[:, d.degree]]
+            if method == "eig":
+                yield solvers._Eig(n, d), shapes
+            else:
+                yield solvers._Dft(n, structured_inverse(n)), [*shapes, (-1.0) ** np.arange(n + 1)]
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_caps_hold_for_adversarial_rhs(method):
+    # a b whose 2-norm is the handle's cap goes through _apply bare, where no numpy
+    # floating-point error may occur
+    with np.errstate(over="raise", invalid="raise"):
+        for handle, shapes in _adversarial_rhs(method):
+            for shape in shapes:
+                b = _at_cap(shape, handle.cap)
+                x = solvers._apply(handle, b, _scaled_norm(b))
+                assert np.all(np.isfinite(x)), (method, handle.degree)
+
+
+def _max_entry_cap(inv):
+    # the cap direct's handle held before it shared lambda_min's, from max|M^-1|
+    return sys.float_info.max / float(np.max(np.abs(inv))) / (2.0 * math.sqrt(inv.shape[0]))
+
+
+@pytest.mark.parametrize("n", [20, 509, 510, 511])
+def test_direct_solutions_unchanged_by_the_lambda_min_cap(n):
+    # a b between the max|M^-1| cap and the lambda_min one runs bare under one and checked
+    # under the other, for the same bits; a b below 2^-511 is applied as 2^k b, with k
+    # from the cap's exponent, which the two caps share
+    inv = inverse_matrix(n)
+    old, new = _max_entry_cap(inv), sys.float_info.max / 2.0 * (1 / ((2 * n + 1) * math.comb(2 * n, n)))
+    shape = np.random.default_rng(n).uniform(-1.0, 1.0, n + 1)
+    between = shape * ((old + new) / 2.0 / _scaled_norm(shape))
+    assert min(old, new) < _scaled_norm(between) < max(old, new)
+    tiny = shape * (2.0**-600 / _scaled_norm(shape))
+    k = min(0, math.frexp(old)[1] - 1) - math.frexp(_scaled_norm(tiny))[1]
+    try:
+        for b, want in ((between, inv @ between), (tiny, np.ldexp(inv @ np.ldexp(tiny, k), -k))):
+            assert solve("direct", n, b, max_degree=511).solution.tobytes() == want.tobytes()
+    finally:
+        clear_cache()
 
 
 def test_table_solves_raise_only_value_errors_on_numpys_public_kernels(monkeypatch):
