@@ -132,7 +132,10 @@ _MAX_DEGREE = 582  # the supported range of assembly and of Q, through which bot
 
 
 def _supported(n: int, what: str) -> None:
-    """Refuse a degree n past _MAX_DEGREE with a DegreeTooLargeError naming what would be built."""
+    """Refuse a degree n before any work: below 0 with a ValueError, past
+    _MAX_DEGREE with a DegreeTooLargeError naming what would be built."""
+    if n < 0:
+        raise ValueError("degree must be nonnegative")
     if n > _MAX_DEGREE:
         raise DegreeTooLargeError(f"{what} degree n={n} is past the supported limit {_MAX_DEGREE}")
 

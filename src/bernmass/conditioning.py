@@ -41,7 +41,9 @@ _LAST_DEGREE = 514  # C(1029, 514) is below the largest double, C(1031, 515) is 
 
 
 def _supported(n: int) -> None:
-    """Refuse a degree n past _LAST_DEGREE, where kappa_2 would overflow, before any work."""
+    """Refuse a degree n before any work: below 0, or past _LAST_DEGREE, where kappa_2 would overflow."""
+    if n < 0:
+        raise ValueError("degree must be nonnegative")
     if n > _LAST_DEGREE:
         raise DegreeTooLargeError(f"condition number C(2n+1, n) overflows double precision at degree n={n}")
 
@@ -53,8 +55,6 @@ def kappa_2(n: int) -> float:
     values stay near the final magnitude.  Past _LAST_DEGREE (514), where
     C(2n+1, n) is not a double, it raises DegreeTooLargeError.
     """
-    if n < 0:
-        raise ValueError("degree must be nonnegative")
     _supported(n)
     value = 1.0
     for i in range(1, n + 1):
@@ -83,8 +83,8 @@ class ConditionRecord:
 def condition_table(n_max: int) -> list:
     """Condition numbers and extreme eigenvalues for all degrees up to n_max.
 
-    An n_max past _LAST_DEGREE (514) raises kappa_2's DegreeTooLargeError
-    before any row is computed.
+    A negative n_max raises ValueError, and one past _LAST_DEGREE (514)
+    kappa_2's DegreeTooLargeError, before any row is computed.
     """
     _supported(n_max)
     out = []

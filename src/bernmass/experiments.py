@@ -14,23 +14,23 @@ with sqrt(w) taken once per table, and an M-norm as that of
 Lambda^(1/2) Q^T v.  A second harness solves
 randomly generated systems and reports error/residual metrics per method
 against the exact solution of the rounded system, found in integer
-arithmetic.
+arithmetic: the integer inverse's product with an integer scaling of b,
+formed by inverse._hankel_inverse_apply, then one division per entry.
 Both harnesses run one table loop, which solves, flags a failing method's
 cells nan and orders the columns.  Records go to CSV with 17-significant-
-digit floats so runs are reproducible byte for byte; a record of floats
-alone is formatted in one operation.
+digit floats so runs are reproducible byte for byte, one % operation per
+record.
 """
 
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 
 import numpy as np
 
 from .bernstein import DegreeTooLargeError, _basis_from_powers, _power_tables, _supported, binomial_row
-from .inverse import hankel_inverse_exact
+from .inverse import _hankel_inverse_apply
 from .kernels import _checked_rhs, _scaled_norm
 from .quadrature import QuadratureRule, composite_gauss_legendre
 from .rng import Xorshift64Star
@@ -155,10 +155,14 @@ def run_projection(func, n_max: int, methods=METHODS) -> list:
     ("fp"), relative L2 gap to the Legendre reference projection ("Pifp"),
     relative 2-norm coefficient error against that reference ("err"), and
     relative residual ("res").  A solver failure flags its four values as
-    nan and the run continues.  An n_max past bernstein._MAX_DEGREE (582),
-    the last degree assembled, raises DegreeTooLargeError before any work.
+    nan and the run continues.  Before any work, a negative n_max raises
+    ValueError, one past bernstein._MAX_DEGREE (582), the last degree
+    assembled, DegreeTooLargeError, and a func named by a string not in
+    FUNCTIONS a ValueError naming the known ones.
     """
     _supported(n_max, "projection table")
+    if isinstance(func, str) and func not in FUNCTIONS:
+        raise ValueError(f"unknown function {func!r}; expected one of {sorted(FUNCTIONS)}")
     f = FUNCTIONS[func] if isinstance(func, str) else func
     rule = default_rule()
     w = rule.weights
@@ -193,9 +197,10 @@ def reference_solution(n: int, b) -> np.ndarray:
     Bezoutian inverse.  With 2^e the largest denominator among the entries
     of b and L = lcm C(n,i), y_i = 2^e L b_i / C(n,i) is an integer, so
     x_i = (H^-1 y)_i / (C(n,i) 2^e L) is one integer quotient, which int/int
-    division rounds correctly.  An entry past double range raises
-    DegreeTooLargeError, as solve does (for b = sin(0..n) from n = 538), and
-    a b that solve refuses raises its ValueError.
+    division rounds correctly; inverse._hankel_inverse_apply forms H^-1 y.
+    An entry past double range raises DegreeTooLargeError, as solve does
+    (for b = sin(0..n) from n = 538), and a b that solve refuses raises its
+    ValueError.
     """
     if n < 0:
         raise ValueError("degree must be nonnegative")
@@ -210,12 +215,7 @@ def reference_solution(n: int, b) -> np.ndarray:
     ]
     scale = lcm << e
     try:
-        return np.array(
-            [
-                sum(map(operator.mul, row, y)) / (c * scale)
-                for row, c in zip(hankel_inverse_exact(n), binom)
-            ]
-        )
+        return np.array([v / (c * scale) for v, c in zip(_hankel_inverse_apply(n, y), binom)])
     except OverflowError:
         raise DegreeTooLargeError(
             f"exact reference solution at degree n={n} left double range (an entry overflows)"
@@ -230,9 +230,9 @@ def run_random(n_max: int, seed: int = 42, methods=METHODS) -> list:
     against a consistent, well-scaled b).  Errors are reported against the
     exact solution of the rounded system, in the 2-norm ("L2err") and the
     M-norm ("Merr"), together with the relative residual ("res").  A solver
-    failure flags its three values as nan and the run continues.  An n_max
-    past bernstein._MAX_DEGREE (582), the last degree assembled, raises
-    DegreeTooLargeError before any work.
+    failure flags its three values as nan and the run continues.  A negative
+    n_max raises ValueError, and one past bernstein._MAX_DEGREE (582), the
+    last degree assembled, DegreeTooLargeError, before any work.
     """
     _supported(n_max, "random table")
     gen = Xorshift64Star(seed)
@@ -249,17 +249,12 @@ def run_random(n_max: int, seed: int = 42, methods=METHODS) -> list:
     return _run_table(("L2err", "Merr", "res"), methods, n_max, rows())
 
 
-def _format_value(v) -> str:
-    if isinstance(v, (int, np.integer)):
-        return str(int(v))
-    return "%.17g" % float(v)
-
-
 def render_csv(records) -> str:
     """Records as CSV text: header, one line per degree, newline-terminated.
 
-    A record of Python floats alone is formatted by one % operation, the
-    same text as _format_value's cell by cell.
+    Every cell is formatted by "%.17g", one % operation per record: a float
+    or numpy scalar prints as float(v) to 17 significant digits, and an int
+    as str(v) does through |v| = 2^53, past which it is rounded to a double.
     """
     if not records:
         raise ValueError("no records to render")
@@ -269,11 +264,7 @@ def render_csv(records) -> str:
     for rec in records:
         if list(rec.values.keys()) != keys:
             raise ValueError("records disagree on their columns")
-        cells = tuple(rec.values.values())
-        if set(map(type, cells)) <= {float}:
-            lines.append(str(rec.degree) + floats % cells)
-        else:
-            lines.append(",".join([str(rec.degree)] + [_format_value(v) for v in cells]))
+        lines.append(str(rec.degree) + floats % tuple(rec.values.values()))
     return "\n".join(lines) + "\n"
 
 

@@ -3,23 +3,27 @@
 The inverse of the binomially descaled (Hankel) factor is an integer
 Bezoutian (Heinig & Rost) whose recurrence has increments rank-one in the
 row s_m = (-1)^m C(n+1, m)^2 that the dft split is built from.
-`hankel_inverse_exact` builds it in O(n^2) exact integer steps and
-`inverse_matrix` rounds each of its descaled entries once.  Past
-_LAST_DEGREE (511), the last_degree of solvers' direct handle,
-inverse_matrix raises DegreeTooLargeError before building anything.  The entry
-formulas, the Bezout coefficient vectors and the full Bezout matrix agree
+_hankel_inverse_band builds the quarter of it that symmetry and
+persymmetry leave, in O(n^2) exact integer steps.  From that band
+`inverse_matrix` rounds each descaled entry once, and _hankel_inverse_apply
+forms the exact product K y, folded by centrosymmetry, for the exact
+reference solution.  Past _LAST_DEGREE (511), the last_degree of solvers'
+direct handle, inverse_matrix raises DegreeTooLargeError before building
+anything.  The entry formulas, the Bezout coefficient vectors, the full
+Bezout matrix and the dense integer inverse (hankel_inverse_exact) agree
 with this kernel exactly and live in bernmass.oracle.
 """
 
 from __future__ import annotations
 
 import functools
+import operator
 
 import numpy as np
 
 from .bernstein import DegreeTooLargeError, _squared_binomial_row, binomial_row
 
-__all__ = ["hankel_inverse_exact", "inverse_matrix"]
+__all__ = ["inverse_matrix"]
 
 
 @functools.lru_cache(maxsize=1)
@@ -50,24 +54,31 @@ def _hankel_inverse_band(n: int) -> list:
     return band
 
 
-def hankel_inverse_exact(n: int) -> list:
-    """The integer inverse of the descaled (Hankel) factor as nested lists.
+def _hankel_inverse_apply(n: int, y: list) -> list:
+    """K y exactly for a list y of n+1 ints, K the integer inverse of the descaled factor.
 
-    O(n^2) exact integer work on the quarter band of _hankel_inverse_band,
-    the rest filled in by symmetry and persymmetry; entry (i, j) equals
-    oracle.hankel_inverse_entry.
+    K is centrosymmetric, row n-i being row i reversed, so rows 0..n//2 of
+    _hankel_inverse_band serve both halves.  Over the pairs j <= n/2 take
+    p_j = K_ij + K_i,n-j and q_j = K_ij - K_i,n-j, and y_j + y_n-j and
+    y_j - y_n-j (the middle y_n/2 of an even n once, its q being 0).  Then
+    S = sum p_j (y_j + y_n-j) and A = sum q_j (y_j - y_n-j) give
+    (K y)_i = (S + A)/2 and (K y)_n-i = (S - A)/2: about half the
+    big-integer products of K y.
     """
     band = _hankel_inverse_band(n)
-    # row i <= n//2: column i of the rows above, its band, then by persymmetry
-    # entry (i, n-k) = (k, n-i) for k = i-1..0
-    rows = [
-        [band[k][i - k] for k in range(i)]
-        + row
-        + [band[k][n - i - k] for k in range(i - 1, -1, -1)]
-        for i, row in enumerate(band)
-    ]
-    # the inverse is centrosymmetric: row n-i is row i reversed
-    return rows + [rows[n - i][::-1] for i in range(len(rows), n + 1)]
+    half, pairs = n // 2 + 1, (n + 1) // 2
+    plus = [a + b for a, b in zip(y[:pairs], y[::-1])] + y[pairs:half]
+    minus = [a - b for a, b in zip(y[:pairs], y[::-1])]
+    out = [0] * (n + 1)
+    for i, row in enumerate(band):
+        # K_ij and K_i,n-j for j < half: column i of the rows above (K_ij = K_ji,
+        # K_i,n-j = K_j,n-i by persymmetry), then row i's band forwards and backwards
+        left = [band[k][i - k] for k in range(i)] + row[: half - i]
+        right = [band[k][n - i - k] for k in range(i)] + row[::-1][: half - i]
+        s = sum(map(operator.mul, map(operator.add, left, right), plus))
+        a = sum(map(operator.mul, map(operator.sub, left, right), minus))
+        out[i], out[n - i] = (s + a) // 2, (s - a) // 2
+    return out
 
 
 # The last degree built: every exact entry of the inverse is below the largest
@@ -83,12 +94,12 @@ def _too_large(n: int) -> DegreeTooLargeError:
 def inverse_matrix(n: int) -> np.ndarray:
     """The dense inverse mass matrix, each entry the exact value rounded once.
 
-    The exact entry is hankel_inverse_exact(n)[i][j] / (C(n,i) C(n,j)).
-    Past _LAST_DEGREE (511), where some entry would pass double range, it
-    raises _too_large(n) before building anything.  O(n^2) big-integer
-    work on the band of _hankel_inverse_band; since the binomial diagonal
-    is persymmetric too, the band's rounded entries fill the rest of the
-    matrix by symmetry and persymmetry.
+    The exact entry is K_ij / (C(n,i) C(n,j)), K the integer inverse of the
+    descaled factor.  Past _LAST_DEGREE (511), where some entry would pass
+    double range, it raises _too_large(n) before building anything.  O(n^2)
+    big-integer work on the band of _hankel_inverse_band; since the binomial
+    diagonal is persymmetric too, the band's rounded entries fill the rest
+    of the matrix by symmetry and persymmetry.
     """
     if n > _LAST_DEGREE:
         raise _too_large(n)

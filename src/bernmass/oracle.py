@@ -7,8 +7,9 @@ the production paths against:
 
 - exact rationals: the mass matrix, degree elevation, Legendre coefficients
   and Gauss-Jordan inversion over ``fractions.Fraction``;
-- the two published entry formulas of the inverse and its integer last
-  column;
+- the two published entry formulas of the inverse, its integer last
+  column, and the dense integer inverse of the Hankel factor expanded from
+  the production band;
 - the Hankel inversion through a Bezoutian (Heinig & Rost), its coefficient
   vectors, the dense Toeplitz/Hankel split of the inverse, the FFT Toeplitz
   product and a Hankel product through it;
@@ -30,6 +31,7 @@ import numpy as np
 
 from .bernstein import BernsteinPoly, _squared_binomial_row, basis_values, binomial_row
 from .experiments import _legendre_projections, default_rule
+from .inverse import _hankel_inverse_band
 from .kernels import _scaled_norm
 from .quadrature import QuadratureRule
 from .spectral import SpectralDecomp, eigenvalues
@@ -239,6 +241,26 @@ def hankel_inverse_entry(n: int, i: int, j: int) -> int:
     """
     _check_indices(n, i, j)
     return (-1) ** (i + j) * sum(_primary_terms(n, i, j))
+
+
+def hankel_inverse_exact(n: int) -> list:
+    """The integer inverse of the descaled (Hankel) factor as nested lists.
+
+    The quarter band of inverse._hankel_inverse_band, the rest filled in by
+    symmetry and persymmetry; entry (i, j) equals hankel_inverse_entry.  The
+    tests' dense reference for the production kernels that read the band.
+    """
+    band = _hankel_inverse_band(n)
+    # row i <= n//2: column i of the rows above, its band, then by persymmetry
+    # entry (i, n-k) = (k, n-i) for k = i-1..0
+    rows = [
+        [band[k][i - k] for k in range(i)]
+        + row
+        + [band[k][n - i - k] for k in range(i - 1, -1, -1)]
+        for i, row in enumerate(band)
+    ]
+    # the inverse is centrosymmetric: row n-i is row i reversed
+    return rows + [rows[n - i][::-1] for i in range(len(rows), n + 1)]
 
 
 def inverse_entry_exact(n: int, i: int, j: int) -> Fraction:

@@ -2,6 +2,7 @@
 
 import ast
 import contextlib
+import importlib
 import io
 import os
 import re
@@ -12,7 +13,7 @@ from pathlib import Path
 import pytest
 
 import bernmass
-from bernmass.inverse import hankel_inverse_exact
+from bernmass.oracle import hankel_inverse_exact
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "bernmass"
@@ -32,6 +33,14 @@ def _imported_modules(path):
             yield from (f"{node.module or ''}.{alias.name}" for alias in node.names)
         elif isinstance(node, ast.Import):
             yield from (alias.name for alias in node.names)
+
+
+def test_hankel_inverse_exact_is_the_oracles_alone():
+    # the dense integer inverse is a cross-check form: no production module defines it
+    modules = [importlib.import_module(f"bernmass.{p.stem}") for p in PACKAGE.glob("*.py") if p.stem != "oracle"]
+    assert [m.__name__ for m in modules if hasattr(m, "hankel_inverse_exact")] == []
+    assert "hankel_inverse_exact" not in bernmass.__all__
+    assert hankel_inverse_exact.__module__ == "bernmass.oracle"
 
 
 def test_no_production_module_imports_the_oracle():
@@ -94,6 +103,9 @@ def test_readme_quick_tour_runs():
         bernmass.inverse_matrix,
         bernmass.kappa_2,
         bernmass.kappa_m_to_2,
+        bernmass.run_random,
+        bernmass.condition_table,
+        pytest.param(lambda n: bernmass.run_projection("f1", n), id="run_projection"),
     ],
     ids=lambda f: f.__name__,
 )

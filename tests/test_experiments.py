@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from bernmass import experiments
 from bernmass.bernstein import BernsteinPoly, DegreeTooLargeError, evaluate
+from bernmass.conditioning import condition_table
 from bernmass.experiments import (
     COLUMN_TAGS,
     ExperimentRecord,
@@ -26,8 +27,7 @@ from bernmass.experiments import (
     run_random,
     write_csv,
 )
-from bernmass.oracle import function_norm, legendre_reference, mass_exact, moments, rational_solve
-from bernmass.inverse import hankel_inverse_exact
+from bernmass.oracle import function_norm, hankel_inverse_exact, legendre_reference, mass_exact, moments, rational_solve
 from bernmass.solvers import NotPositiveDefiniteError, cholesky_factor, clear_cache, metrics, solve
 from bernmass.bernstein import mass_matrix
 from bernmass.rng import Xorshift64Star
@@ -518,6 +518,22 @@ def test_tables_past_the_assembly_limit_refused_before_any_work(monkeypatch):
                 run(n)
             assert type(info.value) is DegreeTooLargeError
             assert str(info.value) == f"{what} degree n={n} is past the supported limit 582"
+    assert calls == []
+
+
+def test_negative_degrees_and_unknown_functions_refused_before_any_work(monkeypatch):
+    calls = _forbid_table_work(monkeypatch)
+    monkeypatch.setattr(experiments, "default_rule", lambda: calls.append("default_rule"))
+    for run in (lambda n: run_projection("f1", n), run_random, condition_table):
+        for n in (-1, -7):
+            with pytest.raises(ValueError) as info:
+                run(n)
+            assert type(info.value) is ValueError and str(info.value) == "degree must be nonnegative"
+    for name in ("f3", "F1", ""):
+        with pytest.raises(ValueError) as info:
+            run_projection(name, 3)
+        assert type(info.value) is ValueError
+        assert str(info.value) == f"unknown function {name!r}; expected one of ['f1', 'f2']"
     assert calls == []
 
 

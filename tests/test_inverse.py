@@ -9,13 +9,14 @@ import numpy as np
 import pytest
 
 from bernmass import inverse
-from bernmass.inverse import hankel_inverse_exact, inverse_matrix
+from bernmass.inverse import _hankel_inverse_apply, inverse_matrix
 from bernmass.bernstein import DegreeTooLargeError, _squared_binomial_row, binomial_row, mass_matrix
 from bernmass.oracle import (
     bezout_coeff_u,
     bezout_coeff_v,
     bezout_matrix,
     hankel_inverse_entry,
+    hankel_inverse_exact,
     identity_exact,
     inverse_entry_dual_exact,
     inverse_entry_exact,
@@ -166,6 +167,21 @@ def test_hankel_inverse_exact_equals_full_bezoutian(n):
     v = bezout_coeff_v(n)
     full = [[e // v[-1] for e in row] for row in bezout_matrix(v, bezout_coeff_u(n))]
     assert hankel_inverse_exact(n) == full
+
+
+@pytest.mark.parametrize("n", [*range(42), 100, 101, 300])
+def test_folded_apply_equals_the_dense_product(n):
+    # K y from the band, folded by centrosymmetry, against every row of K times y
+    rng = np.random.default_rng(n)
+    digits, shifts = rng.integers(-(2**62), 2**62, n + 1), rng.integers(0, 200, n + 1)
+    # every third entry 0, the rest of either sign and up to about 2^262
+    mixed = [0 if k % 3 == 0 else int(d) << int(e) for k, (d, e) in enumerate(zip(digits, shifts))]
+    ramp = [3**k - 7 ** (n - k) for k in range(n + 1)]
+    symmetric = [a + b for a, b in zip(ramp, ramp[::-1])]  # every y_j - y_n-j is 0
+    antisymmetric = [(2 * k - n) * 10**40 for k in range(n + 1)]  # every y_j + y_n-j is 0
+    dense = hankel_inverse_exact(n)
+    for y in (mixed, [-(10**300)] * (n + 1), symmetric, antisymmetric):
+        assert _hankel_inverse_apply(n, y) == [sum(h * v for h, v in zip(row, y)) for row in dense]
 
 
 @pytest.mark.parametrize("n", range(41))

@@ -8,7 +8,7 @@ Each _old_* function below is the earlier code of one layer, copied:
 - the Legendre reference, elevated by np.append, with a float Pascal row
   from binomial_row;
 - the table loop, which formed the column names per cell;
-- the CSV, formatted cell by cell.
+- the CSV, formatted cell by cell as "%.17g" % float(v).
 The M-norms now sum their squares through _scaled_norm, in another order,
 and are held to the a-priori rounding bound of a sum of nonnegative terms;
 with the other four layers put back, the tables keep their bytes.
@@ -23,7 +23,6 @@ from bernmass import experiments, solvers
 from bernmass.bernstein import _basis_from_powers, _power_tables, binomial_row
 from bernmass.experiments import (
     ExperimentRecord,
-    _format_value,
     _legendre_projections,
     default_rule,
     reference_solution,
@@ -112,7 +111,7 @@ def _old_render_csv(records):
     keys = list(records[0].values.keys())
     lines = [",".join(["n"] + keys)]
     for rec in records:
-        lines.append(",".join([str(rec.degree)] + [_format_value(rec.values[k]) for k in keys]))
+        lines.append(",".join([str(rec.degree)] + ["%.17g" % float(rec.values[k]) for k in keys]))
     return "\n".join(lines) + "\n"
 
 
@@ -197,9 +196,11 @@ def test_render_csv_is_bitwise_on_every_cell_kind():
     ]
     records = [ExperimentRecord(n, values) for n, values in enumerate(cells)]
     assert render_csv(records) == _old_render_csv(records)
-    # and the all-float rows alone, which take the one-format path
     floats = [records[0], records[1]]
     assert render_csv(floats) == _old_render_csv(floats)
+    # an int prints as str() does through |v| = 2^53
+    ints = [ExperimentRecord(0, {"a": 0, "b": -(2**53), "c": 2**53, "d": np.int64(10**15)})]
+    assert render_csv(ints) == "n,a,b,c,d\n0,0,-9007199254740992,9007199254740992,1000000000000000\n"
     assert render_csv([ExperimentRecord(4, {})]) == "n\n4\n"
 
 
