@@ -1,10 +1,11 @@
 """Condition numbers and operator norms of the mass matrix.
 
 The 2-norm condition number has the closed form (2n+1)!/((n+1)! n!), i.e.
-the central-adjacent binomial coefficient C(2n+1, n); the mixed M-to-2-norm
-condition number is its square root.  Both, and the condition table, are
-refused with DegreeTooLargeError past _LAST_DEGREE (514), the last degree
-whose C(2n+1, n) is below the largest double, before any work.  Each mixed
+the central-adjacent binomial coefficient C(2n+1, n), rounded once to a
+double; the mixed M-to-2-norm condition number is its square root.  Both,
+and the condition table, are refused with DegreeTooLargeError past
+_LAST_DEGREE (514), the last degree whose C(2n+1, n) is below the largest
+double, before any work.  Each mixed
 operator norm is one 2-norm through the degree's cached M = Q Lambda Q^T,
 refused as eig is past its last degree, where lambda_min is not a normal
 double, before Q is built.
@@ -16,6 +17,7 @@ the worst-case M-norm amplification.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,17 +51,14 @@ def _supported(n: int) -> None:
 
 
 def kappa_2(n: int) -> float:
-    """2-norm condition number lambda_max/lambda_min = C(2n+1, n), exactly.
+    """2-norm condition number lambda_max/lambda_min = C(2n+1, n), correctly rounded.
 
-    Computed as the product of (n+1+i)/i for i = 1..n so intermediate
-    values stay near the final magnitude.  Past _LAST_DEGREE (514), where
+    The exact integer from math.comb, rounded once: exact through n = 27,
+    where C(2n+1, n) is below 2^53.  Past _LAST_DEGREE (514), where
     C(2n+1, n) is not a double, it raises DegreeTooLargeError.
     """
     _supported(n)
-    value = 1.0
-    for i in range(1, n + 1):
-        value *= (n + 1 + i) / i
-    return value
+    return float(math.comb(2 * n + 1, n))
 
 
 def kappa_m_to_2(n: int) -> float:

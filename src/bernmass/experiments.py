@@ -124,12 +124,12 @@ def _run_table(families, methods, n_max: int, rows) -> list:
     rows yields, per degree, (b, measure): each chosen method solves M x = b
     and measure(report) gives its values in family order.  A method whose
     solve fails reads nan in every family and the run continues.  The Qs
-    of the M-norms and each chosen method's prefill are built up front by
-    solvers._prefill, one batched sweep per kind.
+    of the M-norms are built up front by solvers._prefill, in one batched
+    sweep; each method's own build is its first solve's, one degree at a time.
     """
     requested = {canonical_method(m) for m in methods}
     chosen = [m for m in METHODS if m in requested]
-    _prefill(n_max, chosen)
+    _prefill(n_max)
     columns = [f"{COLUMN_TAGS[m]}{fam}" for fam in families for m in chosen]
     failed = (math.nan,) * len(families)
     records = []

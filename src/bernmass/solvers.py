@@ -15,9 +15,10 @@ tiny b rescaled.  The first solve of a method at a degree caches its
 handle, with M for the residual (cho caches M only once it factors, so a
 degree where LAPACK refuses keeps none); every later solve there is one
 dictionary lookup, the apply and the residual.  A raw apply wraps the
-caller's object in its method's handle.  The tables fill the eig Qs and the dft spectra of
-all their degrees up front, through one prefill loop over the handles'
-cache kinds.
+caller's object in its method's handle.  The tables fill the eig Qs of all
+their degrees up front, which their M-norms read, through one batched
+build_q_sweep; every other build, dft's spectra included, is the first
+solve's at its degree.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from .kernels import _SQRT_TINY, _checked_rhs, _scaled_norm
 from .kernels import cholesky as _cholesky
 from .kernels import solve1 as _solve1
 from .spectral import SpectralDecomp, build_q, build_q_sweep, eigenvalues
-from .structured import StructuredInverse, _dft_apply, structured_inverse, structured_inverse_sweep
+from .structured import StructuredInverse, _dft_apply, structured_inverse
 
 __all__ = [
     "METHODS",
@@ -160,8 +161,7 @@ class _Handle:
     decides), too_large(n), its refusal past that degree (direct and dft
     take both from their builders' modules, which refuse the same degrees
     themselves), overflow, the text of its refusal once the apply has
-    overflowed, and, for a method whose builds the tables sweep up front,
-    their cache kind.  _Handle(n) is what the first solve at degree n
+    overflowed.  _Handle(n) is what the first solve at degree n
     caches: refused past last_degree before anything is built, it holds
     obj, the method's build(n), and M for the residual.
     _Handle(n, obj) wraps a raw apply's obj, refused the same way, with no M.
@@ -171,7 +171,7 @@ class _Handle:
     patched builder is the one that runs; so does the dft apply, its kernel.
     """
 
-    aliases, last_degree, kind = (), None, None
+    aliases, last_degree = (), None
     overflow = "{name} solve at degree n={n} left double range (its apply overflowed)"
 
     def __init__(self, n: int, obj=None):
@@ -203,12 +203,12 @@ class _Direct(_Handle):
 
 
 class _Dft(_Handle):
-    name, tag, last_degree, kind = "dft", "DFT", structured._LAST_DEGREE, "structured"
+    name, tag, last_degree = "dft", "DFT", structured._LAST_DEGREE
     overflow = "structured inverse products overflow double precision at degree n={n}"
     too_large = staticmethod(structured._too_large)
 
     def build(self, n: int) -> StructuredInverse:
-        return _cached("structured", n, structured_inverse)
+        return structured_inverse(n)
 
     def apply(self, bv: np.ndarray) -> np.ndarray:
         return _dft_apply(self.obj, bv)
@@ -230,7 +230,7 @@ class _Dft(_Handle):
 class _Eig(_Handle):
     # from n = 509 lambda_min is not a normal double (from 545 it is 0): refused before
     # anything divides by it
-    name, tag, aliases, last_degree, kind = "eig", "Eig", ("spectral",), 508, "spectral"
+    name, tag, aliases, last_degree = "eig", "Eig", ("spectral",), 508
 
     def build(self, n: int) -> SpectralDecomp:
         return _spectral(n)
@@ -283,16 +283,13 @@ def canonical_method(name: str) -> str:
         ) from None
 
 
-def _prefill(n_max: int, methods) -> None:
-    """Cache what a table over degrees 0..n_max builds up front: eig's Qs, which
-    its M-norms read, and the precomputations of each canonical method in
-    methods whose handle has a cache kind.  Each kind is one batched sweep of
-    its uncached degrees up to the handle's last_degree."""
-    sweeps = {"spectral": build_q_sweep, "structured": structured_inverse_sweep}
-    for h in dict.fromkeys(_HANDLES[m] for m in ("eig", *methods) if _HANDLES[m].kind):
-        missing = [k for k in range(min(n_max, h.last_degree) + 1) if (h.kind, k) not in _cache]
-        for built in sweeps[h.kind](missing):
-            _cached(h.kind, built.degree, lambda _, value=built: value)
+def _prefill(n_max: int) -> None:
+    """Cache the Q of every degree 0..n_max, up to eig's last degree, that a
+    table's M-norms read and the cache does not hold yet, from one batched
+    build_q_sweep."""
+    missing = [k for k in range(min(n_max, _Eig.last_degree) + 1) if ("spectral", k) not in _cache]
+    for spec in build_q_sweep(missing):
+        _cached("spectral", spec.degree, lambda _, value=spec: value)
 
 
 def _apply(h: _Handle, bv: np.ndarray, bnorm: float) -> np.ndarray:

@@ -94,8 +94,8 @@ def build_q(n: int) -> SpectralDecomp:
     return SpectralDecomp(n, q, lam)
 
 
-# padded entries one batched march holds (2 MB of doubles), so a sweep
-# holds little beyond the Qs it returns
+# padded entries one batched march of build_q_sweep holds (2 MB of doubles),
+# so the tables' Q prefill holds little beyond the Qs it returns
 _SWEEP_BLOCK = 1 << 18
 
 

@@ -5,11 +5,9 @@ difference of Toeplitz-times-Hankel products whose entries are signed squared
 binomials.  All of those operators are applied through circulant embedding
 and numpy's real FFT, whose compiled kernels bernmass.kernels binds, giving
 an O(n log n) apply, _dft_apply: solvers runs it for solve and for the
-public solve_dft.  One builder, structured_inverse_sweep, makes the
-circulant spectra of a whole sweep of degrees: the degrees that share a
-plan size are transformed together, as rows of one 2-D rfft, and
-structured_inverse(n) is the sweep of [n]; the tables prefill their dft
-spectra through it.  Past _LAST_DEGREE, the last_degree of solvers' dft
+public solve_dft.  One builder, structured_inverse(n), makes degree n's
+four circulant spectra in one 2-D rfft; solvers' dft handle calls it at
+the first solve of each degree.  Past _LAST_DEGREE, the last_degree of that
 handle, it raises DegreeTooLargeError before building anything: the spectra
 leave double range one degree on, the squared binomials from 516.  The
 dense split factors, the Bezout matrix, the Hankel inversion formula behind
@@ -24,13 +22,11 @@ import numpy as np
 from .bernstein import DegreeTooLargeError, _squared_binomial_row, binomial_diag
 from .kernels import irfft as _irfft
 from .kernels import rfft as _rfft
-from .spectral import _SWEEP_BLOCK
 
 __all__ = [
     "next_pow2",
     "StructuredInverse",
     "structured_inverse",
-    "structured_inverse_sweep",
 ]
 
 
@@ -75,16 +71,6 @@ class StructuredInverse:
         return f"StructuredInverse(degree={self.degree})"
 
 
-def structured_inverse(n: int) -> StructuredInverse:
-    """Build the compressed inverse factors for degree n: structured_inverse_sweep([n])[0].
-
-    Raises _too_large(n) past _LAST_DEGREE, before building anything: one
-    degree on the circulant spectra would leave double range, and from
-    n = 516 the squared binomial factors would.
-    """
-    return structured_inverse_sweep([n])[0]
-
-
 # The last degree built: each FFT intermediate is at most its row's l1 norm, and
 # Ht's, sum_k k C(n+1, k)^2, is 0.398 of the largest double at n = 509 and past it
 # at 510 (as is the Nyquist bin).  C(n+1, k)^2 stops being a double at n = 516
@@ -97,67 +83,41 @@ def _too_large(n: int) -> DegreeTooLargeError:
     return DegreeTooLargeError(f"{what} overflow double precision at degree n={n}")
 
 
-def _split_factors(n: int) -> tuple:
-    """(t_col, tt_col, h, ht, binom_diag) of degree n: the Toeplitz bands, the
-    Hankel anti-diagonals and the binomial diagonal."""
+def structured_inverse(n: int) -> StructuredInverse:
+    """Build the compressed inverse factors and circulant spectra of degree n.
+
+    The four circulant embeddings are written as rows (H, Ht, Tt, T) of one
+    zero-filled (4, plan) block, and the block is one 2-D rfft, which numpy
+    computes row by row exactly as it would 1-D calls; the two pairs are
+    views of its spectra.  A negative n raises ValueError, and one past
+    _LAST_DEGREE _too_large(n), before anything is built: one degree on the
+    circulant spectra would leave double range, and from n = 516 the squared
+    binomial factors would.
+    """
+    if n < 0:
+        raise ValueError("degree must be nonnegative")
+    if n > _LAST_DEGREE:
+        raise _too_large(n)
     row = np.array(_squared_binomial_row(n), dtype=float)
     t_col = row[:-1]
     h = np.concatenate((row[1:], np.zeros(n)))
-    return t_col, np.arange(n + 1) * t_col, h, np.arange(1, 2 * n + 2) * h, binomial_diag(n)
-
-
-def _spectra(chunk: list, factors: dict, plan: int) -> np.ndarray:
-    """The (4k, plan//2+1) spectra of k degrees sharing a plan size, rows (H, Ht, Tt, T) each.
-
-    The spectra, which the degrees keep, are allocated before the embedding
-    block, and the block is freed on return, so freeing it leaves no hole
-    below them.
-    """
-    spectra = np.empty((4 * len(chunk), plan // 2 + 1), dtype=complex)
-    block = np.zeros((4 * len(chunk), plan))
-    for r, n in zip(range(0, block.shape[0], 4), chunk):
-        t_col, tt_col, h, ht, _ = factors[n]
-        # the Hankel factors act as Toeplitz operators on the reversed input:
-        # [h_n..h_2n | zeros | h_0..h_(n-1)]; the Toeplitz ones are lower triangular
-        block[r, : n + 1] = h[n:]
-        block[r, plan - n :] = h[:n]
-        block[r + 1, : n + 1] = ht[n:]
-        block[r + 1, plan - n :] = ht[:n]
-        block[r + 2, : n + 1] = tt_col
-        block[r + 3, : n + 1] = t_col
-    return _rfft(block, plan, out=spectra)
-
-
-def structured_inverse_sweep(degrees) -> list:
-    """structured_inverse(n) for every n in degrees, bit for bit, spectra batched by plan size.
-
-    The degrees that share a plan size have the four circulant embeddings of
-    each written as rows (H, Ht, Tt, T) of one zero-filled (4k, plan) block
-    of at most spectral._SWEEP_BLOCK entries, and each block is one 2-D
-    rfft, which numpy computes row by row exactly as it would 1-D calls;
-    each degree's two pairs are views of its block's spectra.  A degree past
-    _LAST_DEGREE raises structured_inverse's DegreeTooLargeError, for the
-    largest, before anything is built.
-    """
-    degrees = list(degrees)
-    if any(n < 0 for n in degrees):
-        raise ValueError("degree must be nonnegative")
-    top = max(degrees, default=0)
-    if top > _LAST_DEGREE:
-        raise _too_large(top)
-    factors = {n: _split_factors(n) for n in degrees}
-    groups: dict = {}
-    for n in factors:
-        groups.setdefault(next_pow2(2 * n + 2), []).append(n)
-    built = {}
-    for plan, group in groups.items():
-        count = max(1, _SWEEP_BLOCK // (4 * plan))
-        for start in range(0, len(group), count):
-            chunk = group[start : start + count]
-            spectra = _spectra(chunk, factors, plan)
-            for r, n in zip(range(0, spectra.shape[0], 4), chunk):
-                built[n] = StructuredInverse(n, *factors[n], spectra[r : r + 2], spectra[r + 2 : r + 4])
-    return [built[n] for n in degrees]
+    tt_col, ht = np.arange(n + 1) * t_col, np.arange(1, 2 * n + 2) * h
+    binom_diag = binomial_diag(n)
+    plan = next_pow2(2 * n + 2)
+    # everything the build keeps, the spectra last, is allocated before the embedding
+    # block, so freeing the block on return leaves no hole below them
+    spectra = np.empty((4, plan // 2 + 1), dtype=complex)
+    block = np.zeros((4, plan))
+    # the Hankel factors act as Toeplitz operators on the reversed input:
+    # [h_n..h_2n | zeros | h_0..h_(n-1)]; the Toeplitz ones are lower triangular
+    block[0, : n + 1] = h[n:]
+    block[0, plan - n :] = h[:n]
+    block[1, : n + 1] = ht[n:]
+    block[1, plan - n :] = ht[:n]
+    block[2, : n + 1] = tt_col
+    block[3, : n + 1] = t_col
+    _rfft(block, plan, out=spectra)
+    return StructuredInverse(n, t_col, tt_col, h, ht, binom_diag, spectra[:2], spectra[2:])
 
 
 def _dft_apply(si: StructuredInverse, bv: np.ndarray) -> np.ndarray:

@@ -27,8 +27,8 @@ def test_conditioning_output(tmp_path):
     assert len(lines) == 22
     last = lines[-1].split(",")
     assert last[0] == "20"
-    assert float(last[1]) == kappa_2(20)
-    assert float(last[2]) == np.sqrt(kappa_2(20))
+    assert last[1] == "269128937220" and float(last[1]) == kappa_2(20) == 269128937220
+    assert float(last[2]) == np.sqrt(269128937220.0)
 
 
 def test_matrix_inverse_two_by_two(tmp_path):

@@ -26,20 +26,23 @@ from bernmass.spectral import eigenvalues
 
 
 def test_kappa2_matches_big_integer_formula():
-    for n in range(21):
+    # correctly rounded at every degree it returns: exact through n = 27, below 2^53
+    for n in range(conditioning._LAST_DEGREE + 1):
         exact = math.factorial(2 * n + 1) // (math.factorial(n + 1) * math.factorial(n))
         assert exact == math.comb(2 * n + 1, n)
-        assert kappa_2(n) == pytest.approx(float(exact), rel=1e-12)
+        assert kappa_2(n) == float(exact), n
+        assert n > 27 or kappa_2(n) == exact, n
 
 
 def test_kappa2_at_twenty():
     assert math.comb(41, 20) == 269128937220
-    assert kappa_2(20) == pytest.approx(269128937220.0, rel=1e-12)
+    assert kappa_2(20) == 269128937220.0
+    assert kappa_2(5) == 462.0 and repr(kappa_2(5)) == "462.0"
 
 
 def test_kappa_m_to_2_is_square_root():
     for n in (0, 3, 10, 20):
-        assert kappa_m_to_2(n) == pytest.approx(math.sqrt(kappa_2(n)), rel=1e-14)
+        assert kappa_m_to_2(n) == math.sqrt(float(math.comb(2 * n + 1, n)))
 
 
 def test_kappa2_equals_eigenvalue_ratio():
@@ -53,8 +56,8 @@ def test_condition_table_contents():
     assert len(table) == 7
     for rec in table:
         lam = eigenvalues(rec.degree)
-        assert rec.kappa2 == pytest.approx(kappa_2(rec.degree), rel=1e-14)
-        assert rec.kappa_m_to_2 == pytest.approx(kappa_m_to_2(rec.degree), rel=1e-14)
+        assert rec.kappa2 == float(math.comb(2 * rec.degree + 1, rec.degree))
+        assert rec.kappa_m_to_2 == kappa_m_to_2(rec.degree)
         assert rec.lambda_max == pytest.approx(lam[0], rel=1e-14)
         assert rec.lambda_min == pytest.approx(lam[-1], rel=1e-14)
 

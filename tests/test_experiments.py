@@ -618,9 +618,8 @@ def test_tables_unchanged_by_batched_q(n_max):
 
 @pytest.mark.parametrize("n_max", [20, 40])
 def test_tables_unchanged_by_dft_sweep(n_max):
-    # the tables build every degree's dft spectra in one structured_inverse_sweep;
-    # with each dft handle cached beforehand as a first solve caches it, one
-    # degree at a time, the bytes are the same
+    # the tables build each degree's dft spectra as its first solve does; with
+    # each dft handle cached beforehand, one degree at a time, the bytes are the same
     from bernmass import solvers
 
     clear_cache()
@@ -629,48 +628,62 @@ def test_tables_unchanged_by_dft_sweep(n_max):
         clear_cache()
         singles = {n: solvers._cached("dft", n, solvers._Dft) for n in range(n_max + 1)}
         one_by_one = _tables(n_max, 11)
-        # the sweep left the single builds in place
+        # the tables left the cached handles in place
         assert all(solvers._cache[("dft", n)] is entry for n, entry in singles.items())
     finally:
         clear_cache()
     assert swept == one_by_one
 
 
-def test_dft_prefill_entries_and_clear_cache(monkeypatch):
+def test_dft_table_builds_each_degree_once(monkeypatch):
+    from bernmass import solvers
+
+    built = []
+    original = solvers.structured_inverse
+    monkeypatch.setattr(solvers, "structured_inverse", lambda n: built.append(n) or original(n))
+    clear_cache()
+    try:
+        run_projection("f2", 40, ["dft"])
+        assert built == list(range(41))
+        for n in range(41):
+            handle = solvers._cache[("dft", n)]
+            assert handle.obj.degree == handle.degree == n
+            k = math.comb(2 * n + 2, n + 1)
+            assert handle.cap == sys.float_info.max / 2.0 / k / k / (next_pow2(2 * n + 2) * (n + 1) ** 3.5)
+            assert handle.mass is solvers._cache[("mass", n)]
+        run_projection("f1", 40, ["dft"])  # every handle cached: nothing is built
+        assert built == list(range(41))
+    finally:
+        clear_cache()
+
+
+def test_q_prefill_entries_and_clear_cache(monkeypatch):
     from bernmass import solvers
 
     sweeps = []
-    original = solvers.structured_inverse_sweep
+    original = solvers.build_q_sweep
 
     def counting(degrees):
         sweeps.append(list(degrees))
         return original(degrees)
 
-    monkeypatch.setattr(solvers, "structured_inverse_sweep", counting)
+    monkeypatch.setattr(solvers, "build_q_sweep", counting)
     clear_cache()
     try:
         run_projection("f1", 20, ["dft"])
         assert sweeps == [list(range(21))]
-        for n in range(21):
-            handle = solvers._cache[("dft", n)]
-            assert handle.obj is solvers._cache[("structured", n)]  # the prefilled spectra
-            assert handle.obj.degree == handle.degree == n
-            k = math.comb(2 * n + 2, n + 1)
-            assert handle.cap == sys.float_info.max / 2.0 / k / k / (next_pow2(2 * n + 2) * (n + 1) ** 3.5)
-            assert handle.mass is solvers._cache[("mass", n)]
-        run_projection("f2", 20, ["dft"])  # every handle cached: nothing is built
+        assert all(solvers._cache[("spectral", n)].degree == n for n in range(21))
+        run_projection("f2", 20, ["eig"])  # every Q cached: the sweep builds nothing
         assert sweeps == [list(range(21)), []]
         clear_cache()
         assert not solvers._cache
         run_random(20, 3, ["dft"])  # after clear_cache, the full build again
         assert sweeps[-1] == list(range(21))
-        # past 509 the tables build no dft spectra up front (recorded, not built;
-        # the Qs of the M-norms, swept first, are recorded too)
-        monkeypatch.setattr(solvers, "structured_inverse_sweep", lambda degrees: sweeps.append(degrees) or [])
+        # past eig's last degree (508) no Q is built up front (recorded, not built)
         monkeypatch.setattr(solvers, "build_q_sweep", lambda degrees: sweeps.append(degrees) or [])
         clear_cache()
-        solvers._prefill(515, ["dft"])
-        assert sweeps[-1] == list(range(510))
+        solvers._prefill(515)
+        assert sweeps[-1] == list(range(509))
     finally:
         clear_cache()
 

@@ -10,7 +10,7 @@ import pytest
 from bernmass import kernels, solvers, structured
 from bernmass.bernstein import mass_matrix
 from bernmass.solvers import METHODS, NotPositiveDefiniteError, cholesky_factor, clear_cache, solve
-from bernmass.structured import _dft_apply, structured_inverse_sweep
+from bernmass.structured import _dft_apply, structured_inverse
 
 _DEGREES = list(range(30)) + [100, 256, 300, 509]
 
@@ -33,12 +33,12 @@ def _public_kernels():
 
 
 def _outputs():
-    # the spectra of a sweep and the bare dft apply to 509, and warm solves and their residuals to 29, as bytes
+    # the spectra and the bare dft apply to 509, and warm solves and their residuals to 29, as bytes
     clear_cache()
     try:
         out = []
         rng = np.random.default_rng(17)
-        for si in structured_inverse_sweep(_DEGREES):
+        for si in map(structured_inverse, _DEGREES):
             n = si.degree
             b = rng.uniform(-1.0, 1.0, n + 1)
             out += [si._h_pair.tobytes(), si._t_pair.tobytes()]
@@ -90,7 +90,7 @@ def test_compiled_kernels_bound_on_numpy_2(monkeypatch):
         monkeypatch.setattr(module, name, public)
     for m, x in want.items():
         assert solve(m, 20, b).solution.tobytes() == x, m
-    structured_inverse_sweep(range(21))
+    structured_inverse(20)
 
 
 def test_bare_cholesky_bound_on_numpy_2(monkeypatch):

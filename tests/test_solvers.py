@@ -32,7 +32,7 @@ from bernmass.solvers import (
     solve_spectral,
 )
 from bernmass.spectral import build_q, build_q_sweep, eigenvalues
-from bernmass.structured import structured_inverse, structured_inverse_sweep
+from bernmass.structured import structured_inverse
 from test_structured import _seven_call_apply, _solve_dft_seven_calls
 
 
@@ -252,10 +252,9 @@ def test_dft_cap_boundary():
     # at the cap the seven-call FFT apply cannot overflow, and solve_dft runs bare and
     # gives its x; just past it, solve runs the checked path and gives that apply's x
     # or its refusal
-    sweep = structured_inverse_sweep(range(510))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        for si in sweep:
+        for si in map(structured_inverse, range(510)):
             n = si.degree
             cap = solvers._Dft(n, si).cap  # the cap of the handle a first solve caches
             for shape in _cap_shapes(n):
@@ -727,8 +726,7 @@ def test_threaded_first_solves_match_serial():
     assert all(r == serial for r in results)
 
 
-_BUILDERS = ("mass_matrix", "inverse_matrix", "structured_inverse", "structured_inverse_sweep", "build_q",
-             "build_q_sweep", "cholesky_factor")
+_BUILDERS = ("mass_matrix", "inverse_matrix", "structured_inverse", "build_q", "build_q_sweep", "cholesky_factor")
 
 
 def _count_builders(monkeypatch, names=_BUILDERS):

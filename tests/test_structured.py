@@ -36,7 +36,6 @@ from bernmass.structured import (
     _dft_apply,
     next_pow2,
     structured_inverse,
-    structured_inverse_sweep,
 )
 
 
@@ -271,28 +270,6 @@ def test_structured_inverse_metadata():
     assert "degree=6" in repr(si)
 
 
-def test_sweep_raises_the_single_build_error():
-    with pytest.raises(ValueError) as single:
-        structured_inverse(510)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        with pytest.raises(ValueError) as swept:
-            structured_inverse_sweep([508, 509, 510])
-    assert type(swept.value) is type(single.value)
-    assert str(swept.value) == str(single.value) == "circulant spectra overflow double precision at degree n=510"
-    # the squared binomials are checked, in the order given, before any spectrum
-    with pytest.raises(ValueError, match="squared binomial factors overflow .* n=600"):
-        structured_inverse_sweep([510, 600])
-
-
-def test_sweep_keeps_order_and_repeats():
-    degrees = [7, 3, 20, 3, 0, 7]
-    swept = structured_inverse_sweep(degrees)
-    assert [si.degree for si in swept] == degrees
-    assert swept[1] is swept[3]
-    assert structured_inverse_sweep([]) == []
-
-
 def test_structured_inverse_overflow_guards():
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # overflow is reported by the ValueError alone
@@ -306,20 +283,20 @@ def test_structured_inverse_overflow_guards():
 
 def test_last_degree_is_where_the_split_leaves_double_range():
     # every FFT intermediate of an embedded row is at most the row's l1 norm; the Tt and Ht
-    # rows weight C(n+1, k)^2 by k, k = 0..n and 1..n+1, as _split_factors does
+    # rows weight C(n+1, k)^2 by k, k = 0..n and 1..n+1, as structured_inverse does
     def l1_norms(n):
         squares = [math.comb(n + 1, k) ** 2 for k in range(n + 2)]
         return sum(k * c for k, c in enumerate(squares[:-1])), sum(k * c for k, c in enumerate(squares))
 
     last, top = structured._LAST_DEGREE, sys.float_info.max
     assert max(l1_norms(last)) <= top < min(l1_norms(last + 1))
-    # the squared binomials are doubles through n = 515, and the sweep refuses them from 516
+    # the squared binomials are doubles through n = 515, and the build refuses them from 516
     assert math.isfinite(float(math.comb(516, 258) ** 2))
     with pytest.raises(OverflowError):
         float(math.comb(517, 258) ** 2)
     for n, what in ((last + 1, "circulant spectra"), (515, "circulant spectra"), (516, "squared binomial factors")):
         with pytest.raises(DegreeTooLargeError, match=f"^{what} overflow double precision at degree n={n}$"):
-            structured_inverse_sweep([n])
+            structured_inverse(n)
 
 
 def test_refused_before_anything_is_built(monkeypatch):
@@ -334,13 +311,15 @@ def test_refused_before_anything_is_built(monkeypatch):
     for name in ("_squared_binomial_row", "_rfft"):
         monkeypatch.setattr(structured, name, counting(getattr(structured, name)))
     with pytest.raises(DegreeTooLargeError, match="squared binomial factors .* n=600"):
-        structured_inverse_sweep([600])
+        structured_inverse(600)
     with pytest.raises(DegreeTooLargeError, match="circulant spectra .* n=510"):
-        structured_inverse_sweep([508, 509, 510])
+        structured_inverse(510)
+    with pytest.raises(ValueError, match="^degree must be nonnegative$"):
+        structured_inverse(-1)
     with pytest.raises(DegreeTooLargeError, match="circulant spectra .* n=512"):
         solvers.solve("dft", 512, np.ones(513), max_degree=600)
     assert calls == []
-    structured_inverse_sweep([3])  # the counters see a build
+    structured_inverse(3)  # the counters see a build
     assert calls == ["_squared_binomial_row", "rfft"]
 
 
@@ -366,30 +345,18 @@ def test_structured_inverse_bitwise_equal_to_comb_lists(n):
     band, anti = _comb_split_lists(n)
     t_col = np.array(band, dtype=float)
     h = np.array(anti, dtype=float)
-    s, plan = n + 1, next_pow2(2 * n + 2)
-    t_row = np.zeros(s)
-    t_row[0] = t_col[0]
     with np.errstate(over="ignore", invalid="ignore"):
-        tt_col, ht = np.arange(n + 1) * t_col, np.arange(1, 2 * n + 2) * h
         want = {
             "t_col": t_col,
-            "tt_col": tt_col,
+            "tt_col": np.arange(n + 1) * t_col,
             "h": h,
-            "ht": ht,
+            "ht": np.arange(1, 2 * n + 2) * h,
             "binom_diag": binomial_diag(n),
         }
-        spectra = {
-            ("_h_pair", 0): _spectrum_1d(h[s - 1 :], h[s - 1 :: -1], plan),
-            ("_h_pair", 1): _spectrum_1d(ht[s - 1 :], ht[s - 1 :: -1], plan),
-            ("_t_pair", 0): _spectrum_1d(tt_col, np.zeros(s), plan),
-            ("_t_pair", 1): _spectrum_1d(t_col, t_row, plan),
-        }
     got = structured_inverse(n)
-    assert got.plan_size == plan
     for field, value in want.items():
         assert getattr(got, field).tobytes() == value.tobytes(), field
-    for (field, row), value in spectra.items():
-        assert getattr(got, field)[row].tobytes() == value.tobytes(), (field, row)
+    # its spectra: test_spectra_bitwise_equal_to_one_rfft_each, at every degree
 
 
 # ---------------------------------------------------------------------------
@@ -443,31 +410,43 @@ _SPECTRA_DEGREES = list(range(510))
 
 
 @functools.lru_cache(maxsize=1)
-def _swept_spectra():
-    # one sweep over every degree 509..0, in descending order: the 254 degrees
-    # of plan size 1024 go through four blocks of at most 64 degrees
-    return {si.degree: si for si in structured_inverse_sweep(range(509, -1, -1))}
+def _held_builds():
+    # one pass of single builds over every degree 509..0, all held at once, as the
+    # handles of a table's solves hold them
+    return {n: structured_inverse(n) for n in range(509, -1, -1)}
+
+
+@functools.lru_cache(maxsize=None)
+def _comb_spectra(n):
+    # the four spectra from math.comb rows, one 1-D public numpy rfft each
+    band, anti = _comb_split_lists(n)
+    t_col, h = np.array(band, dtype=float), np.array(anti, dtype=float)
+    s, plan = n + 1, next_pow2(2 * n + 2)
+    t_row = np.zeros(s)
+    t_row[0] = t_col[0]
+    with np.errstate(over="ignore", invalid="ignore"):
+        tt_col, ht = np.arange(n + 1) * t_col, np.arange(1, 2 * n + 2) * h
+        return plan, {
+            ("_h_pair", 0): _spectrum_1d(h[s - 1 :], h[s - 1 :: -1], plan),
+            ("_h_pair", 1): _spectrum_1d(ht[s - 1 :], ht[s - 1 :: -1], plan),
+            ("_t_pair", 0): _spectrum_1d(tt_col, np.zeros(s), plan),
+            ("_t_pair", 1): _spectrum_1d(t_col, t_row, plan),
+        }
 
 
 @pytest.mark.parametrize(
-    "n, swept",
+    "n, held",
     [pytest.param(n, False, id=str(n)) for n in _SPECTRA_DEGREES]
     + [pytest.param(n, True, id=f"sweep-{n}") for n in _SPECTRA_DEGREES],
 )
-def test_spectra_bitwise_equal_to_one_rfft_each(n, swept):
-    si = _swept_spectra()[n] if swept else structured_inverse(n)
+def test_spectra_bitwise_equal_to_one_rfft_each(n, held):
+    # a fresh build, and (ids sweep-<n>) the same degree's build from a pass over
+    # all 510 degrees, all held at once
+    si = _held_builds()[n] if held else structured_inverse(n)
     assert si.degree == n
     assert si._h_pair.flags.c_contiguous and si._t_pair.flags.c_contiguous
-    s, plan = n + 1, si.plan_size
-    t_row = np.zeros(s)
-    t_row[0] = si.t_col[0]
-    with np.errstate(over="ignore", invalid="ignore"):
-        want = {
-            ("_h_pair", 0): _spectrum_1d(si.h[s - 1 :], si.h[s - 1 :: -1], plan),
-            ("_h_pair", 1): _spectrum_1d(si.ht[s - 1 :], si.ht[s - 1 :: -1], plan),
-            ("_t_pair", 0): _spectrum_1d(si.tt_col, np.zeros(s), plan),
-            ("_t_pair", 1): _spectrum_1d(si.t_col, t_row, plan),
-        }
+    plan, want = _comb_spectra(n)
+    assert si.plan_size == plan
     for (field, row), spectrum in want.items():
         assert getattr(si, field)[row].tobytes() == spectrum.tobytes(), (field, row)
 
@@ -494,7 +473,7 @@ def test_dft_apply_bitwise_equal_to_seven_call_apply_at_every_degree():
     # of b of order one overflow, and the inf and nan entries agree bit for bit too
     with np.errstate(over="ignore", invalid="ignore"):
         for n in range(510):
-            si = _swept_spectra()[n]
+            si = _held_builds()[n]
             for b in _right_hand_sides(n):
                 assert _dft_apply(si, b).tobytes() == _seven_call_apply(si, b).tobytes(), n
 
@@ -536,12 +515,3 @@ def test_fft_call_counts(monkeypatch):
         del calls[:]
         solve_dft(si, np.ones(n + 1))
         assert sorted(calls) == ["irfft", "irfft", "rfft", "rfft"], n
-    # one transform per plan size: 2, 4, 8 (n = 2, 3), 16 (4..7), 32 (8..15), 64 (16..20)
-    del calls[:]
-    swept = structured_inverse_sweep(range(21))
-    assert calls == ["rfft"] * 6
-    assert [si.degree for si in swept] == list(range(21))
-    # a group of more degrees than one block holds (64 at plan size 1024) takes one call per block
-    del calls[:]
-    structured_inverse_sweep(range(256, 510))
-    assert calls == ["rfft"] * 4

@@ -91,7 +91,7 @@ def _old_legendre_projections(fv, n_max, rule):
 def _old_run_table(families, methods, n_max, rows):
     requested = {solvers.canonical_method(m) for m in methods}
     chosen = [m for m in solvers.METHODS if m in requested]
-    solvers._prefill(n_max, chosen)
+    solvers._prefill(n_max)
     records = []
     for n, (b, measure) in enumerate(rows):
         cells = {}
