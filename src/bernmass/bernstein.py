@@ -3,8 +3,10 @@
 The basis on [0,1] is B^n_i(x) = C(n,i) x^i (1-x)^(n-i).  A polynomial is
 carried as its degree-n coefficient vector.  The mass matrix of pairwise L2
 inner products factors as M = D H D where D is the diagonal of binomial
-coefficients and H is a Hankel matrix; both factors are generated by ratio
-recurrences so no factorial is ever formed.
+coefficients and H is a Hankel matrix; both factors, and the eigenvalues
+of spectral, come from one float ratio run, _ratio_run, so no factorial is
+ever formed.  basis_values refuses a degree past 1029, where C(n, n//2) is
+not a double, before any work.
 """
 
 from __future__ import annotations
@@ -78,6 +80,19 @@ class MassMatrix:
         return f"MassMatrix(degree={self.degree})"
 
 
+def _ratio_run(v: float, numerators, denominators) -> np.ndarray:
+    """v, then v <- v a / b for each a, b of two integer runs, as an array.
+
+    Each step rounds v a, then its quotient by b: the float ratio recurrence
+    of hankel_moments, binomial_diag and spectral.eigenvalues.
+    """
+    out = [v]
+    for a, b in zip(numerators, denominators):
+        v = v * a / b
+        out.append(v)
+    return np.array(out)
+
+
 def hankel_moments(n: int, scale_exp: int = 0) -> np.ndarray:
     """Anti-diagonal values (2n-s)! s! / (2n+1)! for s = 0..2n, times 2^scale_exp.
 
@@ -86,12 +101,7 @@ def hankel_moments(n: int, scale_exp: int = 0) -> np.ndarray:
     """
     if n < 0:
         raise ValueError("degree must be nonnegative")
-    v = math.ldexp(1.0, scale_exp) / (2 * n + 1)
-    h = [v]
-    for s in range(2 * n):
-        v = v * (s + 1) / (2 * n - s)
-        h.append(v)
-    return np.array(h)
+    return _ratio_run(math.ldexp(1.0, scale_exp) / (2 * n + 1), range(1, 2 * n + 1), range(2 * n, 0, -1))
 
 
 def binomial_row(n: int) -> list:
@@ -115,29 +125,26 @@ def _squared_binomial_row(n: int) -> list:
 
 
 def binomial_diag(n: int) -> np.ndarray:
-    """The diagonal C(n,i), i = 0..n, by the float ratio recurrence.
+    """The diagonal C(n,i), i = 0..n, by the float ratio recurrence
+    d(i+1) = d(i) (n-i)/(i+1) from d(0) = 1.
 
     Not binomial_row rounded: from n = 55 the recurrence's rounding differs
     from the correctly rounded row, and M's bits are tied to this one.
     """
-    v = 1.0
-    d = [v]
-    for i in range(n):
-        v = v * (n - i) / (i + 1)
-        d.append(v)
-    return np.array(d)
+    return _ratio_run(1.0, range(n, 0, -1), range(1, n + 1))
 
 
 _MAX_DEGREE = 582  # the supported range of assembly and of Q, through which both are checked
+_LAST_BASIS_DEGREE = 1029  # C(1029, 514) is a double, C(1030, 515) is not
 
 
-def _supported(n: int, what: str) -> None:
+def _supported(n: int, what: str, last: int = _MAX_DEGREE) -> None:
     """Refuse a degree n before any work: below 0 with a ValueError, past
-    _MAX_DEGREE with a DegreeTooLargeError naming what would be built."""
+    last with a DegreeTooLargeError naming what would be built."""
     if n < 0:
         raise ValueError("degree must be nonnegative")
-    if n > _MAX_DEGREE:
-        raise DegreeTooLargeError(f"{what} degree n={n} is past the supported limit {_MAX_DEGREE}")
+    if n > last:
+        raise DegreeTooLargeError(f"{what} degree n={n} is past the supported limit {last}")
 
 
 def mass_matrix(n: int) -> MassMatrix:
@@ -187,10 +194,11 @@ def basis_values(n: int, x) -> np.ndarray:
     """All basis values B^n_i(x_q): shape (len(x), n+1).
 
     Uses the closed form C(n,i) x^i (1-x)^(n-i); on [0,1] every factor is
-    nonnegative, so there is no cancellation.
+    nonnegative, so there is no cancellation.  Past _LAST_BASIS_DEGREE
+    (1029), where C(n, n//2) is not a double, it raises DegreeTooLargeError
+    before any work.
     """
-    if n < 0:
-        raise ValueError("degree must be nonnegative")
+    _supported(n, "Bernstein basis", _LAST_BASIS_DEGREE)
     xv = np.atleast_1d(np.asarray(x, dtype=float))
     return _basis_from_powers(n, *_power_tables(xv, n))
 

@@ -1,10 +1,11 @@
 """Spectral decomposition of the mass matrix.
 
-The eigenvalues are known in closed form, and the orthogonal eigenvector
-matrix Q has columns proportional to degree-elevated Legendre coefficient
-vectors: as functions of the row index these are the discrete Chebyshev
-(Gram, Hahn alpha = beta = 0) polynomials at the Bernstein nodes (Farouki
-2000; Koekoek, Lesky & Swarttouw 2010, sec. 9.5).  build_q assembles Q in
+The eigenvalues are known in closed form and made by bernstein's float
+ratio run, as M's moments and binomial diagonal are.  The orthogonal
+eigenvector matrix Q has columns proportional to degree-elevated Legendre
+coefficient vectors: as functions of the row index these are the discrete
+Chebyshev (Gram, Hahn alpha = beta = 0) polynomials at the Bernstein nodes
+(Farouki 2000; Koekoek, Lesky & Swarttouw 2010, sec. 9.5).  build_q assembles Q in
 O(n^2) by marching their difference equation down the rows, and
 build_q_sweep gives a sweep of degrees the same Qs, bit for bit, from
 marches batched across the degrees.  Both refuse a degree past
@@ -21,7 +22,7 @@ import math
 
 import numpy as np
 
-from .bernstein import _supported
+from .bernstein import _ratio_run, _supported
 
 __all__ = [
     "SpectralDecomp",
@@ -51,12 +52,7 @@ def eigenvalues(n: int) -> np.ndarray:
     """
     if n < 0:
         raise ValueError("degree must be nonnegative")
-    v = 1.0 / (n + 1)
-    lam = [v]
-    for i in range(n):
-        v = v * (n - i) / (n + i + 2)
-        lam.append(v)
-    return np.array(lam)
+    return _ratio_run(1.0 / (n + 1), range(n, 0, -1), range(n + 2, 2 * n + 2))
 
 
 def build_q(n: int) -> SpectralDecomp:

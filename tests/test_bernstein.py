@@ -6,6 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from bernmass import bernstein
 from bernmass.bernstein import (
     BernsteinPoly,
     DegreeTooLargeError,
@@ -113,6 +114,19 @@ def test_basis_partition_of_unity():
     x = np.linspace(0.0, 1.0, 11)
     for n in (1, 4, 9):
         assert np.allclose(basis_values(n, x).sum(axis=1), 1.0, atol=1e-14)
+
+
+def test_basis_refused_past_its_last_degree_before_any_work(monkeypatch):
+    # C(1029, 514) is a double and C(1030, 515) is not
+    x = np.array([0.0, 0.25, 0.5, 1.0])
+    vals = basis_values(1029, x)
+    assert vals.shape == (4, 1030) and np.allclose(vals.sum(axis=1), 1.0, atol=1e-12)
+    monkeypatch.setattr(bernstein, "_power_tables", lambda *args: pytest.fail("the powers were taken"))
+    for n in (1030, 5000):
+        with pytest.raises(DegreeTooLargeError) as info:
+            basis_values(n, x)
+        assert type(info.value) is DegreeTooLargeError
+        assert str(info.value) == f"Bernstein basis degree n={n} is past the supported limit 1029"
 
 
 def test_basis_endpoint_values():

@@ -521,6 +521,45 @@ def test_tables_past_the_assembly_limit_refused_before_any_work(monkeypatch):
     assert calls == []
 
 
+def test_random_table_reads_nan_where_the_exact_reference_leaves_double_range(monkeypatch):
+    # seed 42: the exact reference is a double vector at n = 543 and leaves
+    # double range at 544; the table goes on with 544's cells nan.  Every
+    # method refuses both degrees, so solve is stubbed to give a report there
+    # and to refuse below, where the reference is stubbed too; the errors
+    # against the reference, past any double M-norm at 543, are recorded
+    from types import SimpleNamespace
+
+    real_reference = experiments.reference_solution
+    refused = []
+
+    def reference(n, b):
+        if n < 543:
+            return np.zeros(n + 1)
+        try:
+            return real_reference(n, b)
+        except DegreeTooLargeError:
+            refused.append(n)
+            raise
+
+    def fake_solve(method, n, b, max_degree):
+        if n < 543:
+            raise ValueError("refused")
+        return SimpleNamespace(solution=np.zeros(n + 1), residual=0.0)
+
+    monkeypatch.setattr(experiments, "reference_solution", reference)
+    monkeypatch.setattr(experiments, "solve", fake_solve)
+    monkeypatch.setattr(experiments, "_prefill", lambda n_max: None)
+    monkeypatch.setattr(experiments, "_mass", lambda n: mass_matrix(n).matrix)  # uncached
+    measured = []
+    monkeypatch.setattr(experiments, "_errors", lambda x_hat, x_ref: measured.append(x_ref) or (1.0, 2.0))
+    records = run_random(544, 42, ["eig"])
+    assert refused == [544]
+    assert [len(x_ref) for x_ref in measured] == [544] and np.all(np.isfinite(measured[0]))
+    assert [rec.degree for rec in records] == list(range(545))
+    assert records[543].values == {"EigL2err": 1.0, "EigMerr": 2.0, "Eigres": 0.0}
+    assert all(map(math.isnan, records[544].values.values()))
+
+
 def test_negative_degrees_and_unknown_functions_refused_before_any_work(monkeypatch):
     calls = _forbid_table_work(monkeypatch)
     monkeypatch.setattr(experiments, "default_rule", lambda: calls.append("default_rule"))
