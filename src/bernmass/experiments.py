@@ -16,8 +16,9 @@ Lambda^(1/2) Q^T v.  A second harness solves
 randomly generated systems and reports error/residual metrics per method
 against the exact solution of the rounded system, found in integer
 arithmetic: the integer inverse's product with an integer scaling of b,
-formed by inverse._hankel_inverse_apply, then one division per entry;
-where that solution leaves double range, the degree's cells read nan.
+formed by inverse._hankel_inverse_apply, then one division per entry,
+only at a degree where some chosen method returned; where that solution
+leaves double range, the degree's cells read nan.
 Both harnesses run one table loop, which solves, flags a failing method's
 cells nan and orders the columns.  Records go to CSV with 17-significant-
 digit floats so runs are reproducible byte for byte, one % operation per
@@ -227,9 +228,11 @@ def run_random(n_max: int, seed: int = 42, methods=METHODS) -> list:
     M-norm ("Merr"), together with the relative residual ("res").  A solver
     failure flags its three values as nan, a degree whose exact solution
     leaves double range (for seed 42 first at n = 544) all its cells, and
-    the run continues.  A negative n_max raises ValueError, and one past
-    bernstein._MAX_DEGREE (582), the last degree assembled,
-    DegreeTooLargeError, before any work.
+    the run continues.  The exact solution is formed once some chosen
+    method returned at the degree, so one where all refused never forms
+    it; b is drawn at every degree, so the generator's stream is the same.
+    A negative n_max raises ValueError, and one past bernstein._MAX_DEGREE
+    (582), the last degree assembled, DegreeTooLargeError, before any work.
     """
     _supported(n_max, "random table")
     gen = Xorshift64Star(seed)
@@ -239,16 +242,31 @@ def run_random(n_max: int, seed: int = 42, methods=METHODS) -> list:
             mm = _mass(n)  # the matrix solve() caches for its residuals
             x_true = gen.uniform(-0.5, 0.5, n + 1)
             b = mm @ x_true
-            try:
-                x_ref = reference_solution(n, b)
-            except DegreeTooLargeError:
-                # this b's exact solution leaves double range: the degree's cells read nan
-                yield b, lambda report: (math.nan,) * 3
-                continue
-            # metrics' two errors; its residual is the one solve reported
-            yield b, lambda report: (*_errors(report.solution, x_ref), report.residual)
+            yield b, _measure_random(n, b)
 
     return _run_table(("L2err", "Merr", "res"), methods, n_max, rows())
+
+
+def _measure_random(n: int, b):
+    """The measure of a random-table row: metrics' two errors against the exact
+    reference, and the residual solve reported.  The reference is formed at
+    the first call, so a degree where every chosen method refused never forms
+    it; where it leaves double range, every cell of the degree reads nan."""
+
+    @functools.cache
+    def reference():
+        try:
+            return reference_solution(n, b)
+        except DegreeTooLargeError:
+            return None
+
+    def measure(report):
+        x_ref = reference()
+        if x_ref is None:
+            return (math.nan,) * 3
+        return (*_errors(report.solution, x_ref), report.residual)
+
+    return measure
 
 
 def render_csv(records) -> str:

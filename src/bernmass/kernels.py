@@ -3,10 +3,14 @@
 rfft, irfft and solve1 are the compiled kernels that numpy.fft.rfft,
 numpy.fft.irfft and numpy.linalg.solve (with a vector b) run, called
 without those functions' per-call Python code: the same kernel with the
-same normalisation (1 forward, 1/plan backward), so the same bits.  This
-module is the only one that names numpy's private modules; where they
-cannot be imported (numpy < 2, or a numpy that moves them), the public
-functions stand in, and COMPILED is False.  vdot is numpy.vdot's own C
+same normalisation (1 forward, 1/plan backward), so the same bits.  The
+normalisation goes in as a read-only 0-d float64 array made once, _UNIT
+forward and _inverse_scale(plan) backward, since numpy converts a Python
+number at every call; the caller allocates the output at the plan's
+shape, and it goes in positionally.  This module is the only one that
+names numpy's private modules; where they cannot be imported (numpy < 2,
+or a numpy that moves them), the public functions stand in, and COMPILED
+is False.  vdot is numpy.vdot's own C
 function, which numpy.vdot reaches through its __array_function__
 dispatch, or numpy.vdot itself where numpy keeps no _implementation.
 cholesky runs numpy.linalg.cholesky's LAPACK kernel on a square float64
@@ -19,12 +23,32 @@ L2 norm as the norm of sqrt(w) v, an M-norm as that of Lambda^(1/2) Q^T v.
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 
 import numpy as np
 
 __all__ = ["COMPILED", "rfft", "irfft", "solve1", "vdot", "cholesky"]
+
+
+def _read_only_scalar(value: float) -> np.ndarray:
+    """value as a 0-d float64 array that cannot be written: a normalisation the
+    FFT kernels take as it is, where a Python number is converted at every call."""
+    scalar = np.array(value)
+    scalar.flags.writeable = False
+    return scalar
+
+
+# rfft's normalisation, numpy's own 1 for the forward transform
+_UNIT = _read_only_scalar(1.0)
+
+
+@functools.cache
+def _inverse_scale(plan: int) -> np.ndarray:
+    """irfft's normalisation, numpy's own 1/plan, made once per plan."""
+    return _read_only_scalar(1.0 / plan)
+
 
 try:
     from numpy.fft._pocketfft_umath import irfft as _irfft_ufunc
@@ -33,31 +57,27 @@ try:
 except ImportError:
     COMPILED = False
 
-    def rfft(a, plan: int, out=None) -> np.ndarray:
-        """numpy.fft.rfft(a, plan) along the last axis, into out if given."""
-        spectrum = np.fft.rfft(a, plan)
-        if out is None:
-            return spectrum
-        out[...] = spectrum
+    def rfft(a, plan: int, out: np.ndarray) -> np.ndarray:
+        """numpy.fft.rfft(a, plan) along the last axis, into out."""
+        out[...] = np.fft.rfft(a, plan)
         return out
 
-    def irfft(a, plan: int) -> np.ndarray:
-        """numpy.fft.irfft(a, plan) along the last axis."""
-        return np.fft.irfft(a, plan)
+    def irfft(a, plan: int, out: np.ndarray) -> np.ndarray:
+        """numpy.fft.irfft(a, plan) along the last axis, into out."""
+        out[...] = np.fft.irfft(a, plan)
+        return out
 
     solve1 = np.linalg.solve
 else:
     COMPILED = True
 
-    def rfft(a, plan: int, out=None) -> np.ndarray:
-        """numpy.fft.rfft(a, plan) along the last axis, into out if given; plan is even."""
-        if out is None:
-            out = np.empty(a.shape[:-1] + (plan // 2 + 1,), dtype=complex)
-        return _rfft_ufunc(a, 1, out=out)
+    def rfft(a, plan: int, out: np.ndarray) -> np.ndarray:
+        """numpy.fft.rfft(a, plan) along the last axis, into out; plan is even."""
+        return _rfft_ufunc(a, _UNIT, out)
 
-    def irfft(a, plan: int) -> np.ndarray:
-        """numpy.fft.irfft(a, plan) along the last axis."""
-        return _irfft_ufunc(a, 1.0 / plan, out=np.empty(a.shape[:-1] + (plan,)))
+    def irfft(a, plan: int, out: np.ndarray) -> np.ndarray:
+        """numpy.fft.irfft(a, plan) along the last axis, into out."""
+        return _irfft_ufunc(a, _inverse_scale(plan), out)
 
 
 try:

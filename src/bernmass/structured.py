@@ -5,9 +5,10 @@ difference of Toeplitz-times-Hankel products whose entries are signed squared
 binomials.  All of those operators are applied through circulant embedding
 and numpy's real FFT, whose compiled kernels bernmass.kernels binds, giving
 an O(n log n) apply, _dft_apply: solvers runs it for solve and for the
-public solve_dft.  One builder, structured_inverse(n), makes degree n's
-four circulant spectra in one 2-D rfft; solvers' dft handle calls it at
-the first solve of each degree.  Past _LAST_DEGREE, the last_degree of that
+public solve_dft.  Every transform writes into an output allocated here at
+the plan's shape.  One builder, structured_inverse(n), makes degree n's four
+circulant spectra in one 2-D rfft; solvers' dft handle calls it at the
+first solve of each degree.  Past _LAST_DEGREE, the last_degree of that
 handle, it raises DegreeTooLargeError before building anything: the spectra
 leave double range one degree on, the squared binomials from 516.  The
 dense split factors, the Bezout matrix, the Hankel inversion formula behind
@@ -127,11 +128,16 @@ def _dft_apply(si: StructuredInverse, bv: np.ndarray) -> np.ndarray:
     bv is a float64 vector of the right length; solvers._apply checks b and
     guards an overflow.  Each spectrum pair is applied as one 2-row
     transform, which numpy computes row by row exactly as it would two 1-D
-    calls."""
+    calls.  The four outputs are allocated at the plan's shapes, and the
+    last descaling is in place."""
     s = si.degree + 1
     plan = si.plan_size
-    rev_hat = _rfft((bv / si.binom_diag)[::-1], plan)
+    half = plan // 2 + 1
+    rev_hat = _rfft((bv / si.binom_diag)[::-1], plan, np.empty(half, dtype=complex))
     # rows H y and Ht y, then Tt H y and T Ht y
-    hy = _irfft(si._h_pair * rev_hat, plan)[:, :s]
-    w = _irfft(si._t_pair * _rfft(hy, plan), plan)
-    return (w[0, :s] - w[1, :s]) / si.binom_diag
+    hy = _irfft(si._h_pair * rev_hat, plan, np.empty((2, plan)))[:, :s]
+    hy_hat = _rfft(hy, plan, np.empty((2, half), dtype=complex))
+    w = _irfft(si._t_pair * hy_hat, plan, np.empty((2, plan)))
+    x = w[0, :s] - w[1, :s]
+    x /= si.binom_diag
+    return x

@@ -560,6 +560,28 @@ def test_random_table_reads_nan_where_the_exact_reference_leaves_double_range(mo
     assert all(map(math.isnan, records[544].values.values()))
 
 
+def test_random_table_forms_the_exact_reference_only_where_a_method_returned(monkeypatch):
+    # cho refuses from n = 30, so a cho-only table forms no exact reference there;
+    # with every method (eig returns through n = 40) each degree forms one, and the
+    # cho columns of the two tables are the same bytes
+    formed = []
+    real = experiments._hankel_inverse_apply
+    monkeypatch.setattr(experiments, "_hankel_inverse_apply", lambda n, y: formed.append(n) or real(n, y))
+    clear_cache()
+    try:
+        cho_only = run_random(40, methods=["cho"])
+        assert formed == list(range(30))
+        del formed[:]
+        every = run_random(40)
+        assert formed == list(range(41))
+    finally:
+        clear_cache()
+    assert all(math.isnan(v) for rec in cho_only[30:] for v in rec.values.values())
+    for alone, rec in zip(cho_only, every):
+        cells = np.array([rec.values[k] for k in alone.values])
+        assert cells.tobytes() == np.array(list(alone.values.values())).tobytes(), alone.degree
+
+
 def test_negative_degrees_and_unknown_functions_refused_before_any_work(monkeypatch):
     calls = _forbid_table_work(monkeypatch)
     monkeypatch.setattr(experiments, "default_rule", lambda: calls.append("default_rule"))

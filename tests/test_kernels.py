@@ -237,3 +237,46 @@ def test_undispatched_vdot_bound_on_numpy_2(monkeypatch):
     for m, rep in want.items():
         again = solve(m, 20, b)
         assert again.solution.tobytes() == rep.solution.tobytes() and again.residual == rep.residual, m
+
+
+def test_fft_normalisations_are_read_only_0d_float64():
+    # made once and shared by every call, so no caller may change them
+    for n, plan in ((0, 2), (31, 64), (509, 1024)):
+        assert structured_inverse(n).plan_size == plan
+        assert kernels._inverse_scale(plan) is kernels._inverse_scale(plan)
+        for scale, value in ((kernels._UNIT, 1.0), (kernels._inverse_scale(plan), 1.0 / plan)):
+            assert scale.shape == () and scale.dtype == np.float64 and scale == value
+            assert not scale.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                scale[...] = 2.0
+            with pytest.raises(ValueError, match="read-only"):
+                scale += 1.0
+            assert scale == value
+
+
+def _fft_inputs(plan):
+    # real rows of length s = plan/2 for rfft and spectra of length plan/2 + 1 for
+    # irfft: one row, a reversed row, two rows, and the [:, :s] slice of a wider block
+    rng = np.random.default_rng(plan)
+    s, half = max(plan // 2, 1), plan // 2 + 1
+    real = rng.standard_normal((2, plan))
+    spectra = rng.standard_normal((2, plan)) + 1j * rng.standard_normal((2, plan))
+    return {
+        "rfft": [real[0, :s].copy(), real[0, :s][::-1], real[:, :s].copy(), real[:, :s]],
+        "irfft": [spectra[0, :half].copy(), spectra[0, :half][::-1], spectra[:, :half].copy(), spectra[:, :half]],
+    }
+
+
+@pytest.mark.parametrize("compiled", [True, False], ids=["compiled", "public"])
+def test_fft_kernels_give_numpys_bytes(compiled):
+    k = kernels if compiled else _public_kernels()
+    assert k.COMPILED is (compiled and kernels.COMPILED)
+    for plan in (2**e for e in range(1, 11)):
+        half = plan // 2 + 1
+        inputs = _fft_inputs(plan)
+        for a in inputs["rfft"]:
+            out = np.empty(a.shape[:-1] + (half,), dtype=complex)
+            assert k.rfft(a, plan, out) is out and out.tobytes() == np.fft.rfft(a, plan).tobytes(), (plan, a.shape)
+        for a in inputs["irfft"]:
+            out = np.empty(a.shape[:-1] + (plan,))
+            assert k.irfft(a, plan, out) is out and out.tobytes() == np.fft.irfft(a, plan).tobytes(), (plan, a.shape)
