@@ -178,16 +178,16 @@ def evaluate(p: BernsteinPoly, x):
 
     Each step replaces neighbouring coefficients by their convex combination
     (1-x) c_i + x c_{i+1}; for x in [0,1] this is unconditionally backward
-    stable.  x outside [0,1] is allowed.
+    stable.  x outside [0,1] is allowed.  A scalar x gives a float, and an
+    array x an array of its shape, each entry that of x flattened.
     """
     xa = np.asarray(x, dtype=float)
-    scalar = xa.ndim == 0
-    xv = np.atleast_1d(xa)
+    xv = xa.reshape(-1)
     w = np.repeat(p.coeffs[:, None], xv.size, axis=1)
     for _ in range(p.degree):
         w = (1.0 - xv) * w[:-1] + xv * w[1:]
     out = w[0]
-    return float(out[0]) if scalar else out
+    return float(out[0]) if xa.ndim == 0 else out.reshape(xa.shape)
 
 
 def basis_values(n: int, x) -> np.ndarray:

@@ -24,7 +24,7 @@ import numpy as np
 
 from .bernstein import DegreeTooLargeError
 from .rng import Xorshift64Star
-from .solvers import _Eig, _spectral
+from .solvers import _Eig, _cached_q
 from .spectral import SpectralDecomp, eigenvalues
 
 __all__ = [
@@ -99,7 +99,7 @@ def _decomp(n: int) -> SpectralDecomp:
     """The cached M = Q Lambda Q^T of degree n, refused with eig's error past eig's last degree."""
     if n > _Eig.last_degree:
         raise _Eig.too_large(n)
-    return _spectral(n)
+    return _cached_q(n)
 
 
 def _operator(a) -> np.ndarray:

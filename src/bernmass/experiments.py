@@ -19,10 +19,13 @@ arithmetic: the integer inverse's product with an integer scaling of b,
 formed by inverse._hankel_inverse_apply, then one division per entry,
 only at a degree where some chosen method returned; where that solution
 leaves double range, the degree's cells read nan.
-Both harnesses run one table loop, which solves, flags a failing method's
-cells nan and orders the columns.  Records go to CSV with 17-significant-
-digit floats so runs are reproducible byte for byte, one % operation per
-record.
+Both harnesses resolve their methods before any work and run one table
+loop, which solves, flags a failing method's cells nan and orders the
+columns.  Each row's builds (M, Q and the methods' handles) are one
+solvers._Degree made for the row and dropped after it, with the Q read in
+turn from one build_q_sweep, so a table holds about one degree and keeps
+nothing.  Records go to CSV with 17-significant-digit floats so runs are
+reproducible byte for byte, one % operation per record.
 """
 
 from __future__ import annotations
@@ -38,7 +41,8 @@ from .inverse import _hankel_inverse_apply
 from .kernels import _checked_rhs, _scaled_norm
 from .quadrature import QuadratureRule, _legendre_run, composite_gauss_legendre
 from .rng import Xorshift64Star
-from .solvers import COLUMN_TAGS, METHODS, _errors, _m_norm, _mass, _prefill, canonical_method, solve
+from .solvers import COLUMN_TAGS, METHODS, _Degree, _errors, _m_norm, canonical_method
+from .spectral import build_q_sweep
 
 __all__ = [
     "f1",
@@ -114,26 +118,32 @@ class ExperimentRecord:
     values: dict
 
 
-def _run_table(families, methods, n_max: int, rows) -> list:
+def _chosen(methods) -> list:
+    """The canonical names of methods, in METHODS order; an unknown one raises UnknownMethodError."""
+    return sorted({canonical_method(m) for m in methods}, key=METHODS.index)
+
+
+def _run_table(families, chosen, n_max: int, row) -> list:
     """The table loop: one record per degree 0..n_max, columns family x method tag.
 
-    rows yields, per degree, (b, measure): each chosen method solves M x = b
-    and measure(report) gives its values in family order.  A method whose
-    solve fails reads nan in every family and the run continues.  The Qs
-    of the M-norms are built up front by solvers._prefill, in one batched
-    sweep; each method's own build is its first solve's, one degree at a time.
+    Each degree's builds are one solvers._Degree, made for its row and
+    dropped after it, so the table keeps nothing and leaves solve's cache as
+    it found it; its Qs come from one build_q_sweep(n_max), read in turn.
+    row(degree) gives (b, measure): each chosen method solves M x = b as
+    solve does, and measure(report) gives its values in family order.  A
+    method whose solve fails reads nan in every family and the run continues.
     """
-    requested = {canonical_method(m) for m in methods}
-    chosen = [m for m in METHODS if m in requested]
-    _prefill(n_max)
     columns = [f"{COLUMN_TAGS[m]}{fam}" for fam in families for m in chosen]
     failed = (math.nan,) * len(families)
+    qs = build_q_sweep(n_max)
     records = []
-    for n, (b, measure) in enumerate(rows):
+    for n in range(n_max + 1):
+        degree = _Degree(n, qs)
+        b, measure = row(degree)
         cells = []
         for m in chosen:
             try:
-                report = solve(m, n, b, max_degree=n_max)
+                report = degree.solve(m, b)
             except ValueError:
                 cells.append(failed)
             else:
@@ -153,12 +163,14 @@ def run_projection(func, n_max: int, methods=METHODS) -> list:
     relative residual ("res").  A solver failure flags its four values as
     nan and the run continues.  Before any work, a negative n_max raises
     ValueError, one past bernstein._MAX_DEGREE (582), the last degree
-    assembled, DegreeTooLargeError, and a func named by a string not in
-    FUNCTIONS a ValueError naming the known ones.
+    assembled, DegreeTooLargeError, a func named by a string not in
+    FUNCTIONS a ValueError naming the known ones, and a method not in
+    METHOD_ALIASES UnknownMethodError.
     """
     _supported(n_max, "projection table")
     if isinstance(func, str) and func not in FUNCTIONS:
         raise ValueError(f"unknown function {func!r}; expected one of {sorted(FUNCTIONS)}")
+    chosen = _chosen(methods)
     f = FUNCTIONS[func] if isinstance(func, str) else func
     rule = default_rule()
     w = rule.weights
@@ -167,23 +179,24 @@ def run_projection(func, n_max: int, methods=METHODS) -> list:
     fnorm = _scaled_norm(sw * fv)
     wf = w * fv  # the moments are wf.dot(basis)
     xp, yr = _power_tables(rule.nodes, n_max)
+    refs = _legendre_projections(fv, n_max, rule)
 
-    def rows():
-        for n, ref in enumerate(_legendre_projections(fv, n_max, rule)):
-            # one basis matrix per degree, bitwise basis_values(n, nodes): the
-            # moments b and each method's values p = basis.dot(x_hat), one gemv each
-            basis = _basis_from_powers(n, xp, yr)
-            ref_norm = _scaled_norm(ref)
+    def row(degree):
+        # one basis matrix per degree, bitwise basis_values(n, nodes): the
+        # moments b and each method's values p = basis.dot(x_hat), one gemv each
+        basis = _basis_from_powers(degree.n, xp, yr)
+        ref = refs[degree.n]
+        ref_norm = _scaled_norm(ref)
 
-            def measure(report):
-                x_hat = report.solution
-                d = x_hat - ref
-                fp = _scaled_norm(sw * (fv - basis.dot(x_hat))) / fnorm
-                return fp, _m_norm(n, d) / fnorm, _scaled_norm(d) / ref_norm, report.residual
+        def measure(report):
+            x_hat = report.solution
+            d = x_hat - ref
+            fp = _scaled_norm(sw * (fv - basis.dot(x_hat))) / fnorm
+            return fp, _m_norm(degree.spectral, d) / fnorm, _scaled_norm(d) / ref_norm, report.residual
 
-            yield wf.dot(basis), measure
+        return wf.dot(basis), measure
 
-    return _run_table(("fp", "Pifp", "err", "res"), methods, n_max, rows())
+    return _run_table(("fp", "Pifp", "err", "res"), chosen, n_max, row)
 
 
 def reference_solution(n: int, b) -> np.ndarray:
@@ -231,23 +244,23 @@ def run_random(n_max: int, seed: int = 42, methods=METHODS) -> list:
     the run continues.  The exact solution is formed once some chosen
     method returned at the degree, so one where all refused never forms
     it; b is drawn at every degree, so the generator's stream is the same.
-    A negative n_max raises ValueError, and one past bernstein._MAX_DEGREE
-    (582), the last degree assembled, DegreeTooLargeError, before any work.
+    A negative n_max raises ValueError, one past bernstein._MAX_DEGREE
+    (582), the last degree assembled, DegreeTooLargeError, and a method not
+    in METHOD_ALIASES UnknownMethodError, before any work.
     """
     _supported(n_max, "random table")
+    chosen = _chosen(methods)
     gen = Xorshift64Star(seed)
 
-    def rows():
-        for n in range(n_max + 1):
-            mm = _mass(n)  # the matrix solve() caches for its residuals
-            x_true = gen.uniform(-0.5, 0.5, n + 1)
-            b = mm @ x_true
-            yield b, _measure_random(n, b)
+    def row(degree):
+        # b = M x_true through the M the row's residuals read
+        b = degree.mass @ gen.uniform(-0.5, 0.5, degree.n + 1)
+        return b, _measure_random(degree, b)
 
-    return _run_table(("L2err", "Merr", "res"), methods, n_max, rows())
+    return _run_table(("L2err", "Merr", "res"), chosen, n_max, row)
 
 
-def _measure_random(n: int, b):
+def _measure_random(degree, b):
     """The measure of a random-table row: metrics' two errors against the exact
     reference, and the residual solve reported.  The reference is formed at
     the first call, so a degree where every chosen method refused never forms
@@ -256,7 +269,7 @@ def _measure_random(n: int, b):
     @functools.cache
     def reference():
         try:
-            return reference_solution(n, b)
+            return reference_solution(degree.n, b)
         except DegreeTooLargeError:
             return None
 
@@ -264,7 +277,7 @@ def _measure_random(n: int, b):
         x_ref = reference()
         if x_ref is None:
             return (math.nan,) * 3
-        return (*_errors(report.solution, x_ref), report.residual)
+        return (*_errors(degree.spectral, report.solution, x_ref), report.residual)
 
     return measure
 

@@ -11,21 +11,23 @@ Past its method's last degree a handle is refused before anything is
 built.  One _apply runs every handle's apply, for solve and for
 the public raw applies solve_dft, solve_spectral and solve_cholesky alike:
 bare within the cap below which it cannot overflow, checked past it, and a
-tiny b rescaled.  The first solve of a method at a degree caches its
-handle, with M for the residual (cho caches M only once it factors, so a
-degree where LAPACK refuses keeps none); every later solve there is one
-dictionary lookup, the apply and the residual.  A raw apply wraps the
-caller's object in its method's handle.  The tables fill the eig Qs of all
-their degrees up front, which their M-norms read, through one batched
-build_q_sweep; every other build, dft's spectra included, is the first
-solve's at its degree.
+tiny b rescaled.  One _Degree holds a degree's builds: M and Q, each made
+at its first read, and each method's handle, built from them (eig takes
+the Q, cho factors the M; the residual reads the M).  solve's cache keeps
+one _Degree per degree, stored only once a handle is built on it, so a
+solve refused at a fresh degree caches nothing (a cho solve that LAPACK
+refuses keeps no M); every later solve there is two dictionary lookups,
+the apply and the residual.  A raw apply wraps the caller's object in its
+method's handle.  A table makes its own _Degree for each row, with the Q
+from the table's build_q_sweep, and drops it after the row, so it leaves
+the cache as it found it.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,7 +38,7 @@ from .inverse import _hankel_inverse_band, inverse_matrix
 from .kernels import _SQRT_TINY, _checked_rhs, _scaled_norm
 from .kernels import cholesky as _cholesky
 from .kernels import solve1 as _solve1
-from .spectral import SpectralDecomp, build_q, build_q_sweep, eigenvalues
+from .spectral import SpectralDecomp, build_q, eigenvalues
 from .structured import StructuredInverse, _dft_apply, structured_inverse
 
 __all__ = [
@@ -124,33 +126,60 @@ class SolveReport:
 
 _HALF_MAX = sys.float_info.max / 2.0
 
+# solve's _Degree per degree; a miss builds outside any lock, and the first value stored wins
 _cache: dict = {}
-_cache_lock = threading.Lock()
-
-
-def _cached(kind: str, n: int, builder):
-    # a hit takes no lock; a miss builds outside it, and the first value stored wins
-    key = (kind, n)
-    hit = _cache.get(key)
-    if hit is not None:
-        return hit
-    value = builder(n)
-    with _cache_lock:
-        return _cache.setdefault(key, value)
 
 
 def clear_cache() -> None:
-    with _cache_lock:
-        _cache.clear()
+    _cache.clear()
     _hankel_inverse_band.cache_clear()
 
 
-def _mass(n: int) -> np.ndarray:
-    return _cached("mass", n, lambda k: mass_matrix(k).matrix)
+class _Degree:
+    """One degree's builds: M and Q, each made at its first read, and each method's handle.
 
+    solve's cache keeps one per degree.  A table makes one per row and
+    drops it after the row; its Qs come from the table's build_q_sweep, an
+    iterator the rows read in turn, so a row takes the next Q at its degree.
+    Every builder is looked up as a module global when called, so a patched
+    builder is the one that runs.
+    """
 
-def _spectral(n: int) -> SpectralDecomp:
-    return _cached("spectral", n, build_q)
+    def __init__(self, n: int, qs=None):
+        self.n, self.handles, self._qs = n, {}, qs
+
+    @functools.cached_property
+    def mass(self) -> np.ndarray:
+        return mass_matrix(self.n).matrix
+
+    @functools.cached_property
+    def spectral(self) -> SpectralDecomp:
+        if self._qs is None:
+            return build_q(self.n)
+        return next(spec for spec in self._qs if spec.degree == self.n)
+
+    def handle(self, name: str) -> "_Handle":
+        """name's handle at this degree, built and kept; refused past its last degree before anything is built."""
+        return self.handles.setdefault(name, _HANDLES[name](self.n, self))
+
+    def solve(self, name: str, b) -> SolveReport:
+        """solve's work at this degree for a canonical method name: see solve."""
+        n = self.n
+        bv, bnorm = _checked_rhs(n, b)
+        if bnorm == 0.0:
+            # M is nonsingular, so x = 0; nothing is built, no method can form 0/0
+            return SolveReport(name, n, np.zeros(n + 1), 0.0)
+        h = self.handles.get(name) or self.handle(name)
+        # _apply's bare case inline, so a warm solve makes no more calls than the apply's
+        x = h.apply(bv) if _SQRT_TINY <= bnorm <= h.cap else _apply(h, bv, bnorm)
+        r = self.mass.dot(x)
+        r -= bv
+        residual = _scaled_norm(r) / bnorm
+        if not math.isfinite(residual):
+            raise DegreeTooLargeError(
+                f"{name} solve at degree n={n} left double range (relative residual {residual})"
+            )
+        return SolveReport(name, n, x, residual)
 
 
 class _Handle:
@@ -161,24 +190,23 @@ class _Handle:
     decides), too_large(n), its refusal past that degree (direct and dft
     take both from their builders' modules, which refuse the same degrees
     themselves), overflow, the text of its refusal once the apply has
-    overflowed.  _Handle(n) is what the first solve at degree n
-    caches: refused past last_degree before anything is built, it holds
-    obj, the method's build(n), and M for the residual.
-    _Handle(n, obj) wraps a raw apply's obj, refused the same way, with no M.
-    Either holds the cap below which apply(bv) cannot overflow, computed
-    once here: one from lambda_min for direct, eig and cho, and dft's own.
-    Each build looks up its builder as a module global when called, so a
-    patched builder is the one that runs; so does the dft apply, its kernel.
+    overflowed.  _Handle(n, obj) is refused past last_degree before
+    anything is built.  Given degree n's _Degree, it holds obj, the method's
+    build(obj) from that degree's builds: what a solve keeps there.  Given
+    any other obj, a raw apply's, it wraps it.  Either holds the cap below
+    which apply(bv) cannot overflow, computed once here: one from lambda_min
+    for direct, eig and cho, and dft's own.  Each build looks up its builder
+    as a module global when called, so a patched builder is the one that
+    runs; so does the dft apply, its kernel.
     """
 
     aliases, last_degree = (), None
     overflow = "{name} solve at degree n={n} left double range (its apply overflowed)"
 
-    def __init__(self, n: int, obj=None):
+    def __init__(self, n: int, obj):
         if self.last_degree is not None and n > self.last_degree:
             raise self.too_large(n)
-        self.degree, self.obj = n, self.build(n) if obj is None else obj
-        self.mass = _mass(n) if obj is None else None
+        self.degree, self.obj = n, self.build(obj) if isinstance(obj, _Degree) else obj
         self.cap = self._cap()
 
     def _cap(self) -> float:
@@ -195,8 +223,8 @@ class _Direct(_Handle):
     name, tag, aliases, last_degree = "direct", "direct", ("exact-inverse",), inverse._LAST_DEGREE
     too_large = staticmethod(inverse._too_large)
 
-    def build(self, n: int) -> np.ndarray:
-        return inverse_matrix(n)
+    def build(self, d: _Degree) -> np.ndarray:
+        return inverse_matrix(d.n)
 
     def apply(self, bv: np.ndarray) -> np.ndarray:
         return self.obj.dot(bv)
@@ -207,8 +235,8 @@ class _Dft(_Handle):
     overflow = "structured inverse products overflow double precision at degree n={n}"
     too_large = staticmethod(structured._too_large)
 
-    def build(self, n: int) -> StructuredInverse:
-        return structured_inverse(n)
+    def build(self, d: _Degree) -> StructuredInverse:
+        return structured_inverse(d.n)
 
     def apply(self, bv: np.ndarray) -> np.ndarray:
         return _dft_apply(self.obj, bv)
@@ -232,8 +260,8 @@ class _Eig(_Handle):
     # anything divides by it
     name, tag, aliases, last_degree = "eig", "Eig", ("spectral",), 508
 
-    def build(self, n: int) -> SpectralDecomp:
-        return _spectral(n)
+    def build(self, d: _Degree) -> SpectralDecomp:
+        return d.spectral
 
     @classmethod
     def too_large(cls, n: int) -> DegreeTooLargeError:
@@ -250,14 +278,8 @@ class _Eig(_Handle):
 class _Cho(_Handle):
     name, tag, aliases = "cho", "cho", ("cholesky",)
 
-    def build(self, n: int) -> CholeskyFactor:
-        # M is cached only once it factors, so a degree LAPACK refuses keeps no M
-        mass = _cache.get(("mass", n))
-        if mass is None:
-            mass = mass_matrix(n).matrix
-        factor = cholesky_factor(mass)
-        _cached("mass", n, lambda _: mass)
-        return factor
+    def build(self, d: _Degree) -> CholeskyFactor:
+        return cholesky_factor(d.mass)
 
     def apply(self, bv: np.ndarray) -> np.ndarray:
         # numpy.linalg.solve's kernel, bare, twice: L from a Cholesky that succeeded is nonsingular
@@ -281,15 +303,6 @@ def canonical_method(name: str) -> str:
         raise UnknownMethodError(
             f"unknown method {name!r}; expected one of {sorted(METHOD_ALIASES)}"
         ) from None
-
-
-def _prefill(n_max: int) -> None:
-    """Cache the Q of every degree 0..n_max, up to eig's last degree, that a
-    table's M-norms read and the cache does not hold yet, from one batched
-    build_q_sweep."""
-    missing = [k for k in range(min(n_max, _Eig.last_degree) + 1) if ("spectral", k) not in _cache]
-    for spec in build_q_sweep(missing):
-        _cached("spectral", spec.degree, lambda _, value=spec: value)
 
 
 def _apply(h: _Handle, bv: np.ndarray, bnorm: float) -> np.ndarray:
@@ -378,35 +391,35 @@ def solve(method: str, n: int, b, max_degree: int = 25) -> SolveReport:
     name = canonical_method(method)
     if not 0 <= n <= max_degree:
         raise DegreeRangeError(f"degree {n} outside allowed range [0, {max_degree}]")
-    bv, bnorm = _checked_rhs(n, b)
-    if bnorm == 0.0:
-        # M is nonsingular, so x = 0; nothing is built, no method can form 0/0
-        x, residual = np.zeros(n + 1), 0.0
-    else:
-        h = _cache.get((name, n)) or _cached(name, n, _HANDLES[name])
-        x = _apply(h, bv, bnorm)
-        r = h.mass.dot(x)
-        r -= bv
-        residual = _scaled_norm(r) / bnorm
-        if not math.isfinite(residual):
-            raise DegreeTooLargeError(
-                f"{name} solve at degree n={n} left double range (relative residual {residual})"
-            )
-    return SolveReport(name, n, x, residual)
+    d = _cache.get(n)
+    if d is not None:
+        return d.solve(name, b)
+    d = _Degree(n)
+    report = d.solve(name, b)
+    if d.handles:  # kept once a handle is built, so a refused solve caches nothing
+        _cache.setdefault(n, d)
+    return report
 
 
-def _m_norm(n: int, v: np.ndarray) -> float:
-    """The M-norm ||Lambda^(1/2) Q^T v|| of a degree-n vector, through the cached Q.
+def _cached_q(n: int) -> SpectralDecomp:
+    """Degree n's Q from solve's cache: its _Degree's, stored if new once the Q is built."""
+    d = _cache.get(n) or _Degree(n)
+    spec = d.spectral
+    _cache.setdefault(n, d)
+    return spec
+
+
+def _m_norm(spec: SpectralDecomp, v: np.ndarray) -> float:
+    """The M-norm ||Lambda^(1/2) Q^T v|| of a vector, through its degree's Q.
 
     Unlike sqrt(v^T M v), this never cancels: that quadratic form turns
     negative once the float M stops being numerically positive definite
     (n >= 30).  The coordinates' 2-norm is _scaled_norm's.
     """
-    spec = _spectral(n)
     return _scaled_norm(np.sqrt(spec.lam) * spec.q.T.dot(v))
 
 
-def _errors(x_hat: np.ndarray, x_ref: np.ndarray) -> tuple:
+def _errors(spec: SpectralDecomp, x_hat: np.ndarray, x_ref: np.ndarray) -> tuple:
     """metrics' relative 2-norm and M-norm errors of x_hat against x_ref.
 
     Both M-norms' coordinates come from one two-column product with Q^T,
@@ -416,7 +429,6 @@ def _errors(x_hat: np.ndarray, x_ref: np.ndarray) -> tuple:
     coordinates underflow) raises ValueError.
     """
     d = x_hat - x_ref
-    spec = _spectral(x_ref.size - 1)
     dm, rm = map(_scaled_norm, np.sqrt(spec.lam) * (spec.q.T @ np.column_stack((d, x_ref))).T)
     if rm == 0.0:
         raise ValueError("reference solution has zero norm")
@@ -434,7 +446,8 @@ def metrics(x_hat, x_ref, b, m) -> tuple:
     solve.
     """
     x_hat = np.ascontiguousarray(x_hat, dtype=float)
-    err2, errm = _errors(x_hat, np.ascontiguousarray(x_ref, dtype=float))
+    x_ref = np.ascontiguousarray(x_ref, dtype=float)
+    err2, errm = _errors(_cached_q(x_ref.size - 1), x_hat, x_ref)
     bv = np.ascontiguousarray(b, dtype=float)
     bnorm = _scaled_norm(bv)
     mm = np.ascontiguousarray(m, dtype=float)

@@ -7,8 +7,9 @@ coefficient vectors: as functions of the row index these are the discrete
 Chebyshev (Gram, Hahn alpha = beta = 0) polynomials at the Bernstein nodes
 (Farouki 2000; Koekoek, Lesky & Swarttouw 2010, sec. 9.5).  build_q assembles Q in
 O(n^2) by marching their difference equation down the rows, and
-build_q_sweep gives a sweep of degrees the same Qs, bit for bit, from
-marches batched across the degrees.  Both refuse a degree past
+build_q_sweep(n_max) iterates over the same Qs of degrees 0..n_max, bit
+for bit, from marches batched across blocks of consecutive degrees, each
+marched when its first Q is read.  Both refuse a degree past
 bernstein._MAX_DEGREE, as mass_matrix does: Q is checked orthogonal through
 it.  The eig method's apply through Q, and its last degree, are solvers'
 eig handle's.  The naive construction that elevates each Legendre vector
@@ -91,63 +92,61 @@ def build_q(n: int) -> SpectralDecomp:
 
 
 # padded entries one batched march of build_q_sweep holds (2 MB of doubles),
-# so the tables' Q prefill holds little beyond the Qs it returns
+# so a table reading its Qs in turn holds one block beyond its row
 _SWEEP_BLOCK = 1 << 18
 
 
-def build_q_sweep(degrees) -> list:
-    """build_q(n) for every n in degrees, bit for bit, from batched marches.
+def build_q_sweep(n_max: int):
+    """build_q(n) for n = 0..n_max, in order and bit for bit, from batched marches.
 
-    The degrees are marched in descending order, so those still marching at
-    row i (n//2 > i) form a prefix, and each row step is one set of numpy
-    calls over a padded (degree x column) array rather than one per degree.
-    Every entry gets build_q's IEEE operations: b, d and b + d are exact
-    integers held as per-degree columns, and row 0 is a cumprod along the
-    row, which is sequential, so each degree's prefix is its own 1-D
-    cumprod.  The padding stays 0.  One degree is faster through build_q.
-    A degree past bernstein._MAX_DEGREE raises build_q's DegreeTooLargeError,
-    for the largest, before anything is built.
+    An iterator: the degrees are split into blocks of consecutive degrees,
+    each a padded (degree x row x column) array of at most _SWEEP_BLOCK
+    entries or one degree, and a block is marched when its first Q is read.
+    Within a block the degrees still marching at row i (n//2 > i) are a
+    suffix, so each row step is one set of numpy calls over them rather than
+    one per degree.  Every entry gets build_q's IEEE operations: b, d and
+    b + d are exact integers held as per-degree columns, and row 0 is a
+    cumprod along the row, which is sequential, so each degree's prefix is
+    its own 1-D cumprod.  The padding stays 0.  One degree is faster through
+    build_q.  An n_max past bernstein._MAX_DEGREE raises build_q's
+    DegreeTooLargeError before anything is built.
     """
-    _supported(max(degrees, default=0), "eigenvector matrix")
-    order = sorted(set(degrees), reverse=True)
-    built = {}
-    start = 0
-    while start < len(order):
-        top = order[start]
-        count = max(1, _SWEEP_BLOCK // ((top // 2 + 1) * (top + 1)))
-        for spec in _march_block(order[start : start + count]):
-            built[spec.degree] = spec
-        start += count
-    return [built[n] for n in degrees]
+    _supported(n_max, "eigenvector matrix")
+    blocks, low = [], 0
+    while low <= n_max:
+        top = low
+        while top < n_max and (top + 2 - low) * ((top + 1) // 2 + 1) * (top + 2) <= _SWEEP_BLOCK:
+            top += 1
+        blocks.append((low, top))
+        low = top + 1
+    return (spec for low, top in blocks for spec in _march_block(low, top))
 
 
-def _march_block(order: list) -> list:
-    """build_q for a block of distinct degrees, largest first, in one padded march."""
-    top = order[0]
-    nv = np.array(order, dtype=float)[:, None]
+def _march_block(low: int, top: int) -> list:
+    """build_q(n) for n = low..top, in one padded march."""
+    nv = np.arange(low, top + 1.0)[:, None]
     j = np.arange(top + 1.0)
     k = j[:-1]
     # the padding (k >= n) clipped to a ratio of 0 rather than sqrt(negative)
     ratio = np.sqrt((2.0 * k + 3.0) * np.maximum(nv - k, 0.0) / ((2.0 * k + 1.0) * (nv + k + 2.0)))
     sign = np.where(j % 2 == 0, 1.0, -1.0)
     mu = j * (j + 1.0)
-    rows = np.zeros((len(order), top // 2 + 1, top + 1))
+    rows = np.zeros((top - low + 1, top // 2 + 1, top + 1))
     s = rows[:, 0]
     s[:, :1] = 1.0 / np.sqrt(nv + 1.0)
     s[:, 1:] = ratio
     np.cumprod(s, axis=1, out=s)
     s *= sign
-    halves = [n // 2 for n in order]
-    active = len(order)
+    first = 0
     for i in range(top // 2):
-        while halves[active - 1] <= i:
-            active -= 1
-        n = nv[:active]
+        while (low + first) // 2 <= i:
+            first += 1
+        n = nv[first:]
         b, d = (i + 1.0) * (i - n), i * (i - n - 1.0)
-        prev = rows[:active, i - 1] if i else 0.0
-        rows[:active, i + 1] = ((b + d + mu) * rows[:active, i] - d * prev) / b
+        prev = rows[first:, i - 1] if i else 0.0
+        rows[first:, i + 1] = ((b + d + mu) * rows[first:, i] - d * prev) / b
     out = []
-    for slab, n in zip(rows, order):
+    for n, slab in enumerate(rows, low):
         # a fresh C-contiguous Q, since matmul's bits depend on the layout
         half = n // 2
         q = np.empty((n + 1, n + 1))

@@ -110,6 +110,33 @@ def test_evaluate_against_closed_form():
     assert np.isscalar(float(p(0.25)))
 
 
+def _flat_evaluate(p, x):
+    # evaluate as it was written for a scalar or 1-D x only
+    xa = np.asarray(x, dtype=float)
+    xv = np.atleast_1d(xa)
+    w = np.repeat(p.coeffs[:, None], xv.size, axis=1)
+    for _ in range(p.degree):
+        w = (1.0 - xv) * w[:-1] + xv * w[1:]
+    return float(w[0][0]) if xa.ndim == 0 else w[0]
+
+
+@pytest.mark.parametrize("shape", [(2, 3), (2, 1, 2)])
+def test_evaluate_keeps_the_shape_of_x(shape):
+    # an x of any shape gives an array of that shape, entry for entry the flat
+    # evaluation's; scalar and 1-D x keep their bits
+    rng = np.random.default_rng(len(shape))
+    x = rng.uniform(-0.5, 1.5, shape)
+    for n in range(6):
+        p = BernsteinPoly(rng.uniform(-1.0, 1.0, n + 1))
+        flat = evaluate(p, x.ravel())
+        got = evaluate(p, x)
+        assert got.shape == shape and got.tobytes() == flat.reshape(shape).tobytes(), n
+        assert flat.shape == (x.size,) and flat.tobytes() == _flat_evaluate(p, x.ravel()).tobytes(), n
+        for v in (x.flat[0], 0.25, np.float64(0.75)):
+            got = evaluate(p, v)
+            assert type(got) is float and got == _flat_evaluate(p, v), n
+
+
 def test_basis_partition_of_unity():
     x = np.linspace(0.0, 1.0, 11)
     for n in (1, 4, 9):

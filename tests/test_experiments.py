@@ -2,7 +2,9 @@
 
 import io
 import math
+import os
 import struct
+import subprocess
 import sys
 from fractions import Fraction
 
@@ -11,7 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from bernmass import experiments
+from bernmass import experiments, solvers
 from bernmass.bernstein import BernsteinPoly, DegreeTooLargeError, evaluate
 from bernmass.conditioning import condition_table
 from bernmass.experiments import (
@@ -28,7 +30,7 @@ from bernmass.experiments import (
     write_csv,
 )
 from bernmass.oracle import function_norm, hankel_inverse_exact, legendre_reference, mass_exact, moments, rational_solve
-from bernmass.solvers import NotPositiveDefiniteError, cholesky_factor, clear_cache, metrics, solve
+from bernmass.solvers import METHODS, NotPositiveDefiniteError, UnknownMethodError, cholesky_factor, clear_cache, metrics, solve
 from bernmass.bernstein import mass_matrix
 from bernmass.rng import Xorshift64Star
 from bernmass.structured import next_pow2
@@ -372,12 +374,13 @@ def test_legendre_reference_is_the_sweep_entry():
 
 def test_run_projection_moments_are_bitwise(monkeypatch):
     seen = {}
+    real = solvers._Degree.solve
 
-    def spy(method, n, b, **kwargs):
-        seen[n] = np.array(b)
-        return solve(method, n, b, **kwargs)
+    def spy(degree, method, b):
+        seen[degree.n] = np.array(b)
+        return real(degree, method, b)
 
-    monkeypatch.setattr(experiments, "solve", spy)
+    monkeypatch.setattr(solvers._Degree, "solve", spy)
     for f in (f1, f2):
         seen.clear()
         run_projection(f, 20, methods=["eig"])
@@ -432,12 +435,14 @@ def test_pifp_and_metrics_match_rational_m_norm():
 def test_tables_flag_degree_too_large_cells(monkeypatch):
     # a solve whose result leaves double range raises DegreeTooLargeError;
     # the tables mark that method's cells nan at that degree and go on
-    def failing(method, n, b, **kwargs):
-        if method == "eig" and n == 3:
-            raise DegreeTooLargeError("eig solve left double range")
-        return solve(method, n, b, **kwargs)
+    real = solvers._Degree.solve
 
-    monkeypatch.setattr(experiments, "solve", failing)
+    def failing(degree, method, b):
+        if method == "eig" and degree.n == 3:
+            raise DegreeTooLargeError("eig solve left double range")
+        return real(degree, method, b)
+
+    monkeypatch.setattr(solvers._Degree, "solve", failing)
     for recs, families in (
         (run_projection("f2", 5), ("fp", "Pifp", "err", "res")),
         (run_random(5, seed=42), ("L2err", "Merr", "res")),
@@ -449,8 +454,6 @@ def test_tables_flag_degree_too_large_cells(monkeypatch):
 
 
 def test_run_random_assembles_each_mass_matrix_once(monkeypatch):
-    from bernmass import solvers
-
     built = []
 
     def counting(n):
@@ -467,10 +470,8 @@ def test_run_random_assembles_each_mass_matrix_once(monkeypatch):
 
 
 def test_cho_table_keeps_no_mass_matrix_where_cho_refuses(monkeypatch):
-    # cho factors through degree 29: each degree's M is assembled once, and
-    # kept only where it factored
-    from bernmass import solvers
-
+    # cho factors through degree 29: each degree's M is assembled once, for its
+    # row alone, and the table keeps none, where it factored or not
     built = []
 
     def counting(n):
@@ -481,19 +482,15 @@ def test_cho_table_keeps_no_mass_matrix_where_cho_refuses(monkeypatch):
     solvers.clear_cache()
     try:
         recs = run_projection("f1", 40, ["cho"])
-        cached = sorted(n for kind, n in solvers._cache if kind == "mass")
-        handles = sorted(n for kind, n in solvers._cache if kind == "cho")
+        assert not solvers._cache
     finally:
         solvers.clear_cache()
     assert built == list(range(41))
-    assert cached == handles == list(range(30))
     assert math.isnan(recs[30].values["chofp"]) and not math.isnan(recs[29].values["chofp"])
 
 
 def _forbid_table_work(monkeypatch) -> list:
     """Make each step of a table's work record its name and fail, so none may run."""
-    from bernmass import solvers
-
     calls = []
 
     def forbidden(name):
@@ -503,8 +500,7 @@ def _forbid_table_work(monkeypatch) -> list:
         return record
 
     for module, name in ((experiments, "_power_tables"), (experiments, "_legendre_projections"),
-                         (experiments, "_prefill"), (solvers, "mass_matrix"),
-                         (solvers, "build_q_sweep")):
+                         (experiments, "build_q_sweep"), (solvers, "mass_matrix")):
         monkeypatch.setattr(module, name, forbidden(name))
     return calls
 
@@ -541,17 +537,16 @@ def test_random_table_reads_nan_where_the_exact_reference_leaves_double_range(mo
             refused.append(n)
             raise
 
-    def fake_solve(method, n, b, max_degree):
-        if n < 543:
+    def fake_solve(degree, method, b):
+        if degree.n < 543:
             raise ValueError("refused")
-        return SimpleNamespace(solution=np.zeros(n + 1), residual=0.0)
+        return SimpleNamespace(solution=np.zeros(degree.n + 1), residual=0.0)
 
     monkeypatch.setattr(experiments, "reference_solution", reference)
-    monkeypatch.setattr(experiments, "solve", fake_solve)
-    monkeypatch.setattr(experiments, "_prefill", lambda n_max: None)
-    monkeypatch.setattr(experiments, "_mass", lambda n: mass_matrix(n).matrix)  # uncached
+    monkeypatch.setattr(solvers._Degree, "solve", fake_solve)
+    monkeypatch.setattr(solvers._Degree, "spectral", None)  # the stubbed errors read no Q
     measured = []
-    monkeypatch.setattr(experiments, "_errors", lambda x_hat, x_ref: measured.append(x_ref) or (1.0, 2.0))
+    monkeypatch.setattr(experiments, "_errors", lambda spec, x_hat, x_ref: measured.append(x_ref) or (1.0, 2.0))
     records = run_random(544, 42, ["eig"])
     assert refused == [544]
     assert [len(x_ref) for x_ref in measured] == [544] and np.all(np.isfinite(measured[0]))
@@ -595,13 +590,15 @@ def test_negative_degrees_and_unknown_functions_refused_before_any_work(monkeypa
             run_projection(name, 3)
         assert type(info.value) is ValueError
         assert str(info.value) == f"unknown function {name!r}; expected one of ['f1', 'f2']"
+    for methods in (["bogus"], ["eig", "bogus"]):
+        for run in (lambda: run_projection("f1", 20, methods), lambda: run_random(20, methods=methods)):
+            with pytest.raises(UnknownMethodError, match="^unknown method 'bogus'"):
+                run()
     assert calls == []
 
 
 def test_run_random_forms_one_residual_per_cell(monkeypatch):
     # M x_hat - b is formed once per cell, by solve; the table takes report.residual
-    from bernmass import solvers
-
     products = []
 
     class Counting(np.ndarray):
@@ -660,97 +657,128 @@ def _tables(n_max, seed):
 
 
 @pytest.mark.parametrize("n_max", [20, 40])
-def test_tables_unchanged_by_batched_q(n_max):
-    # the tables build every degree's Q in one build_q_sweep; with each Q
-    # cached beforehand by build_q, one degree at a time, the bytes are the same
-    from bernmass import solvers
+def test_tables_unchanged_by_batched_q(monkeypatch, n_max):
+    # the tables read every degree's Q from one batched build_q_sweep; with each Q
+    # built by build_q instead, one degree at a time, the bytes are the same
+    from bernmass.spectral import build_q
 
-    clear_cache()
-    try:
-        swept = _tables(n_max, 11)
-        clear_cache()
-        for n in range(n_max + 1):
-            solvers._spectral(n)
-        one_by_one = _tables(n_max, 11)
-    finally:
-        clear_cache()
-    assert swept == one_by_one
+    swept = _tables(n_max, 11)
+    monkeypatch.setattr(experiments, "build_q_sweep", lambda top: map(build_q, range(top + 1)))
+    assert _tables(n_max, 11) == swept
 
 
 @pytest.mark.parametrize("n_max", [20, 40])
 def test_tables_unchanged_by_dft_sweep(n_max):
     # the tables build each degree's dft spectra as its first solve does; with
-    # each dft handle cached beforehand, one degree at a time, the bytes are the same
-    from bernmass import solvers
-
+    # each dft handle cached beforehand by solve, one degree at a time, the bytes
+    # are the same, and the tables leave those handles where they were
     clear_cache()
     try:
         swept = _tables(n_max, 11)
-        clear_cache()
-        singles = {n: solvers._cached("dft", n, solvers._Dft) for n in range(n_max + 1)}
+        for n in range(n_max + 1):
+            solve("dft", n, np.ones(n + 1), max_degree=n_max)
+        singles = {n: d.handles["dft"] for n, d in solvers._cache.items()}
         one_by_one = _tables(n_max, 11)
-        # the tables left the cached handles in place
-        assert all(solvers._cache[("dft", n)] is entry for n, entry in singles.items())
+        assert {n: d.handles["dft"] for n, d in solvers._cache.items()} == singles
+        assert all(solvers._cache[n].handles["dft"] is h for n, h in singles.items())
     finally:
         clear_cache()
     assert swept == one_by_one
 
 
 def test_dft_table_builds_each_degree_once(monkeypatch):
-    from bernmass import solvers
-
-    built = []
+    built, handles = [], []
     original = solvers.structured_inverse
     monkeypatch.setattr(solvers, "structured_inverse", lambda n: built.append(n) or original(n))
+    real = solvers._Degree.handle
+    monkeypatch.setattr(solvers._Degree, "handle", lambda degree, name: handles.append(real(degree, name)) or handles[-1])
     clear_cache()
     try:
         run_projection("f2", 40, ["dft"])
         assert built == list(range(41))
-        for n in range(41):
-            handle = solvers._cache[("dft", n)]
+        for n, handle in enumerate(handles):
             assert handle.obj.degree == handle.degree == n
             k = math.comb(2 * n + 2, n + 1)
             assert handle.cap == sys.float_info.max / 2.0 / k / k / (next_pow2(2 * n + 2) * (n + 1) ** 3.5)
-            assert handle.mass is solvers._cache[("mass", n)]
-        run_projection("f1", 40, ["dft"])  # every handle cached: nothing is built
-        assert built == list(range(41))
+        run_projection("f1", 40, ["dft"])  # the table kept nothing: a second one builds each degree again
+        assert built == list(range(41)) * 2 and not solvers._cache
     finally:
         clear_cache()
 
 
-def test_q_prefill_entries_and_clear_cache(monkeypatch):
-    from bernmass import solvers
+def test_tables_read_their_qs_in_turn_from_one_sweep(monkeypatch):
+    sweeps, read = [], []
+    original = experiments.build_q_sweep
 
-    sweeps = []
-    original = solvers.build_q_sweep
+    def counting(n_max):
+        sweeps.append(n_max)
+        return (read.append(spec.degree) or spec for spec in original(n_max))
 
-    def counting(degrees):
-        sweeps.append(list(degrees))
-        return original(degrees)
-
-    monkeypatch.setattr(solvers, "build_q_sweep", counting)
+    monkeypatch.setattr(experiments, "build_q_sweep", counting)
     clear_cache()
     try:
         run_projection("f1", 20, ["dft"])
-        assert sweeps == [list(range(21))]
-        assert all(solvers._cache[("spectral", n)].degree == n for n in range(21))
-        run_projection("f2", 20, ["eig"])  # every Q cached: the sweep builds nothing
-        assert sweeps == [list(range(21)), []]
-        clear_cache()
+        assert sweeps == [20] and read == list(range(21))
+        run_projection("f2", 20, ["eig"])  # the table kept no Q: the next one sweeps again
+        assert sweeps == [20, 20] and read == list(range(21)) * 2
+        # cho refuses from n = 30, so a cho table reads no Q past 29, nor marches its block
+        del read[:]
+        run_random(60, 3, ["cho"])
+        assert sweeps[-1] == 60 and read == list(range(30))
         assert not solvers._cache
-        run_random(20, 3, ["dft"])  # after clear_cache, the full build again
-        assert sweeps[-1] == list(range(21))
-        # past eig's last degree (508) no Q is built up front (recorded, not built)
-        monkeypatch.setattr(solvers, "build_q_sweep", lambda degrees: sweeps.append(degrees) or [])
-        clear_cache()
-        solvers._prefill(515)
-        assert sweeps[-1] == list(range(509))
     finally:
         clear_cache()
 
 
+def test_tables_leave_solves_cache_as_they_found_it():
+    # a table keeps its rows' builds to itself: after it, the cache holds the same
+    # degree objects, with the same handles, M and Q, and nothing else
+    clear_cache()
+    try:
+        for m in METHODS:
+            solve(m, 7, np.ones(8))
+        solve("eig", 12, np.ones(13))
+        metrics(np.ones(16), np.ones(16), np.ones(16), np.eye(16))  # caches degree 15's Q alone
+        before = {n: (d, dict(d.handles), dict(vars(d))) for n, d in solvers._cache.items()}
+        assert sorted(before) == [7, 12, 15]
+        run_projection("f1", 20)
+        run_random(20, 3)
+        assert sorted(solvers._cache) == sorted(before)
+        for n, (d, handles, state) in before.items():
+            assert solvers._cache[n] is d
+            assert d.handles.keys() == handles.keys() and all(d.handles[m] is h for m, h in handles.items())
+            assert vars(d).keys() == state.keys() and all(vars(d)[k] is v for k, v in state.items())
+    finally:
+        clear_cache()
+
+
+# VmHWM is this process's own peak: ru_maxrss would also count the parent's
+# memory the child shared until exec
+_PEAK_RSS = """
+from bernmass.experiments import run_projection, run_random
+{call}
+with open("/proc/self/status") as fh:
+    print(next(line.split()[1] for line in fh if line.startswith("VmHWM:")))
+"""
+
+
+@pytest.mark.parametrize("call", ['run_projection("f1", 300)', 'run_random(582, methods=["cho"])'],
+                         ids=["projection-f1-300", "random-582-cho"])
+def test_table_peak_memory_holds_about_one_degree(call):
+    # each table in a fresh process: its rows' builds go with the row, so the peak is
+    # the interpreter's and numpy's plus about one degree and one block of the Q sweep
+    # (a table that kept every degree's M, Q and handles peaked at 288 and 879 MB)
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]),
+               OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+    out = subprocess.run([sys.executable, "-c", _PEAK_RSS.format(call=call)], env=env,
+                         capture_output=True, text=True, timeout=300, check=True)
+    peak_mb = int(out.stdout) / 1024  # VmHWM is in kB
+    assert peak_mb <= 80, peak_mb
+
+
 def test_eig_only_tables_make_no_dft_transform(monkeypatch):
-    from bernmass import solvers, structured
+    from bernmass import structured
 
     calls = []
     rfft = structured._rfft
@@ -765,7 +793,7 @@ def test_eig_only_tables_make_no_dft_transform(monkeypatch):
         run_projection("f1", 20, ["eig"])
         run_random(20, 7, ["eig"])
         assert not calls
-        assert not any(key[0] == "dft" for key in solvers._cache)
+        assert not solvers._cache
         run_projection("f1", 20, ["dft"])
         assert calls
     finally:

@@ -321,7 +321,7 @@ def test_cho_entry_bitwise_equal_to_solve_cholesky():
     try:
         for n in range(30):
             factor = cholesky_factor(mass_matrix(n).matrix)
-            handle = solvers._Cho(n)
+            handle = solvers._Cho(n, solvers._Degree(n))
             for b in _cap_shapes(n):
                 want = _two_linalg_solves(factor.lower, b).tobytes()
                 assert handle.apply(b).tobytes() == want, n
@@ -333,15 +333,15 @@ def test_cho_entry_bitwise_equal_to_solve_cholesky():
 
 def _matmul_and_vdot_forms(method, n, b):
     # a warm solve with @ for the direct and eig applies and the residual, and np.vdot for its norm
-    handle = solvers._HANDLES[method](n)
+    degree = solvers._Degree(n)
     if method == "direct":
         x = inverse_matrix(n) @ b
     elif method == "eig":
-        spec = solvers._spectral(n)
+        spec = degree.spectral
         x = spec.q @ ((spec.q.T @ b) / spec.lam)
     else:
-        x = handle.apply(b)
-    r = handle.mass @ x
+        x = degree.handle(method).apply(b)
+    r = degree.mass @ x
     r -= b
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(kernels, "vdot", np.vdot)
@@ -357,7 +357,7 @@ def test_warm_solve_bitwise_equal_to_matmul_and_vdot(method, degrees):
     clear_cache()
     try:
         for n in degrees:
-            handle = solvers._HANDLES[method](n)
+            handle = solvers._Degree(n).handle(method)
             if n < 26:
                 rhs = _oracle_rhs(n)
             else:  # of order one, which every apply here takes finite
@@ -726,7 +726,7 @@ def test_threaded_first_solves_match_serial():
     assert all(r == serial for r in results)
 
 
-_BUILDERS = ("mass_matrix", "inverse_matrix", "structured_inverse", "build_q", "build_q_sweep", "cholesky_factor")
+_BUILDERS = ("mass_matrix", "inverse_matrix", "structured_inverse", "build_q", "cholesky_factor")
 
 
 def _count_builders(monkeypatch, names=_BUILDERS):
@@ -752,9 +752,10 @@ def test_last_degree_builds_and_the_next_is_refused_before_building(method, monk
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            built = handle(last)  # what a first solve at the last degree caches
+            degree = solvers._Degree(last)
+            built = degree.handle(method)  # what a first solve at the last degree keeps
         assert calls and built.degree == last and 0.0 < built.cap < math.inf
-        assert built.mass is solvers._cache[("mass", last)]
+        assert degree.handles == {method: built}
         clear_cache()
         del calls[:]
         for _ in range(2):  # a refusal is not cached
@@ -843,7 +844,7 @@ def _adversarial_rhs(method):
     else:
         last = solvers._HANDLES[method].last_degree
         degrees = sorted({*range(0, last + 1, 23), last - 1, last})
-        for d in build_q_sweep(degrees):
+        for d in (d for d in build_q_sweep(last) if d.degree in degrees):
             n, shapes = d.degree, [d.q[:, d.degree]]
             if method == "eig":
                 yield solvers._Eig(n, d), shapes

@@ -7,6 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from bernmass import spectral
 from bernmass.bernstein import DegreeTooLargeError, mass_matrix
 from bernmass.oracle import build_q_by_elevation, mass_exact, rational_solve
 from bernmass.solvers import solve, solve_spectral
@@ -187,14 +188,19 @@ def test_build_q_bitwise_equal_to_gathered_mirror(n):
 
 @pytest.mark.parametrize("degrees", [list(range(41)), [128, 255, 256, 509, 512, 581, 582]])
 def test_build_q_sweep_bitwise_equal_to_build_q(degrees):
-    # degrees in ascending order, so the batched march reorders them; its
-    # padding must raise no warning (sqrt of a negative ratio, say)
+    # the sweep to the last of the degrees gives every degree in order, each
+    # checked here at the listed ones; its padding must raise no warning (sqrt
+    # of a negative ratio, say)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        got = build_q_sweep(degrees)
-    assert [d.degree for d in got] == degrees
-    for n, d in zip(degrees, got):
-        want = build_q(n)
+        order, got = [], {}
+        for d in build_q_sweep(degrees[-1]):
+            order.append(d.degree)
+            if d.degree in degrees:
+                got[d.degree] = d
+    assert order == list(range(degrees[-1] + 1))
+    for n in degrees:
+        d, want = got[n], build_q(n)
         assert d.q.flags.c_contiguous, n
         assert d.q.tobytes() == want.q.tobytes(), n
         assert d.lam.tobytes() == want.lam.tobytes(), n
@@ -204,6 +210,26 @@ def test_build_q_refused_past_the_assembly_limit():
     # Q is checked orthogonal through 582, as M is assembled; from n near 1050 it is far
     # from orthogonal, so past 582 both builds refuse before building, as mass_matrix does
     assert build_q(582).q.shape == (583, 583)
-    for build in (build_q, lambda n: build_q_sweep([3, n, 5])):
+    for build in (build_q, build_q_sweep):
         with pytest.raises(DegreeTooLargeError, match="^eigenvector matrix degree n=583 is past the supported limit 582$"):
             build(583)
+
+
+def test_sweep_marches_a_block_only_when_its_first_q_is_read(monkeypatch):
+    # a block of consecutive degrees holds at most _SWEEP_BLOCK padded entries
+    # (or is one degree), and is marched when its first Q is read, not before
+    marched = []
+    march = spectral._march_block
+    monkeypatch.setattr(spectral, "_march_block", lambda low, top: marched.append((low, top)) or march(low, top))
+    qs = build_q_sweep(300)
+    assert marched == []
+    assert next(qs).degree == 0 and len(marched) == 1
+    low, top = marched[0]
+    assert low == 0 < top < 300
+    assert [next(qs).degree for _ in range(top)] == list(range(1, top + 1)) and len(marched) == 1
+    assert next(qs).degree == top + 1 and marched[1][0] == top + 1
+    del marched[:]
+    list(build_q_sweep(582))
+    assert [low for low, _ in marched] == [0] + [top + 1 for _, top in marched[:-1]] and marched[-1][1] == 582
+    for low, top in marched:
+        assert low == top or (top - low + 1) * (top // 2 + 1) * (top + 1) <= spectral._SWEEP_BLOCK

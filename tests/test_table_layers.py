@@ -20,7 +20,7 @@ import numpy as np
 import pytest
 
 from bernmass import experiments, solvers
-from bernmass.bernstein import _basis_from_powers, _power_tables, binomial_row
+from bernmass.bernstein import _basis_from_powers, _power_tables, binomial_row, mass_matrix
 from bernmass.experiments import (
     ExperimentRecord,
     _legendre_projections,
@@ -33,10 +33,10 @@ from bernmass.experiments import (
 from bernmass.kernels import _SQRT_TINY, _scaled_norm
 from bernmass.quadrature import composite_gauss_legendre
 from bernmass.solvers import _errors, _m_norm, clear_cache, solve
+from bernmass.spectral import build_q, build_q_sweep
 
 
-def _old_m_norm(n, v):
-    spec = solvers._spectral(n)
+def _old_m_norm(spec, v):
     coords = np.sqrt(spec.lam)[:, None] * (spec.q.T @ np.column_stack([v]))
     with np.errstate(over="ignore"):
         norms = np.linalg.norm(coords, axis=0)
@@ -46,9 +46,8 @@ def _old_m_norm(n, v):
     return float(norms[0])
 
 
-def _old_errors_m_norm(x_hat, x_ref):
+def _old_errors_m_norm(spec, x_hat, x_ref):
     d = x_hat - x_ref
-    spec = solvers._spectral(x_ref.size - 1)
     coords = np.sqrt(spec.lam)[:, None] * (spec.q.T @ np.column_stack((d, x_ref)))
     with np.errstate(over="ignore"):
         norms = np.linalg.norm(coords, axis=0)
@@ -88,16 +87,16 @@ def _old_legendre_projections(fv, n_max, rule):
     return out
 
 
-def _old_run_table(families, methods, n_max, rows):
-    requested = {solvers.canonical_method(m) for m in methods}
-    chosen = [m for m in solvers.METHODS if m in requested]
-    solvers._prefill(n_max)
+def _old_run_table(families, chosen, n_max, row):
+    qs = build_q_sweep(n_max)
     records = []
-    for n, (b, measure) in enumerate(rows):
+    for n in range(n_max + 1):
+        degree = solvers._Degree(n, qs)
+        b, measure = row(degree)
         cells = {}
         for m in chosen:
             try:
-                report = experiments.solve(m, n, b, max_degree=n_max)
+                report = degree.solve(m, b)
             except (ValueError, np.linalg.LinAlgError):
                 cells[m] = (math.nan,) * len(families)
             else:
@@ -128,18 +127,15 @@ def test_m_norm_of_one_vector_is_bitwise(n):
     # retakes run; RuntimeWarnings are errors here, so neither warns
     rng = np.random.default_rng(n)
     bound = 2 * (n + 1) * np.finfo(float).eps
-    try:
-        spec = solvers._spectral(n)
-        for scale in _SCALES:
-            for v in (rng.uniform(-1.0, 1.0, n + 1) * scale, np.full(n + 1, scale)):
-                got = _m_norm(n, v)
-                assert type(got) is float
-                if 1e-100 <= scale <= 1e100:
-                    assert got == np.linalg.norm(np.sqrt(spec.lam) * spec.q.T.dot(v)), (n, scale)
-                want = _old_m_norm(n, v)
-                assert abs(got - want) <= bound * want, (n, scale)
-    finally:
-        clear_cache()
+    spec = build_q(n)
+    for scale in _SCALES:
+        for v in (rng.uniform(-1.0, 1.0, n + 1) * scale, np.full(n + 1, scale)):
+            got = _m_norm(spec, v)
+            assert type(got) is float
+            if 1e-100 <= scale <= 1e100:
+                assert got == np.linalg.norm(np.sqrt(spec.lam) * spec.q.T.dot(v)), (n, scale)
+            want = _old_m_norm(spec, v)
+            assert abs(got - want) <= bound * want, (n, scale)
 
 
 @pytest.mark.parametrize("n", range(61))
@@ -151,12 +147,13 @@ def test_errors_m_norm_within_rounding_of_the_old_sums(n):
     rng = np.random.default_rng(n + 100)
     bound = (4 * (n + 1) + 1) * np.finfo(float).eps
     try:
-        b = solvers._mass(n) @ rng.uniform(-0.5, 0.5, n + 1)
+        b = mass_matrix(n).matrix @ rng.uniform(-0.5, 0.5, n + 1)
         x_ref = reference_solution(n, b)
         x_hat = solve("eig", n, b, max_degree=n).solution
+        spec = build_q(n)
         for scale in _SCALES:
-            got = _errors(x_hat * scale, x_ref * scale)[1]
-            want = _old_errors_m_norm(x_hat * scale, x_ref * scale)
+            got = _errors(spec, x_hat * scale, x_ref * scale)[1]
+            want = _old_errors_m_norm(spec, x_hat * scale, x_ref * scale)
             assert type(got) is float
             assert abs(got - want) <= bound * want, (n, scale)
     finally:
