@@ -34,7 +34,6 @@ from .rng import Xorshift64Star
 from .solvers import (
     METHODS,
     CholeskyFactor,
-    DegreeRangeError,
     NotPositiveDefiniteError,
     SolveReport,
     UnknownMethodError,
@@ -75,7 +74,6 @@ __all__ = [
     "solve_dft",
     "solve_spectral",
     "SolveReport",
-    "DegreeRangeError",
     "NotPositiveDefiniteError",
     "UnknownMethodError",
     "CholeskyFactor",

@@ -5,13 +5,15 @@ carried as its degree-n coefficient vector.  The mass matrix of pairwise L2
 inner products factors as M = D H D where D is the diagonal of binomial
 coefficients and H is a Hankel matrix; both factors, and the eigenvalues
 of spectral, come from one float ratio run, _ratio_run, so no factorial is
-ever formed.  basis_values refuses a degree past 1029, where C(n, n//2) is
-not a double, before any work.
+ever formed.  Every public entry point that takes a degree checks it first
+by one rule, _degree.  basis_values refuses a degree past 1029, where
+C(n, n//2) is not a double, before any work.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 
 import numpy as np
 
@@ -30,6 +32,24 @@ __all__ = [
 
 class DegreeTooLargeError(ValueError):
     """The requested degree cannot be represented in double precision."""
+
+
+def _degree(n, what: str, last: int | None = None) -> int:
+    """n as an int, by the one degree rule of every public entry point, before any work.
+
+    operator.index takes an int or a numpy integer; a bool, a float or any
+    other object raises TypeError, its message naming the degree of what.
+    A negative n raises ValueError, and one past last DegreeTooLargeError
+    naming what would be built.
+    """
+    if isinstance(n, bool) or not hasattr(type(n), "__index__"):
+        raise TypeError(f"{what} degree must be an integer, not {type(n).__name__}")
+    n = operator.index(n)
+    if n < 0:
+        raise ValueError("degree must be nonnegative")
+    if last is not None and n > last:
+        raise DegreeTooLargeError(f"{what} degree n={n} is past the supported limit {last}")
+    return n
 
 
 class BernsteinPoly:
@@ -99,13 +119,13 @@ def hankel_moments(n: int, scale_exp: int = 0) -> np.ndarray:
     Generated by the ratio recurrence h(s+1) = h(s) (s+1)/(2n-s) from
     h(0) = 2^scale_exp/(2n+1), which never touches a factorial.
     """
-    if n < 0:
-        raise ValueError("degree must be nonnegative")
+    n = _degree(n, "Hankel moments")
     return _ratio_run(math.ldexp(1.0, scale_exp) / (2 * n + 1), range(1, 2 * n + 1), range(2 * n, 0, -1))
 
 
 def binomial_row(n: int) -> list:
     """The integers C(n,i), i = 0..n, by the exact ratio recurrence c (n-i) // (i+1)."""
+    n = _degree(n, "binomial row")
     c = 1
     row = [c]
     for i in range(n):
@@ -131,20 +151,12 @@ def binomial_diag(n: int) -> np.ndarray:
     Not binomial_row rounded: from n = 55 the recurrence's rounding differs
     from the correctly rounded row, and M's bits are tied to this one.
     """
+    n = _degree(n, "binomial diagonal")
     return _ratio_run(1.0, range(n, 0, -1), range(1, n + 1))
 
 
-_MAX_DEGREE = 582  # the supported range of assembly and of Q, through which both are checked
+_MAX_DEGREE = 582  # the supported range of assembly, Q and the eigenvalues, all checked through it
 _LAST_BASIS_DEGREE = 1029  # C(1029, 514) is a double, C(1030, 515) is not
-
-
-def _supported(n: int, what: str, last: int = _MAX_DEGREE) -> None:
-    """Refuse a degree n before any work: below 0 with a ValueError, past
-    last with a DegreeTooLargeError naming what would be built."""
-    if n < 0:
-        raise ValueError("degree must be nonnegative")
-    if n > last:
-        raise DegreeTooLargeError(f"{what} degree n={n} is past the supported limit {last}")
 
 
 def mass_matrix(n: int) -> MassMatrix:
@@ -158,7 +170,7 @@ def mass_matrix(n: int) -> MassMatrix:
     is multiplied by 2^0 = 1.0.  Degrees past _MAX_DEGREE (582) raise
     DegreeTooLargeError.
     """
-    _supported(n, "mass matrix")
+    n = _degree(n, "mass matrix", _MAX_DEGREE)
     s = max(0, 2 * n - 1000)
     h = hankel_moments(n, s)
     d = binomial_diag(n)
@@ -198,7 +210,7 @@ def basis_values(n: int, x) -> np.ndarray:
     (1029), where C(n, n//2) is not a double, it raises DegreeTooLargeError
     before any work.
     """
-    _supported(n, "Bernstein basis", _LAST_BASIS_DEGREE)
+    n = _degree(n, "Bernstein basis", _LAST_BASIS_DEGREE)
     xv = np.atleast_1d(np.asarray(x, dtype=float))
     return _basis_from_powers(n, *_power_tables(xv, n))
 

@@ -8,9 +8,9 @@ Subcommands:
                 matrix, or the eigenvalues
 
 Exit codes: 0 success, 2 usage error, 3 numerical failure.  A degree past
-what the library builds (a table's --max-degree, the mass matrix or Q past
-582, the inverse past 511, the conditioning table past 514) exits 3 before
-any work, with the library's DegreeTooLargeError message.
+what the library builds (a table's --max-degree, the mass matrix, Q or the
+eigenvalues past 582, the inverse past 511, the conditioning table past 514)
+exits 3 before any work, with the library's DegreeTooLargeError message.
 """
 
 from __future__ import annotations
@@ -109,13 +109,10 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
-    degree = getattr(args, "max_degree", None)
-    if degree is not None and degree < 0:
-        print("bernmass: --max-degree must be nonnegative", file=sys.stderr)
-        return 2
-    if getattr(args, "n", 0) < 0:
-        print("bernmass: --n must be nonnegative", file=sys.stderr)
-        return 2
+    for option in ("max_degree", "n"):  # each subcommand has at most one of them
+        if getattr(args, option, 0) < 0:
+            print(f"bernmass: --{option.replace('_', '-')} must be nonnegative", file=sys.stderr)
+            return 2
     try:
         return _dispatch(args)
     except UnknownMethodError as exc:

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bernstein import DegreeTooLargeError
+from .bernstein import DegreeTooLargeError, _degree
 from .rng import Xorshift64Star
 from .solvers import _Eig, _cached_q
 from .spectral import SpectralDecomp, eigenvalues
@@ -42,12 +42,12 @@ __all__ = [
 _LAST_DEGREE = 514  # C(1029, 514) is below the largest double, C(1031, 515) is not
 
 
-def _supported(n: int) -> None:
-    """Refuse a degree n before any work: below 0, or past _LAST_DEGREE, where kappa_2 would overflow."""
-    if n < 0:
-        raise ValueError("degree must be nonnegative")
+def _supported(n) -> int:
+    """n by bernstein's degree rule, refused past _LAST_DEGREE, where kappa_2 would overflow, before any work."""
+    n = _degree(n, "condition number")
     if n > _LAST_DEGREE:
         raise DegreeTooLargeError(f"condition number C(2n+1, n) overflows double precision at degree n={n}")
+    return n
 
 
 def kappa_2(n: int) -> float:
@@ -57,7 +57,7 @@ def kappa_2(n: int) -> float:
     where C(2n+1, n) is below 2^53.  Past _LAST_DEGREE (514), where
     C(2n+1, n) is not a double, it raises DegreeTooLargeError.
     """
-    _supported(n)
+    n = _supported(n)
     return float(math.comb(2 * n + 1, n))
 
 
@@ -85,7 +85,7 @@ def condition_table(n_max: int) -> list:
     A negative n_max raises ValueError, and one past _LAST_DEGREE (514)
     kappa_2's DegreeTooLargeError, before any row is computed.
     """
-    _supported(n_max)
+    n_max = _supported(n_max)
     out = []
     for n in range(n_max + 1):
         lam = eigenvalues(n)
@@ -153,6 +153,7 @@ def perturbation_study(n: int, samples: int = 1000, seed: int = 12345) -> Pertur
     the mixed norms, it is refused past eig's last degree.  samples below 1
     raise ValueError: the 99% quantile needs at least one random direction.
     """
+    n = _degree(n, "perturbation study")
     if samples < 1:
         raise ValueError(f"perturbation_study needs at least one sample, not {samples}")
     d = _decomp(n)

@@ -36,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bernstein import DegreeTooLargeError, _basis_from_powers, _power_tables, _supported, binomial_row
+from .bernstein import _MAX_DEGREE, DegreeTooLargeError, _basis_from_powers, _degree, _power_tables, binomial_row
 from .inverse import _hankel_inverse_apply
 from .kernels import _checked_rhs, _scaled_norm
 from .quadrature import QuadratureRule, _legendre_run, composite_gauss_legendre
@@ -167,7 +167,7 @@ def run_projection(func, n_max: int, methods=METHODS) -> list:
     FUNCTIONS a ValueError naming the known ones, and a method not in
     METHOD_ALIASES UnknownMethodError.
     """
-    _supported(n_max, "projection table")
+    n_max = _degree(n_max, "projection table", _MAX_DEGREE)
     if isinstance(func, str) and func not in FUNCTIONS:
         raise ValueError(f"unknown function {func!r}; expected one of {sorted(FUNCTIONS)}")
     chosen = _chosen(methods)
@@ -211,8 +211,7 @@ def reference_solution(n: int, b) -> np.ndarray:
     (for b = sin(0..n) from n = 538), and a b that solve refuses raises its
     ValueError.
     """
-    if n < 0:
-        raise ValueError("degree must be nonnegative")
+    n = _degree(n, "exact reference")
     bv, _ = _checked_rhs(n, b)
     ratios = [v.as_integer_ratio() for v in bv.tolist()]
     e = max(den.bit_length() for _, den in ratios) - 1
@@ -248,7 +247,7 @@ def run_random(n_max: int, seed: int = 42, methods=METHODS) -> list:
     (582), the last degree assembled, DegreeTooLargeError, and a method not
     in METHOD_ALIASES UnknownMethodError, before any work.
     """
-    _supported(n_max, "random table")
+    n_max = _degree(n_max, "random table", _MAX_DEGREE)
     chosen = _chosen(methods)
     gen = Xorshift64Star(seed)
 

@@ -9,9 +9,10 @@ persymmetry leave, in O(n^2) exact integer steps.  From that band
 forms the exact product K y, folded by centrosymmetry, for the exact
 reference solution.  Past _LAST_DEGREE (511), the last_degree of solvers'
 direct handle, inverse_matrix raises DegreeTooLargeError before building
-anything.  The entry formulas, the Bezout coefficient vectors, the full
-Bezout matrix and the dense integer inverse (hankel_inverse_exact) agree
-with this kernel exactly and live in bernmass.oracle.
+anything.  The band's callers check its degree, ahead of its cache.  The
+entry formulas, the Bezout coefficient vectors, the full Bezout matrix and
+the dense integer inverse (hankel_inverse_exact) agree with this kernel
+exactly and live in bernmass.oracle.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import operator
 
 import numpy as np
 
-from .bernstein import DegreeTooLargeError, _squared_binomial_row, binomial_row
+from .bernstein import DegreeTooLargeError, _degree, _squared_binomial_row, binomial_row
 
 __all__ = ["inverse_matrix"]
 
@@ -41,8 +42,6 @@ def _hankel_inverse_band(n: int) -> list:
     inverse is symmetric and, as h_s = h_{2n-s}, persymmetric, so this quarter
     of its entries determines the rest.
     """
-    if n < 0:
-        raise ValueError("degree must be nonnegative")
     s = _squared_binomial_row(n)
     band = []
     above = [0] * (n + 3)
@@ -101,6 +100,7 @@ def inverse_matrix(n: int) -> np.ndarray:
     diagonal is persymmetric too, the band's rounded entries fill the rest
     of the matrix by symmetry and persymmetry.
     """
+    n = _degree(n, "closed-form inverse")
     if n > _LAST_DEGREE:
         raise _too_large(n)
     band = _hankel_inverse_band(n)

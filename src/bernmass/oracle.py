@@ -29,7 +29,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .bernstein import BernsteinPoly, _squared_binomial_row, basis_values, binomial_row
+from .bernstein import BernsteinPoly, _degree, _squared_binomial_row, basis_values, binomial_row
 from .experiments import _legendre_projections, default_rule
 from .inverse import _hankel_inverse_band
 from .kernels import _scaled_norm
@@ -250,6 +250,7 @@ def hankel_inverse_exact(n: int) -> list:
     symmetry and persymmetry; entry (i, j) equals hankel_inverse_entry.  The
     tests' dense reference for the production kernels that read the band.
     """
+    n = _degree(n, "exact inverse")
     band = _hankel_inverse_band(n)
     # row i <= n//2: column i of the rows above, its band, then by persymmetry
     # entry (i, n-k) = (k, n-i) for k = i-1..0
@@ -486,8 +487,7 @@ def legendre_reference(f, n: int, rule: QuadratureRule | None = None) -> Bernste
     integration, so this route never touches the mass matrix and serves as
     the independent reference for the projection experiments.
     """
-    if n < 0:
-        raise ValueError(f"degree must be nonnegative, got {n}")
+    n = _degree(n, "Legendre reference")
     rule = rule or default_rule()
     fv = np.asarray(f(rule.nodes), dtype=float)
     return BernsteinPoly(_legendre_projections(fv, n, rule)[n])

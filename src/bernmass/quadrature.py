@@ -17,6 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .bernstein import _degree
+
 __all__ = [
     "QuadratureRule",
     "gauss_legendre",
@@ -54,8 +56,14 @@ def _legendre_value_derivative(m: int, x: np.ndarray) -> tuple:
 
 
 def gauss_legendre(m: int) -> QuadratureRule:
-    """The m-point Gauss-Legendre rule mapped to [0, 1]; exact to degree 2m-1."""
-    if m < 1:
+    """The m-point Gauss-Legendre rule mapped to [0, 1]; exact to degree 2m-1.
+
+    m is the degree of the Legendre polynomial P_m whose roots are the
+    nodes, and goes by bernstein's degree rule (a bool, a float or any other
+    non-integer raises TypeError, a negative m ValueError); m = 0 raises
+    ValueError too.
+    """
+    if _degree(m, "Legendre polynomial") < 1:
         raise ValueError("need at least one quadrature point")
     x, _ = np.polynomial.legendre.leggauss(m)
     # numpy's own weights are ten times less accurate than these at m = 32

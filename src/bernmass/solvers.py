@@ -33,19 +33,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import inverse, structured
-from .bernstein import DegreeTooLargeError, mass_matrix
+from .bernstein import DegreeTooLargeError, _degree, mass_matrix
 from .inverse import _hankel_inverse_band, inverse_matrix
 from .kernels import _SQRT_TINY, _checked_rhs, _scaled_norm
 from .kernels import cholesky as _cholesky
 from .kernels import solve1 as _solve1
-from .spectral import SpectralDecomp, build_q, eigenvalues
+from .spectral import SpectralDecomp, build_q
 from .structured import StructuredInverse, _dft_apply, structured_inverse
 
 __all__ = [
     "METHODS",
     "METHOD_ALIASES",
     "NotPositiveDefiniteError",
-    "DegreeRangeError",
     "UnknownMethodError",
     "CholeskyFactor",
     "cholesky_factor",
@@ -62,10 +61,6 @@ __all__ = [
 
 class NotPositiveDefiniteError(ValueError):
     """The matrix handed to the Cholesky routine was not numerically SPD."""
-
-
-class DegreeRangeError(ValueError):
-    """Requested degree is outside the range the caller allowed."""
 
 
 class UnknownMethodError(ValueError):
@@ -125,6 +120,12 @@ class SolveReport:
 
 
 _HALF_MAX = sys.float_info.max / 2.0
+
+
+def _lambda_min(n: int) -> float:
+    """M's smallest eigenvalue 1/((2n+1) C(2n, n)) in closed form, one correctly rounded division."""
+    return 1 / ((2 * n + 1) * math.comb(2 * n, n))
+
 
 # solve's _Degree per degree; a miss builds outside any lock, and the first value stored wins
 _cache: dict = {}
@@ -214,9 +215,8 @@ class _Handle:
         # apply passes |b|_2 / lambda_min; nor does one of the direct apply, as
         # |sum_{j in S} inv_ij b_j| <= |row_i|_2 |b|_2 <= |b|_2 / lambda_min; and for cho
         # |L^-1 b|_2 <= |b|_2 / sqrt(lambda_min) and |x|_2 <= |b|_2 / lambda_min; kept below
-        # half the largest double, with lambda_min = 1/((2n+1) C(2n, n)) in closed form,
-        # one correctly rounded division
-        return _HALF_MAX * (1 / ((2 * self.degree + 1) * math.comb(2 * self.degree, self.degree)))
+        # half the largest double
+        return _HALF_MAX * _lambda_min(self.degree)
 
 
 class _Direct(_Handle):
@@ -267,7 +267,7 @@ class _Eig(_Handle):
     def too_large(cls, n: int) -> DegreeTooLargeError:
         return DegreeTooLargeError(
             f"degree n={n} left double range "
-            f"(smallest eigenvalue {eigenvalues(n)[-1]:.3g} is not a normal double)"
+            f"(smallest eigenvalue {_lambda_min(n):.3g} is not a normal double)"
         )
 
     def apply(self, bv: np.ndarray) -> np.ndarray:
@@ -369,13 +369,16 @@ def solve_cholesky(factor: CholeskyFactor, b) -> np.ndarray:
     return _solve_raw(_Cho, factor, b)
 
 
-def solve(method: str, n: int, b, max_degree: int = 25) -> SolveReport:
+def solve(method: str, n: int, b) -> SolveReport:
     """Solve M x = b at degree n with the chosen method.
 
     Accepts canonical method names and their long aliases; metrics() gives
-    the errors against a reference solution.  A complex right-hand side, or
-    one with a nan or inf entry, raises ValueError, for every method; so
-    does a finite one whose 2-norm overflows (not merely b.b: like the
+    the errors against a reference solution.  n goes by bernstein's degree
+    rule, cached or not: a bool, a float or any other non-integer raises
+    TypeError, and a negative n ValueError; the only upper limit is the
+    method's last_degree.  A complex right-hand side, or one with a nan or
+    inf entry, raises ValueError, for every method; so does a finite one
+    whose 2-norm overflows (not merely b.b: like the
     residual's, from n near 286 for b of order one, it is rescaled by
     max|b|, as it is where b.b underflows, so a tiny nonzero b is not read
     as 0).  b = 0 gives x = 0 and builds nothing.  Past the method's
@@ -389,12 +392,12 @@ def solve(method: str, n: int, b, max_degree: int = 25) -> SolveReport:
     applied as 2^k b.  The residual is that of the x returned, against b.
     """
     name = canonical_method(method)
-    if not 0 <= n <= max_degree:
-        raise DegreeRangeError(f"degree {n} outside allowed range [0, {max_degree}]")
+    # a plain int goes straight to the cache, and its sign is checked on a miss
+    n = n if type(n) is int else _degree(n, f"{name} solve")
     d = _cache.get(n)
     if d is not None:
         return d.solve(name, b)
-    d = _Degree(n)
+    d = _Degree(_degree(n, f"{name} solve"))
     report = d.solve(name, b)
     if d.handles:  # kept once a handle is built, so a refused solve caches nothing
         _cache.setdefault(n, d)

@@ -9,11 +9,11 @@ Chebyshev (Gram, Hahn alpha = beta = 0) polynomials at the Bernstein nodes
 O(n^2) by marching their difference equation down the rows, and
 build_q_sweep(n_max) iterates over the same Qs of degrees 0..n_max, bit
 for bit, from marches batched across blocks of consecutive degrees, each
-marched when its first Q is read.  Both refuse a degree past
-bernstein._MAX_DEGREE, as mass_matrix does: Q is checked orthogonal through
-it.  The eig method's apply through Q, and its last degree, are solvers'
-eig handle's.  The naive construction that elevates each Legendre vector
-separately costs O(n^3); it is kept for cross-checking as
+marched when its first Q is read.  Both, and eigenvalues, refuse a degree
+past bernstein._MAX_DEGREE, as mass_matrix does: Q is checked orthogonal
+through it.  The eig method's apply through Q, and its last degree, are
+solvers' eig handle's.  The naive construction that elevates each Legendre
+vector separately costs O(n^3); it is kept for cross-checking as
 bernmass.oracle.build_q_by_elevation.
 """
 
@@ -23,7 +23,7 @@ import math
 
 import numpy as np
 
-from .bernstein import _ratio_run, _supported
+from .bernstein import _MAX_DEGREE, _degree, _ratio_run
 
 __all__ = [
     "SpectralDecomp",
@@ -49,10 +49,11 @@ def eigenvalues(n: int) -> np.ndarray:
     """All eigenvalues (n!)^2 / ((n+i+1)!(n-i)!), i = 0..n, largest first.
 
     Built by the ratio recurrence lam(i+1) = lam(i) (n-i)/(n+i+2) from
-    lam(0) = 1/(n+1), avoiding explicit factorials.
+    lam(0) = 1/(n+1), avoiding explicit factorials.  Past
+    bernstein._MAX_DEGREE (582), assembly's last degree, it raises
+    DegreeTooLargeError before any work.
     """
-    if n < 0:
-        raise ValueError("degree must be nonnegative")
+    n = _degree(n, "eigenvalues", _MAX_DEGREE)
     return _ratio_run(1.0 / (n + 1), range(n, 0, -1), range(n + 2, 2 * n + 2))
 
 
@@ -71,7 +72,7 @@ def build_q(n: int) -> SpectralDecomp:
     before building: it is checked only through there, and from n near 1050
     it is far from orthogonal.
     """
-    _supported(n, "eigenvector matrix")
+    n = _degree(n, "eigenvector matrix", _MAX_DEGREE)
     lam = eigenvalues(n)
     j = np.arange(n + 1.0)
     k = j[:-1]
@@ -111,7 +112,7 @@ def build_q_sweep(n_max: int):
     build_q.  An n_max past bernstein._MAX_DEGREE raises build_q's
     DegreeTooLargeError before anything is built.
     """
-    _supported(n_max, "eigenvector matrix")
+    n_max = _degree(n_max, "eigenvector matrix", _MAX_DEGREE)
     blocks, low = [], 0
     while low <= n_max:
         top = low

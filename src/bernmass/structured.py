@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .bernstein import DegreeTooLargeError, _squared_binomial_row, binomial_diag
+from .bernstein import DegreeTooLargeError, _degree, _squared_binomial_row, binomial_diag
 from .kernels import irfft as _irfft
 from .kernels import rfft as _rfft
 
@@ -95,8 +95,7 @@ def structured_inverse(n: int) -> StructuredInverse:
     circulant spectra would leave double range, and from n = 516 the squared
     binomial factors would.
     """
-    if n < 0:
-        raise ValueError("degree must be nonnegative")
+    n = _degree(n, "structured inverse")
     if n > _LAST_DEGREE:
         raise _too_large(n)
     row = np.array(_squared_binomial_row(n), dtype=float)

@@ -71,7 +71,7 @@ def test_every_production_definition_is_public_or_used():
 
 
 def test_public_names_resolve():
-    assert len(bernmass.__all__) == len(set(bernmass.__all__)) == 46
+    assert len(bernmass.__all__) == len(set(bernmass.__all__)) == 45
     for name in bernmass.__all__:
         assert hasattr(bernmass, name), name
 

@@ -14,6 +14,7 @@ from bernmass.bernstein import (
     _power_tables,
     basis_values,
     binomial_diag,
+    binomial_row,
     evaluate,
     hankel_moments,
     mass_matrix,
@@ -154,6 +155,15 @@ def test_basis_refused_past_its_last_degree_before_any_work(monkeypatch):
             basis_values(n, x)
         assert type(info.value) is DegreeTooLargeError
         assert str(info.value) == f"Bernstein basis degree n={n} is past the supported limit 1029"
+
+
+@pytest.mark.parametrize("row", [binomial_row, binomial_diag, hankel_moments])
+def test_binomials_and_moments_refuse_a_negative_degree(row):
+    # binomial_row(-3) and binomial_diag(-3) once gave [1]
+    for n in (-1, -3):
+        with pytest.raises(ValueError) as info:
+            row(n)
+        assert type(info.value) is ValueError and str(info.value) == "degree must be nonnegative"
 
 
 def test_basis_endpoint_values():

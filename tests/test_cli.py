@@ -168,6 +168,15 @@ def test_matrix_q_refused_past_the_assembly_limit(tmp_path, capsys):
     assert capsys.readouterr() == ("", "bernmass: eigenvector matrix degree n=583 is past the supported limit 582\n")
 
 
+def test_matrix_eigenvalues_refused_past_the_assembly_limit(tmp_path, capsys):
+    # as --what q and mass are: the eigenvalues once ran on to any degree
+    out = tmp_path / "lam.csv"
+    assert main(["matrix", "--n", "582", "--what", "eigenvalues", "--out", str(out)]) == 0
+    assert len(out.read_text().splitlines()) == 583
+    assert main(["matrix", "--n", "583", "--what", "eigenvalues"]) == 3
+    assert capsys.readouterr() == ("", "bernmass: eigenvalues degree n=583 is past the supported limit 582\n")
+
+
 def test_project_past_the_legendre_binomials_exits_three(monkeypatch, capsys):
     # from n = 1030 some C(n, i) is past double range, but a table past assembly's
     # last degree (582) is refused first, by its typed message, before any work

@@ -179,6 +179,12 @@ def test_perturbation_study_refuses_fewer_than_one_sample(samples):
         perturbation_study(6, samples=samples)
 
 
+def test_perturbation_study_refuses_a_bool_degree():
+    # q[:, True] is a boolean index, so True once died inside numpy's vstack
+    with pytest.raises(TypeError, match="^perturbation study degree must be an integer, not bool$"):
+        perturbation_study(True)
+
+
 def test_perturbation_study_hits_bound():
     st = perturbation_study(10, samples=1000, seed=12345)
     lam = eigenvalues(10)

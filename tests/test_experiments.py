@@ -417,7 +417,7 @@ def test_pifp_and_metrics_match_rational_m_norm():
     recs = run_projection("f1", 40, methods=["eig"])
     for n in (20, 30, 35, 38, 40):
         b = moments(f1, n, rule)
-        x_hat = solve("eig", n, b, max_degree=40).solution
+        x_hat = solve("eig", n, b).solution
         ref = legendre_reference(f1, n, rule).coeffs
         exact = mass_exact(n)
 
@@ -629,7 +629,7 @@ def test_run_random_forms_one_residual_per_cell(monkeypatch):
         b = mm @ gen.uniform(-0.5, 0.5, n + 1)
         x_ref = reference_solution(n, b)
         for m, tag in COLUMN_TAGS.items():
-            want = metrics(solve(m, n, b, max_degree=12).solution, x_ref, b, mm)
+            want = metrics(solve(m, n, b).solution, x_ref, b, mm)
             assert tuple(rec.values[tag + col] for col in ("L2err", "Merr", "res")) == want, (m, n)
 
 
@@ -676,7 +676,7 @@ def test_tables_unchanged_by_dft_sweep(n_max):
     try:
         swept = _tables(n_max, 11)
         for n in range(n_max + 1):
-            solve("dft", n, np.ones(n + 1), max_degree=n_max)
+            solve("dft", n, np.ones(n + 1))
         singles = {n: d.handles["dft"] for n, d in solvers._cache.items()}
         one_by_one = _tables(n_max, 11)
         assert {n: d.handles["dft"] for n, d in solvers._cache.items()} == singles

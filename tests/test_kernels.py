@@ -45,8 +45,8 @@ def _outputs():
             with np.errstate(over="ignore", invalid="ignore"):
                 out.append(_dft_apply(si, b).tobytes())
             for method in METHODS if n < 30 else ():
-                solve(method, n, b, max_degree=29)  # builds the entry; the second solve is warm
-                rep = solve(method, n, b, max_degree=29)
+                solve(method, n, b)  # builds the entry; the second solve is warm
+                rep = solve(method, n, b)
                 out += [rep.solution.tobytes(), rep.residual]
         for n in range(41):  # the Cholesky factors, and the refusals from n = 30
             out.append(_factor_or_refusal(mass_matrix(n).matrix))

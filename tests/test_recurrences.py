@@ -13,7 +13,7 @@ import math
 import numpy as np
 import pytest
 
-from bernmass.bernstein import binomial_diag, hankel_moments
+from bernmass.bernstein import _MAX_DEGREE, binomial_diag, hankel_moments
 from bernmass.experiments import _legendre_projections, default_rule, f1, f2
 from bernmass.quadrature import gauss_legendre
 from bernmass.spectral import eigenvalues
@@ -104,8 +104,9 @@ def test_binomial_diag_is_the_old_loop_into_overflow():
 
 
 def test_eigenvalues_are_the_old_loop_into_underflow():
-    assert (eigenvalues(1100) == 0.0).any()
-    for n in range(1101):
+    # through their last degree, assembly's 582; the first zeros come at 545
+    assert (eigenvalues(_MAX_DEGREE) == 0.0).any()
+    for n in range(_MAX_DEGREE + 1):
         assert _same_bits(eigenvalues(n), _old_eigenvalues(n)), n
 
 

@@ -1,5 +1,6 @@
 """The uniform solve front end and its error metrics."""
 
+import inspect
 import math
 import os
 import subprocess
@@ -11,6 +12,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import bernmass
 from bernmass.bernstein import DegreeTooLargeError, mass_matrix
 from bernmass.experiments import reference_solution
 from bernmass import inverse, kernels, solvers, structured
@@ -18,7 +20,6 @@ from bernmass.inverse import inverse_matrix
 from bernmass.oracle import mass_exact, rational_solve
 from bernmass.solvers import (
     METHODS,
-    DegreeRangeError,
     NotPositiveDefiniteError,
     UnknownMethodError,
     _scaled_norm,
@@ -81,13 +82,48 @@ def test_residuals_small_for_well_scaled_rhs():
 
 
 def test_degree_range_guard():
-    with pytest.raises(DegreeRangeError):
-        solve("cho", 26, np.zeros(27))
-    with pytest.raises(DegreeRangeError):
+    # solve has no max_degree cap and no DegreeRangeError: the degree goes by
+    # bernstein's rule, and past it only by the method's last_degree
+    assert list(inspect.signature(solve).parameters) == ["method", "n", "b"]
+    assert not hasattr(solvers, "DegreeRangeError") and "DegreeRangeError" not in bernmass.__all__
+    with pytest.raises(ValueError) as info:
         solve("cho", -1, np.zeros(0))
-    # a larger cap opts in to higher degrees
-    rep = solve("cho", 26, np.ones(27) / 27.0, max_degree=30)
+    assert type(info.value) is ValueError and str(info.value) == "degree must be nonnegative"
+    # past the old default cap of 25, with no opt-in
+    rep = solve("cho", 26, np.ones(27) / 27.0)
     assert rep.solution.shape == (27,)
+
+
+def test_float_degree_refused_alike_cached_or_not():
+    # a float equal to a cached degree once found that degree's entry and was solved
+    clear_cache()
+    try:
+        messages = []
+        for _ in range(2):
+            with pytest.raises(TypeError) as info:
+                solve("eig", 2.0, np.ones(3))
+            messages.append(str(info.value))
+            solve("eig", 2, np.ones(3))  # degree 2 is cached for the second round
+        assert messages == ["eig solve degree must be an integer, not float"] * 2
+    finally:
+        clear_cache()
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_bool_degree_refused(method):
+    # True and False are ints to Python, and once solved as degrees 1 and 0
+    clear_cache()
+    try:
+        for n in (True, False):
+            for _ in range(2):  # cold, then with the degree of the same value cached
+                with pytest.raises(TypeError) as info:
+                    solve(method, n, np.ones(n + 1))
+                assert str(info.value) == f"{method} solve degree must be an integer, not bool"
+                solve(method, int(n), np.ones(n + 1))
+        # a numpy integer is a degree, and reads the entry of its plain int
+        assert solve(method, np.int64(1), np.ones(2)).degree == 1 and len(solvers._cache) == 2
+    finally:
+        clear_cache()
 
 
 def test_rhs_shape_guard():
@@ -272,11 +308,11 @@ def test_dft_cap_boundary():
                     want = _solve_dft_seven_calls(si, past)
                 except DegreeTooLargeError as exc:
                     with pytest.raises(DegreeTooLargeError) as info:
-                        solve("dft", n, past, max_degree=509)
+                        solve("dft", n, past)
                     assert str(info.value) == str(exc), n
                 else:
                     try:
-                        got = solve("dft", n, past, max_degree=509).solution
+                        got = solve("dft", n, past).solution
                     except DegreeTooLargeError as exc:
                         # x finite, but |M x - b| / |b| is not: solve's own residual refusal
                         assert "relative residual" in str(exc), n
@@ -302,7 +338,7 @@ def test_cho_overflow_refused_unwarned_below_cap_unchanged():
                 for shape in shapes:
                     b = shape / math.sqrt(np.vdot(shape, shape)) * 10.0**e
                     try:
-                        x = solve("cho", n, b, max_degree=29).solution
+                        x = solve("cho", n, b).solution
                     except DegreeTooLargeError:
                         assert _scaled_norm(b) > cap, (n, e)
                         continue
@@ -326,7 +362,7 @@ def test_cho_entry_bitwise_equal_to_solve_cholesky():
                 want = _two_linalg_solves(factor.lower, b).tobytes()
                 assert handle.apply(b).tobytes() == want, n
                 assert solve_cholesky(factor, b).tobytes() == want, n
-                assert solve("cho", n, b, max_degree=29).solution.tobytes() == want, n
+                assert solve("cho", n, b).solution.tobytes() == want, n
     finally:
         clear_cache()
 
@@ -366,7 +402,7 @@ def test_warm_solve_bitwise_equal_to_matmul_and_vdot(method, degrees):
                 want_x, want_res = _matmul_and_vdot_forms(method, n, b)
                 assert handle.apply(b).tobytes() == want_x.tobytes(), (method, n)
                 for _ in range(2):  # the cold solve, then the warm one
-                    rep = solve(method, n, b, max_degree=600)
+                    rep = solve(method, n, b)
                     assert rep.solution.tobytes() == want_x.tobytes(), (method, n)
                     assert rep.residual == want_res, (method, n)
     finally:
@@ -433,7 +469,7 @@ def test_solve_refuses_non_finite_residual(n):
     # and 520, and at 545 three of them are 0, so the solution holds inf/nan
     with np.errstate(all="ignore"):
         with pytest.raises(DegreeTooLargeError, match="left double range"):
-            solve("eig", n, np.ones(n + 1), max_degree=600)
+            solve("eig", n, np.ones(n + 1))
 
 
 @pytest.mark.parametrize("method", METHODS)
@@ -444,7 +480,7 @@ def test_zero_rhs_gives_exact_zeros(method):
             rep = solve(method, n, np.zeros(n + 1))
             assert np.array_equal(rep.solution, np.zeros(n + 1)) and rep.residual == 0.0
         if method == "eig":  # where some eigenvalues underflow to 0
-            rep = solve(method, 545, np.zeros(546), max_degree=600)
+            rep = solve(method, 545, np.zeros(546))
             assert np.array_equal(rep.solution, np.zeros(546)) and rep.residual == 0.0
 
 
@@ -502,7 +538,7 @@ def test_metrics_m_norm_matches_exact_norm():
         x_true = rng.uniform(-0.5, 0.5, n + 1)
         b = mm @ x_true
         x_ref = reference_solution(n, b)
-        x_hat = solve("eig", n, b, max_degree=n).solution
+        x_hat = solve("eig", n, b).solution
         _, errm, _ = metrics(x_hat, x_ref, b, mm)
         exact = mass_exact(n)
 
@@ -531,7 +567,7 @@ def test_eig_refused_once_smallest_eigenvalue_is_subnormal(n):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(DegreeTooLargeError, match="left double range"):
-            solve("eig", n, np.ones(n + 1), max_degree=600)
+            solve("eig", n, np.ones(n + 1))
 
 
 @pytest.mark.parametrize("n", [511, 512, 582])
@@ -540,7 +576,7 @@ def test_direct_apply_overflow_refused_unwarned(n):
     # they pass double range and the inverse is refused before it is built.  pytest's
     # filter makes any RuntimeWarning an error
     with pytest.raises(DegreeTooLargeError) as info:
-        solve("direct", n, np.ones(n + 1), max_degree=600)
+        solve("direct", n, np.ones(n + 1))
     if n <= solvers._Direct.last_degree:
         assert str(info.value) == f"direct solve at degree n={n} left double range (its apply overflowed)"
     else:
@@ -551,7 +587,7 @@ def test_direct_apply_near_overflow_still_solved():
     # no bound proves this apply safe, yet it stays finite: the same x as before
     n = 511
     b = np.random.default_rng(n).uniform(-0.5, 0.5, n + 1)
-    rep = solve("direct", n, b, max_degree=600)
+    rep = solve("direct", n, b)
     assert np.array_equal(rep.solution, inverse_matrix(n) @ b)
     assert np.all(np.isfinite(rep.solution))
 
@@ -566,7 +602,7 @@ def test_residual_norm_overflow_is_rescaled(method, n, rhs):
     b = np.ones(n + 1) if rhs == "ones" else np.random.default_rng(n).uniform(-0.5, 0.5, n + 1)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        rep = solve(method, n, b, max_degree=600)
+        rep = solve(method, n, b)
     r = mass_matrix(n).matrix @ rep.solution - b
     assert np.all(np.isfinite(rep.solution)) and np.isinf(np.vdot(r, r))
     want = math.hypot(*r.tolist()) / math.hypot(*b.tolist())
@@ -619,6 +655,8 @@ def test_solve_bitwise_equal_to_per_method_oracle(method):
          "degree n=509 left double range (smallest eigenvalue 1.4e-308 is not a normal double)"),
         ("eig", 545, DegreeTooLargeError,
          "degree n=545 left double range (smallest eigenvalue 0 is not a normal double)"),
+        ("eig", 583, DegreeTooLargeError,  # past the eigenvalues' own last degree, refused all the same
+         "degree n=583 left double range (smallest eigenvalue 0 is not a normal double)"),
         ("direct", 512, DegreeTooLargeError,  # past its last degree: the builder's refusal
          "closed-form inverse entries overflow double precision at n=512"),
         ("direct", 583, DegreeTooLargeError,  # past assembly's limit, refused all the same
@@ -640,10 +678,10 @@ def test_solve_bitwise_equal_to_per_method_oracle(method):
 def test_refusals_keep_type_and_message(method, n, error, message):
     for _ in range(2):  # a refusal raised while building is not cached
         with pytest.raises(error) as info:
-            solve(method, n, np.ones(n + 1), max_degree=600)
+            solve(method, n, np.ones(n + 1))
         assert type(info.value) is error and str(info.value) == message
     # the b = 0 shortcut still runs before anything is built
-    assert not solve(method, n, np.zeros(n + 1), max_degree=600).solution.any()
+    assert not solve(method, n, np.zeros(n + 1)).solution.any()
 
 
 @pytest.mark.parametrize("method, n", [("direct", 509), ("dft", 254), ("eig", 508), ("cho", 29)])
@@ -653,7 +691,7 @@ def test_last_working_degree_gives_finite_x(method, n):
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            rep = solve(method, n, np.ones(n + 1), max_degree=600)
+            rep = solve(method, n, np.ones(n + 1))
         assert np.all(np.isfinite(rep.solution)) and math.isfinite(rep.residual)
     finally:
         clear_cache()
@@ -760,11 +798,11 @@ def test_last_degree_builds_and_the_next_is_refused_before_building(method, monk
         del calls[:]
         for _ in range(2):  # a refusal is not cached
             with pytest.raises(DegreeTooLargeError) as info:
-                solve(method, last + 1, np.ones(last + 2), max_degree=600)
+                solve(method, last + 1, np.ones(last + 2))
             assert str(info.value) == str(handle.too_large(last + 1))
         assert calls == [] and not solvers._cache
         # the b = 0 shortcut runs ahead of the refusal
-        assert not solve(method, last + 1, np.zeros(last + 2), max_degree=600).solution.any()
+        assert not solve(method, last + 1, np.zeros(last + 2)).solution.any()
         assert calls == []
     finally:
         clear_cache()
@@ -794,7 +832,9 @@ def test_raw_applies_call_no_builder_and_no_eigenvalues(monkeypatch):
         (solve_cholesky, cholesky_factor(mass_matrix(n).matrix)),
     )
     want = [apply(obj, b).tobytes() for apply, obj in routes]
-    calls = _count_builders(monkeypatch, (*_BUILDERS, "eigenvalues"))
+    calls = _count_builders(monkeypatch)
+    # nor can they read the eigenvalues: every cap, and eig's refusal, takes lambda_min in closed form
+    assert not hasattr(solvers, "eigenvalues")
     clear_cache()  # so a raw apply that reached for the cached M would build it
     try:
         assert [apply(obj, b).tobytes() for apply, obj in routes] == want
@@ -883,7 +923,7 @@ def test_direct_solutions_unchanged_by_the_lambda_min_cap(n):
     k = min(0, math.frexp(old)[1] - 1) - math.frexp(_scaled_norm(tiny))[1]
     try:
         for b, want in ((between, inv @ between), (tiny, np.ldexp(inv @ np.ldexp(tiny, k), -k))):
-            assert solve("direct", n, b, max_degree=511).solution.tobytes() == want.tobytes()
+            assert solve("direct", n, b).solution.tobytes() == want.tobytes()
     finally:
         clear_cache()
 
@@ -900,7 +940,7 @@ def test_table_solves_raise_only_value_errors_on_numpys_public_kernels(monkeypat
     clear_cache()
     try:
         with pytest.raises(NotPositiveDefiniteError):
-            solve("cho", 30, np.ones(31), max_degree=30)
+            solve("cho", 30, np.ones(31))
         for records in (run_projection("f1", 32, ["cho"]), run_random(32, 5, ["cho"])):
             cells = [list(rec.values.values()) for rec in records]
             assert all(math.isfinite(v) for row in cells[:30] for v in row)
@@ -910,9 +950,10 @@ def test_table_solves_raise_only_value_errors_on_numpys_public_kernels(monkeypat
 
 
 def test_readme_limits_table_cites_the_handles_last_degrees():
-    # the "works through / then raises" table: each row's last degree is its handle's
-    # (assembly's is bernstein._MAX_DEGREE), and no measured b = 1 limit passes it
-    from bernmass.bernstein import _MAX_DEGREE
+    # the "works through / then raises" table: each row's last degree is the contract
+    # test's, its solve's for a method and mass_matrix's for assembly, and no measured
+    # b = 1 limit passes it
+    from test_contract import ENTRY_POINTS
 
     readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
     with open(readme, encoding="utf-8") as fh:
@@ -922,12 +963,13 @@ def test_readme_limits_table_cites_the_handles_last_degrees():
         cells = [c.strip() for c in line.strip().strip("|").split("|")]
         if len(cells) == 4 and cells[1].startswith("n = "):
             rows[cells[0].strip("`")] = int(cells[1][len("n = "):]), cells[3]
-    assert set(rows) == {*METHODS, "assembly"}
+    assert set(rows) == {*METHODS, "assembly", "eigenvalues"}
     for name, (works, last) in rows.items():
-        limit = _MAX_DEGREE if name == "assembly" else solvers._HANDLES[name].last_degree
+        limit = ENTRY_POINTS["mass_matrix" if name == "assembly" else name][1]
         if limit is None:
             assert last.startswith("—"), name
         else:
             assert int(last) == limit and works <= limit, name
-    # for eig and assembly the structural limit is the measured one
-    assert rows["eig"][0] == solvers._Eig.last_degree and rows["assembly"][0] == _MAX_DEGREE
+    # for eig, assembly and the eigenvalues the structural limit is the measured one
+    for name in ("eig", "assembly", "eigenvalues"):
+        assert rows[name][0] == int(rows[name][1]), name

@@ -129,12 +129,12 @@ def test_solve_spectral_refused_where_solve_refuses_eig(n):
         if n == 508:
             x = solve_spectral(d, b)
             assert np.all(np.isfinite(x))
-            assert x.tobytes() == solve("eig", n, b, max_degree=600).solution.tobytes()
+            assert x.tobytes() == solve("eig", n, b).solution.tobytes()
             return
         with pytest.raises(DegreeTooLargeError) as got:
             solve_spectral(d, b)
         with pytest.raises(DegreeTooLargeError) as want:
-            solve("eig", n, b, max_degree=600)
+            solve("eig", n, b)
     assert str(got.value) == str(want.value)
     assert str(got.value).startswith(f"degree n={n} left double range (smallest eigenvalue ")
 
@@ -213,6 +213,14 @@ def test_build_q_refused_past_the_assembly_limit():
     for build in (build_q, build_q_sweep):
         with pytest.raises(DegreeTooLargeError, match="^eigenvector matrix degree n=583 is past the supported limit 582$"):
             build(583)
+
+
+def test_eigenvalues_refused_past_the_assembly_limit():
+    # as Q is; eigenvalues(2000) once returned entries underflowed to 0
+    assert eigenvalues(582).shape == (583,)
+    for n in (583, 2000):
+        with pytest.raises(DegreeTooLargeError, match=f"^eigenvalues degree n={n} is past the supported limit 582$"):
+            eigenvalues(n)
 
 
 def test_sweep_marches_a_block_only_when_its_first_q_is_read(monkeypatch):
